@@ -20,10 +20,7 @@
 // carries the same records for CI artifacts.
 #include "bench_common.h"
 
-#include <cstring>
-
 #include "core/exec.h"
-#include "io/async_io.h"
 
 using namespace flashr;
 using namespace flashr::bench;
@@ -136,64 +133,6 @@ int main() {
   print_table({"wall s", "read-wait s", "occupancy"}, rows);
   std::printf("\nExpected shape: depth >= 4 beats depth 0 by >= 1.3x and "
               "read-wait decreases monotonically with depth.\n");
-
-  // -------------------------------------------------------------------------
-  // Backend dimension: thread-pool vs io_uring submission, same sweep
-  //
-  // The same throttled DAG per backend x depth. Both backends move the same
-  // bytes through the same prefetch window, so the interesting deltas are
-  // submission overhead and completion latency; rows are advisory (uring is
-  // skipped with a notice on kernels without it).
-  // -------------------------------------------------------------------------
-  header("Backend dimension: threads vs io_uring x prefetch depth",
-         "values: median wall / read-wait seconds per backend and depth");
-  std::vector<series_row> backend_rows;
-  for (io_backend_kind kind :
-       {io_backend_kind::threads, io_backend_kind::uring}) {
-    o.io_backend = kind;
-    const char* active = async_io::active_backend();
-    if (kind == io_backend_kind::uring && std::strcmp(active, "uring") != 0) {
-      std::printf("  io_uring unavailable on this kernel: backend rows "
-                  "skipped\n");
-      continue;
-    }
-    for (int depth : {0, 4, 8}) {
-      o.prefetch_depth = depth;
-      set_throttle(mbps);
-      o.fault_latency_prob = 0.12;
-      std::vector<double> walls, waits;
-      exec::pass_stats ps;
-      for (int rep = 0; rep < reps; ++rep) {
-        walls.push_back(time_once([&] { sink = run_dag(X); }));
-        ps = exec::last_pass_stats();
-        waits.push_back(static_cast<double>(ps.read_wait_ns) / 1e9);
-      }
-      o.fault_latency_prob = 0.0;
-      set_throttle(0);
-      std::sort(walls.begin(), walls.end());
-      std::sort(waits.begin(), waits.end());
-      const double t = walls[walls.size() / 2];
-      const double wait_s = waits[waits.size() / 2];
-      backend_rows.push_back(
-          {std::string(active) + " depth " + std::to_string(depth),
-           {t, wait_s}});
-      std::printf("  %-7s depth %d: %.3fs wall, %.3fs read-wait\n", active,
-                  depth, t, wait_s);
-      out.rec()
-          .kv("backend", active)
-          .kv("depth", depth)
-          .kv("seconds", t)
-          .kv("read_wait_seconds", wait_s)
-          .kv("read_mb", static_cast<double>(ps.read_bytes) / 1e6)
-          .kv("n", n)
-          .kv("threads", o.num_threads)
-          .kv("io_threads", o.io_threads)
-          .kv("mode", exec_mode_name(conf().mode));
-    }
-  }
-  o.io_backend = io_backend_kind::threads;
-  o.prefetch_depth = 8;
-  print_table({"wall s", "read-wait s"}, backend_rows);
 
   // -------------------------------------------------------------------------
   // Graceful degradation: throughput vs memory budget

@@ -43,15 +43,6 @@ const char* checksum_policy_name(checksum_policy p) {
   return "?";
 }
 
-const char* io_backend_kind_name(io_backend_kind k) {
-  switch (k) {
-    case io_backend_kind::threads: return "threads";
-    case io_backend_kind::uring: return "uring";
-    case io_backend_kind::auto_detect: return "auto";
-  }
-  return "?";
-}
-
 void options::validate() const {
   FLASHR_CHECK(num_threads >= 1, "num_threads must be >= 1");
   FLASHR_CHECK(io_threads >= 1, "io_threads must be >= 1");
@@ -87,8 +78,6 @@ void options::validate() const {
   FLASHR_CHECK(obs_sample_hz >= 0 && obs_sample_hz <= 10000,
                "obs_sample_hz must be in [0, 10000]");
   FLASHR_CHECK(obs_prof_keep >= 1, "obs_prof_keep must be >= 1");
-  FLASHR_CHECK(uring_queue_depth >= 8 && uring_queue_depth <= 32768,
-               "uring_queue_depth must be in [8, 32768]");
 }
 
 namespace {
@@ -162,20 +151,6 @@ void init(const options& opts) {
   if (const char* env = std::getenv("FLASHR_INCIDENT_DIR");
       env != nullptr && *env != '\0') {
     g_options.incident_dir = env;
-  }
-  // FLASHR_IO_BACKEND=threads|uring|auto selects the async I/O backend
-  // (CI runs the whole suite under `uring` this way).
-  if (const char* env = std::getenv("FLASHR_IO_BACKEND");
-      env != nullptr && *env != '\0') {
-    const std::string_view v(env);
-    if (v == "threads")
-      g_options.io_backend = io_backend_kind::threads;
-    else if (v == "uring")
-      g_options.io_backend = io_backend_kind::uring;
-    else if (v == "auto")
-      g_options.io_backend = io_backend_kind::auto_detect;
-    else
-      FLASHR_WARN("FLASHR_IO_BACKEND: unknown backend '%s' (ignored)", env);
   }
   // FLASHR_LOG_LEVEL=none|warn|info|debug (or 0..3) filters the log sink.
   if (const char* env = std::getenv("FLASHR_LOG_LEVEL");

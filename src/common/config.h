@@ -36,18 +36,6 @@ enum class checksum_policy : int {
 
 const char* checksum_policy_name(checksum_policy p);
 
-/// Which asynchronous I/O backend services EM partition reads/writes
-/// (io/io_backend.h).
-enum class io_backend_kind : int {
-  threads = 0,      ///< pread/pwrite thread pool (io/async_io.cpp)
-  uring = 1,        ///< io_uring with registered buffers (io/uring_io.cpp);
-                    ///< falls back to `threads` (with a warning) when the
-                    ///< kernel lacks support
-  auto_detect = 2,  ///< uring when available, else threads (silent)
-};
-
-const char* io_backend_kind_name(io_backend_kind k);
-
 /// Where materialized matrices live.
 enum class storage : int {
   in_mem = 0,   ///< FlashR-IM
@@ -100,26 +88,6 @@ struct options {
   /// 0 = unbounded. A single write larger than the budget is still admitted
   /// once the write queue is empty (the bound never deadlocks).
   std::size_t max_inflight_write_bytes = std::size_t{256} << 20;
-
-  // --- I/O backend (io/io_backend.h, io/uring_io.cpp) ----------------------
-  /// Backend servicing asynchronous EM I/O. Also set by FLASHR_IO_BACKEND=
-  /// threads|uring|auto at init(). `uring` logs once and falls back to the
-  /// thread pool when the kernel cannot provide a usable ring (ENOSYS,
-  /// RLIMIT_MEMLOCK too small to register the pool arena).
-  io_backend_kind io_backend = io_backend_kind::threads;
-  /// io_uring submission-queue depth (entries; rounded up to a power of two
-  /// by the kernel). Bounds the SQEs in flight, independent of the
-  /// governor's inflight-partition budget.
-  int uring_queue_depth = 256;
-  /// Use a kernel submission-polling thread (IORING_SETUP_SQPOLL); needs a
-  /// recent kernel and privileges, silently downgraded when setup fails.
-  bool uring_sqpoll = false;
-  /// Size of the buffer pool's contiguous registrable arena, the memory
-  /// io_uring fixed-buffer reads require (mem/buffer_pool.h). Rounded down
-  /// to a 4 KiB multiple; 0 disables the arena (uring then runs without
-  /// READ_FIXED). Must fit RLIMIT_MEMLOCK when the uring backend registers
-  /// it. Sized once, on the pool's first allocation.
-  std::size_t pool_arena_bytes = std::size_t{4} << 20;
 
   // --- Resource governor (core/governor.h) ---------------------------------
   /// Process-wide budget of transient pass memory (pool buffers for the

@@ -9,6 +9,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/json.h"
 #include "common/raw_sink.h"
 #include "common/timer.h"
 
@@ -47,27 +48,6 @@ void ring_record(log_level lvl, const char* msg) {
   g_log_head.store(head + 1, std::memory_order_release);
 }
 
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-}
-
 void default_sink(log_level lvl, const char* msg) {
   if (static_cast<log_format>(g_format.load(std::memory_order_relaxed)) ==
       log_format::json) {
@@ -77,9 +57,9 @@ void default_sink(log_level lvl, const char* msg) {
     line += buf;
     line += ",\"level\":\"";
     line += log_level_name(lvl);
-    line += "\",\"msg\":\"";
-    append_json_escaped(line, msg);
-    line += "\"}\n";
+    line += "\",\"msg\":";
+    json::quote(line, msg);
+    line += "}\n";
     std::fwrite(line.data(), 1, line.size(), stderr);
   } else {
     const char* tag = lvl == log_level::warn   ? "W"

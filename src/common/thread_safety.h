@@ -144,29 +144,14 @@ inline constexpr rank_t virtual_result{460, "virtual_result", false};
 inline constexpr rank_t thread_pool{470, "thread_pool", false};
 inline constexpr rank_t prefetch_window{500, "prefetch_window", true};
 inline constexpr rank_t io_join{550, "io_join", true};
-// Write-behind budget accounting shared by every I/O backend
-// (io/io_backend.h). Completions release budget from nonblocking contexts
-// (the uring reaper, pool I/O threads between requests), so the critical
-// sections are O(1) and alloc-free.
+// Write-behind budget accounting in the async I/O service (io/async_io.h).
+// I/O threads release budget between requests, from a nonblocking context,
+// so the critical sections are O(1) and alloc-free.
 inline constexpr rank_t io_write_budget{580, "io_write_budget", true};
-// Fault-injection plan snapshot (io/fault.h). A leaf in practice — the
-// injector takes nothing under it — but ranked above prefetch_window
-// because backends evaluate the injection schedule at submit time, and
-// submission may run under the prefetch window (refill staging reads).
+// Fault-injection plan snapshot (io/fault.h). A leaf in practice: the
+// injector takes nothing under it.
 inline constexpr rank_t fault_plan{590, "fault_plan", false};
 inline constexpr rank_t async_queue{600, "async_queue", false};
-// The uring completion-dispatch pool's task queue (io/uring_io.cpp). A
-// leaf in practice: the reaper enqueues and workers dequeue with nothing
-// else held, and a worker drops it before running the task (which may take
-// prefetch_window-ranked locks via notify callbacks, or uring_ring via a
-// resubmission).
-inline constexpr rank_t uring_dispatch{605, "uring_dispatch", false};
-// io_uring submission state (staged SQE count, kernel-inflight count,
-// pending-op queue) in io/uring_io.cpp. Taken under the prefetch window
-// (refill stages reads) and by the reaper/dispatchers for resubmissions;
-// never held across completion dispatch, which re-enters
-// prefetch_window-ranked locks.
-inline constexpr rank_t uring_ring{610, "uring_ring", false};
 inline constexpr rank_t buffer_pool{650, "buffer_pool", true};
 inline constexpr rank_t metrics_registry{700, "metrics_registry", false};
 inline constexpr rank_t trace_registry{750, "trace_registry", false};
@@ -191,7 +176,7 @@ inline constexpr rank_t stats_server{800, "stats_server", false};
 // conf() caller holds. It guards only arm/disarm bookkeeping (bundle dir,
 // monitor thread handle, trigger-pipe fd) for a few copies/stores and is
 // never held across a ranked acquisition — the monitor thread composes
-// bundles (governor health, io-backend snapshots, metrics, profile
+// bundles (governor health, I/O service snapshots, metrics, profile
 // history) with NO lock held, from copies it took at arm time. Trigger
 // requests themselves are lock-free (atomic slot + self-pipe) precisely
 // because they fire from under governor/watchdog locks and from the

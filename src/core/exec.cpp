@@ -382,16 +382,8 @@ class pass_runner {
     bool cum_has_carry = false;
     /// Current EM read buffers: (leaf, part) -> buffer.
     std::unordered_map<const em_readable*, pool_buffer> em_bufs;
-    /// EM read buffers promoted to refcounted leases for the current
-    /// partition: the zero-copy write path shares one read buffer between
-    /// chunk aliases and in-flight partition writes. Checked by leaf_view
-    /// before em_bufs.
-    std::unordered_map<const em_readable*, pool_lease> em_leases;
     /// Staging buffers for EM outputs of the current partition.
     std::unordered_map<const virtual_store*, pool_buffer> out_stage;
-    /// Per tall output: the EM leaf whose read buffer is written verbatim
-    /// as this partition's output (zero-copy), or null for the staged path.
-    std::vector<const em_readable*> zc_out;
     /// Current chunk geometry.
     std::size_t part = 0;
     std::size_t part_row0 = 0;     // global row of partition start
@@ -405,11 +397,6 @@ class pass_runner {
   chunk_buf& ensure(thread_ctx& ctx, const matrix_store::ptr& child);
   void unref(thread_ctx& ctx, const matrix_store::ptr& child);
   kern::view leaf_view(thread_ctx& ctx, const matrix_store* leaf);
-  /// The EM leaf whose prefetched read buffer IS output `v`'s partition
-  /// value — v is an identity cast over an ext leaf of identical geometry,
-  /// so the bytes read are exactly the bytes to write — or null when the
-  /// output needs a staging copy.
-  const em_readable* zero_copy_source(const virtual_store* v) const;
   void eval_virtual(thread_ctx& ctx, virtual_store* v, chunk_buf& out);
 
   /// Worker dispatch loop (body of the pass; runs on every pool thread):
@@ -564,16 +551,6 @@ void active_pass_note_wait(std::uint64_t pass_id) {
     if (p.pass_id == pass_id) ++p.admission_waits;
 }
 
-void active_pass_unregister(std::uint64_t pass_id) {
-  mutex_lock lock(g_stats_mutex);
-  for (auto it = g_active.begin(); it != g_active.end(); ++it) {
-    if (it->pass_id == pass_id) {
-      g_active.erase(it);
-      return;
-    }
-  }
-}
-
 /// Per-GenOp-kind kernel-time histograms, resolved once so the hot path
 /// costs an array index instead of a registry lookup.
 obs::histogram& kernel_hist(node_kind k) {
@@ -602,8 +579,7 @@ obs::counter& zero_copy_counter() {
   return c;
 }
 
-/// One zero-copy chunk evaluation happened (an alias replaced a kernel or a
-/// staging copy).
+/// One zero-copy chunk evaluation happened (an alias replaced a kernel).
 void count_zero_copy() {
   g_zero_copy_total.fetch_add(1, std::memory_order_relaxed);
   if (obs::metrics_on()) zero_copy_counter().add();
@@ -902,9 +878,6 @@ void pass_runner::pipeline_worker(thread_ctx& ctx) {
       ctx.part_rows = dag_.space.rows_in_part(s.part);
       process_partition(ctx);
       ctx.em_bufs.clear();
-      // Drop the worker's share of any zero-copy leases; in-flight writes
-      // keep theirs until completion.
-      ctx.em_leases.clear();
       submit_sink_partials(ctx);
     }
   }
@@ -1049,24 +1022,10 @@ void pass_runner::process_partition(thread_ctx& ctx) {
     ctx.cum_has_carry = ctx.part > 0;
   }
 
-  // Staging buffers for outputs that land on SSDs — except zero-copy
-  // outputs, whose partitions are written verbatim from the EM read buffer:
-  // the pool buffer is promoted to a refcounted lease shared between the
-  // chunk aliases, any other consumer of the leaf, and the in-flight write.
-  ctx.zc_out.assign(dag_.tall_outputs.size(), nullptr);
+  // Staging buffers for outputs that land on SSDs.
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
     virtual_store* v = dag_.tall_outputs[i];
     if (out_stores_[i]->kind() != store_kind::ext) continue;
-    if (const em_readable* src = zero_copy_source(v)) {
-      ctx.zc_out[i] = src;
-      if (ctx.em_leases.find(src) == ctx.em_leases.end()) {
-        auto it = ctx.em_bufs.find(src);
-        FLASHR_ASSERT(it != ctx.em_bufs.end(), "EM partition not prefetched");
-        ctx.em_leases.emplace(src, pool_lease(std::move(it->second)));
-        ctx.em_bufs.erase(it);
-      }
-      continue;
-    }
     ctx.out_stage[v] =
         buffer_pool::global().get(v->geom().part_bytes(ctx.part, v->type()));
   }
@@ -1081,21 +1040,14 @@ void pass_runner::process_partition(thread_ctx& ctx) {
     ctx.cum_has_carry = true;  // after the first chunk, carries are live
   }
 
-  // Flush outputs. Zero-copy outputs hand the write a copy of the lease:
-  // the read buffer stays alive until the slowest of {this partition's
-  // remaining consumers, the write completion} drops its share.
+  // Flush outputs: each staged partition moves into its asynchronous write.
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
     virtual_store* v = dag_.tall_outputs[i];
     if (out_stores_[i]->kind() != store_kind::ext) continue;
     auto* em = static_cast<em_store*>(out_stores_[i].get());
-    if (ctx.zc_out[i] != nullptr) {
-      em->write_part_async(ctx.part, ctx.em_leases[ctx.zc_out[i]]);
-      count_zero_copy();
-    } else {
-      auto it = ctx.out_stage.find(v);
-      em->write_part_async(ctx.part, std::move(it->second));
-      ctx.out_stage.erase(it);
-    }
+    auto it = ctx.out_stage.find(v);
+    em->write_part_async(ctx.part, std::move(it->second));
+    ctx.out_stage.erase(it);
   }
 
   // Publish cumulative carries for the next partition.
@@ -1120,12 +1072,6 @@ kern::view pass_runner::leaf_view(thread_ctx& ctx, const matrix_store* leaf) {
     }
     case store_kind::ext: {
       auto* e = static_cast<const em_readable*>(leaf);
-      // A zero-copy output moved this leaf's read buffer into a shared
-      // lease; same bytes, shared ownership.
-      if (auto lt = ctx.em_leases.find(e); lt != ctx.em_leases.end())
-        return kern::view{
-            lt->second.data() + ctx.chunk_row0 * leaf->elem_size(),
-            ctx.part_rows};
       auto it = ctx.em_bufs.find(e);
       FLASHR_ASSERT(it != ctx.em_bufs.end(), "EM partition not prefetched");
       return kern::view{
@@ -1136,21 +1082,6 @@ kern::view pass_runner::leaf_view(thread_ctx& ctx, const matrix_store* leaf) {
       FLASHR_ASSERT(false, "not a leaf store");
       return {};
   }
-}
-
-const em_readable* pass_runner::zero_copy_source(
-    const virtual_store* v) const {
-  if (v->op().kind != node_kind::cast_type) return nullptr;
-  const matrix_store* c = resolve(v->children()[0].get());
-  if (c->kind() != store_kind::ext) return nullptr;
-  if (v->op().to_type != c->type()) return nullptr;
-  // Identical partitioning (rows, cols, split): partition p of the output
-  // is byte-for-byte the leaf's read buffer for partition p.
-  const part_geom& a = v->geom();
-  const part_geom& b = c->geom();
-  if (a.nrow != b.nrow || a.ncol != b.ncol || a.part_rows != b.part_rows)
-    return nullptr;
-  return static_cast<const em_readable*>(c);
 }
 
 chunk_buf& pass_runner::ensure(thread_ctx& ctx,
@@ -1357,26 +1288,20 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
         prof_ ? prof_plan_id_[static_cast<std::size_t>(dag_.id_of(v))] : -1);
     chunk_buf& cb = ensure(ctx, v->shared_from_this());
     const std::size_t esz = v->elem_size();
-    const bool ext = out_stores_[i]->kind() == store_kind::ext;
-    // Zero-copy outputs skip the staging copy: the whole partition is
-    // written verbatim from the (leased) EM read buffer at flush, and the
-    // node's copy time stays literally zero.
-    if (!ext || ctx.zc_out[i] == nullptr) {
-      // The output move is data plumbing, not compute: it lands on the
-      // node's copy time, not its kernel time.
-      const std::uint64_t c0 = prof_ ? now_ns() : 0;
-      if (ext) {
-        char* dst = ctx.out_stage[v].data() + ctx.chunk_row0 * esz;
-        kern::copy(v->type(), cb.v, ctx.chunk_rows, v->ncol(), dst,
-                   ctx.part_rows);
-      } else {
-        auto* m = static_cast<mem_store*>(out_stores_[i].get());
-        char* dst = m->part_data(ctx.part) + ctx.chunk_row0 * esz;
-        kern::copy(v->type(), cb.v, ctx.chunk_rows, v->ncol(), dst,
-                   m->part_stride(ctx.part));
-      }
-      if (prof_) prof_add(ctx, dag_.id_of(v), pf_copy, now_ns() - c0);
+    // The output move is data plumbing, not compute: it lands on the node's
+    // copy time, not its kernel time.
+    const std::uint64_t c0 = prof_ ? now_ns() : 0;
+    if (out_stores_[i]->kind() == store_kind::ext) {
+      char* dst = ctx.out_stage[v].data() + ctx.chunk_row0 * esz;
+      kern::copy(v->type(), cb.v, ctx.chunk_rows, v->ncol(), dst,
+                 ctx.part_rows);
+    } else {
+      auto* m = static_cast<mem_store*>(out_stores_[i].get());
+      char* dst = m->part_data(ctx.part) + ctx.chunk_row0 * esz;
+      kern::copy(v->type(), cb.v, ctx.chunk_rows, v->ncol(), dst,
+                 m->part_stride(ctx.part));
     }
+    if (prof_) prof_add(ctx, dag_.id_of(v), pf_copy, now_ns() - c0);
     unref(ctx, v->shared_from_this());
   }
 
@@ -1397,15 +1322,9 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
     // time — including them here would double-count.
     std::uint64_t acc_ns = 0;
     switch (op.kind) {
-      case node_kind::s_agg_full: {
-        chunk_buf& a = ensure(ctx, ch[0]);
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::agg_full_acc(ct, op.a, a.v, ctx.chunk_rows,
-                           resolve(ch[0].get())->ncol(), acc);
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
-        break;
-      }
+      // A full aggregate keeps one accumulator per column until agg_finish,
+      // so both accumulate exactly like a column aggregate.
+      case node_kind::s_agg_full:
       case node_kind::s_agg_col: {
         chunk_buf& a = ensure(ctx, ch[0]);
         const std::uint64_t s0 = prof_ ? now_ns() : 0;
@@ -1821,9 +1740,9 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
   const std::uint64_t zc0 = g_zero_copy_total.load(std::memory_order_relaxed);
   struct stats_finalizer {
     io_stats& ios;
-    io_backend& aio;
+    async_io& aio;
     std::uint64_t rb0, wb0, zc0;
-    io_backend::write_throttle_stats th0;
+    async_io::write_throttle_stats th0;
     const pass_ctl& ctl;
     ~stats_finalizer() {
       // Build the snapshot off-lock, publish it in one assignment so a

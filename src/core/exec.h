@@ -66,9 +66,8 @@ struct pass_stats {
   std::size_t write_throttle_stalls = 0;  ///< submit_write calls that blocked
   std::uint64_t write_throttle_ns = 0;    ///< total write-throttle stall time
   std::size_t write_inflight_hwm = 0;     ///< in-flight write bytes high-water
-  /// Chunk evaluations satisfied by aliasing instead of a kernel/copy (the
-  /// zero-copy path: identity casts over in-memory or prefetched EM leaves,
-  /// including partitions written straight from their EM read buffer).
+  /// Chunk evaluations satisfied by aliasing instead of a kernel (the
+  /// zero-copy path: identity casts over in-memory or prefetched EM leaves).
   std::size_t zero_copy_chunks = 0;
   std::size_t degrade_steps = 0;      ///< degradation-ladder steps taken
   std::size_t admission_waits = 0;    ///< passes that queued for budget

@@ -452,21 +452,6 @@ void agg_merge(scalar_type t, agg_id op, char* into, const char* from,
   });
 }
 
-void agg_full_acc(scalar_type t, agg_id op, view a, std::size_t rows,
-                  std::size_t cols, char* acc) {
-  dispatch_type(t, [&]<typename T>() {
-    dispatch_agg(op, [&]<agg_id OP>() {
-      T* o = reinterpret_cast<T*>(acc);
-      for (std::size_t j = 0; j < cols; ++j) {
-        const T* ac = col_of<T>(a, j);
-        T v = o[j];
-        for (std::size_t i = 0; i < rows; ++i) v = agg_step<OP>(v, ac[i]);
-        o[j] = v;
-      }
-    });
-  });
-}
-
 void agg_finish(scalar_type t, agg_id op, const char* acc, std::size_t n,
                 char* out) {
   dispatch_type(t, [&]<typename T>() {

@@ -90,22 +90,19 @@ void agg_identity(scalar_type t, agg_id op, char* out, std::size_t n);
 void agg_merge(scalar_type t, agg_id op, char* into, const char* from,
                std::size_t n);
 
-/// acc[j] = op-fold(acc[j], elements of column j in row order). The full
-/// aggregate keeps one accumulator PER COLUMN until agg_finish so the fold
-/// order never depends on the Pcache chunk size: splitting a partition's
-/// rows across any number of chunked calls yields bit-identical acc — the
-/// invariant exec's degradation ladder relies on (DESIGN.md §11.2).
-void agg_full_acc(scalar_type t, agg_id op, view a, std::size_t rows,
-                  std::size_t cols, char* acc);
+/// acc[j] = op-fold(acc[j], elements of column j in row order): a strictly
+/// sequential fold, so splitting a partition's rows across any number of
+/// chunked calls yields bit-identical acc — the invariant exec's
+/// degradation ladder relies on (DESIGN.md §11.2). Serves both column
+/// aggregates and full aggregates; the latter keep one accumulator PER
+/// COLUMN until agg_finish, so their fold order never depends on the
+/// Pcache chunk size either.
+void agg_col_acc(scalar_type t, agg_id op, view a, std::size_t rows,
+                 std::size_t cols, char* acc);
 
 /// Combine `n` per-column accumulators (in column order) into out[0].
 void agg_finish(scalar_type t, agg_id op, const char* acc, std::size_t n,
                 char* out);
-
-/// acc[j] = op-fold(acc[j], elements of column j in row order); like
-/// agg_full_acc, a strictly sequential fold so chunking cannot change it.
-void agg_col_acc(scalar_type t, agg_id op, view a, std::size_t rows,
-                 std::size_t cols, char* acc);
 
 /// Generalized t(A) %*% B accumulation: acc (m×k, col-major, type t,
 /// stride m) += f2-combine over chunk rows of f1(A_ri, B_rj). A is rows×m,

@@ -3,12 +3,10 @@
 #include <cstdio>
 
 #include "common/config.h"
-#include "common/error.h"
-#include "common/log.h"
 #include "common/timer.h"
 #include "io/fault.h"
-#include "io/uring_io.h"
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "obs/trace.h"
 
 namespace flashr {
@@ -24,9 +22,14 @@ obs::histogram& write_hist() {
       obs::metrics_registry::global().get_histogram("io.write_us");
   return h;
 }
+obs::histogram& throttle_hist() {
+  static obs::histogram& h =
+      obs::metrics_registry::global().get_histogram("io.write_throttle_us");
+  return h;
+}
 }  // namespace
 
-thread_pool_backend::thread_pool_backend(int num_threads) {
+async_io::async_io(int num_threads) {
   if (num_threads < 1) num_threads = 1;
   threads_.reserve(static_cast<std::size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i)
@@ -41,7 +44,7 @@ thread_pool_backend::thread_pool_backend(int num_threads) {
     });
 }
 
-thread_pool_backend::~thread_pool_backend() {
+async_io::~async_io() {
   {
     mutex_lock lock(io_mtx_);
     stop_ = true;
@@ -50,80 +53,122 @@ thread_pool_backend::~thread_pool_backend() {
   for (auto& t : threads_) t.join();
 }
 
-std::future<void> thread_pool_backend::submit_read(
-    std::shared_ptr<const safs_file> file, std::size_t offset,
-    std::size_t len, char* buf) {
-  request req;
-  req.rfile = std::move(file);
-  req.offset = offset;
-  req.len = len;
-  req.rbuf = buf;
-  req.is_write = false;
-  std::future<void> fut = req.done.get_future();
+void async_io::enqueue(request req) {
   {
     mutex_lock lock(io_mtx_);
     queue_.push_back(std::move(req));
   }
   cv_.notify_one();
+}
+
+std::future<void> async_io::submit_read(std::shared_ptr<const safs_file> file,
+                                        std::size_t offset, std::size_t len,
+                                        char* buf) {
+  request req;
+  req.rfile = std::move(file);
+  req.offset = offset;
+  req.len = len;
+  req.rbuf = buf;
+  std::future<void> fut = req.done.get_future();
+  enqueue(std::move(req));
   return fut;
 }
 
-void thread_pool_backend::submit_read_notify(
-    std::shared_ptr<const safs_file> file, std::size_t offset,
-    std::size_t len, char* buf, completion_fn done) {
+void async_io::submit_read_notify(std::shared_ptr<const safs_file> file,
+                                  std::size_t offset, std::size_t len,
+                                  char* buf, completion_fn done) {
   request req;
   req.rfile = std::move(file);
   req.offset = offset;
   req.len = len;
   req.rbuf = buf;
   req.notify = std::move(done);
-  req.is_write = false;
-  {
-    mutex_lock lock(io_mtx_);
-    queue_.push_back(std::move(req));
-  }
-  cv_.notify_one();
+  enqueue(std::move(req));
 }
 
-void thread_pool_backend::enqueue_write(request req) {
-  // Admit under the byte budget BEFORE queueing (the base class blocks here
-  // while over budget), so the queue never holds unadmitted write bytes.
-  admit_write(req.len);
-  {
-    mutex_lock lock(io_mtx_);
-    queue_.push_back(std::move(req));
-  }
-  cv_.notify_one();
-}
-
-void thread_pool_backend::submit_write(std::shared_ptr<safs_file> file,
-                                       std::size_t offset, std::size_t len,
-                                       pool_buffer buf) {
+void async_io::submit_write(std::shared_ptr<safs_file> file,
+                            std::size_t offset, std::size_t len,
+                            pool_buffer buf) {
+  // Admit under the byte budget BEFORE queueing (blocks while over budget),
+  // so the queue never holds unadmitted write bytes.
+  admit_write(len);
   request req;
   req.wfile = std::move(file);
   req.offset = offset;
   req.len = len;
   req.wbuf = std::move(buf);
   req.is_write = true;
-  enqueue_write(std::move(req));
+  enqueue(std::move(req));
 }
 
-void thread_pool_backend::submit_write(std::shared_ptr<safs_file> file,
-                                       std::size_t offset, std::size_t len,
-                                       pool_lease buf) {
-  request req;
-  req.wfile = std::move(file);
-  req.offset = offset;
-  req.len = len;
-  req.wlease = std::move(buf);
-  req.is_write = true;
-  enqueue_write(std::move(req));
+void async_io::admit_write(std::size_t len) {
+  const std::size_t budget = conf().max_inflight_write_bytes;
+  mutex_lock lock(budget_mtx_);
+  // Bounded write-behind: admit the write only when it fits the budget.
+  // An oversized write is admitted once nothing else is in flight, so the
+  // bound cannot deadlock; the effective high-water mark is then
+  // max(budget, largest single write).
+  if (budget != 0 && inflight_write_bytes_ != 0 &&
+      inflight_write_bytes_ + len > budget) {
+    OBS_SPAN_ARG("io.write_throttle", len);
+    // Sampling profiler: time stalled on the write budget is I/O wait.
+    obs::sample_wait_scope sample_scope(obs::sample_state::io_wait);
+    ++throttle_stalls_;
+    const std::uint64_t t0 = now_ns();
+    while (inflight_write_bytes_ != 0 && inflight_write_bytes_ + len > budget)
+      cv_write_budget_.wait(lock);
+    const std::uint64_t stalled = now_ns() - t0;
+    throttle_stall_ns_ += stalled;
+    if (obs::metrics_on()) throttle_hist().record(stalled / 1000);
+  }
+  inflight_write_bytes_ += len;
+  if (inflight_write_bytes_ > write_hwm_bytes_)
+    write_hwm_bytes_ = inflight_write_bytes_;
+  ++pending_writes_;
 }
 
-std::string thread_pool_backend::debug_snapshot() const {
+void async_io::complete_write(std::size_t len, std::exception_ptr err) {
+  mutex_lock lock(budget_mtx_);
+  if (err && !write_error_) write_error_ = std::move(err);
+  inflight_write_bytes_ -= len;
+  cv_write_budget_.notify_all();
+  if (--pending_writes_ == 0) cv_drained_.notify_all();
+}
+
+void async_io::drain_writes() {
+  mutex_lock lock(budget_mtx_);
+  while (pending_writes_ != 0) cv_drained_.wait(lock);
+  if (write_error_) {
+    auto err = write_error_;
+    write_error_ = nullptr;
+    std::rethrow_exception(err);
+  }
+}
+
+int async_io::pending_writes() const {
+  mutex_lock lock(budget_mtx_);
+  return pending_writes_;
+}
+
+async_io::write_throttle_stats async_io::throttle_stats() const {
+  mutex_lock lock(budget_mtx_);
+  write_throttle_stats s;
+  s.stalls = throttle_stalls_;
+  s.stall_ns = throttle_stall_ns_;
+  s.hwm_bytes = write_hwm_bytes_;
+  s.inflight_bytes = inflight_write_bytes_;
+  return s;
+}
+
+void async_io::reset_throttle_hwm() {
+  mutex_lock lock(budget_mtx_);
+  write_hwm_bytes_ = inflight_write_bytes_;
+}
+
+std::string async_io::debug_snapshot() const {
   // Sequential lock acquisition: read the queue under io_mtx_, release, then
-  // let the base read the budget under its own mutex — never nested, so the
-  // snapshot cannot invert async_queue (600) against io_write_budget (580).
+  // read the budget under budget_mtx_ — never nested, so the snapshot cannot
+  // invert async_queue (600) against io_write_budget (580).
   std::size_t depth = 0;
   bool stopping = false;
   {
@@ -137,12 +182,20 @@ std::string thread_pool_backend::debug_snapshot() const {
   s += ", \"stopping\": ";
   s += stopping ? "true" : "false";
   s += ", \"last_completion_ns\": " + std::to_string(last_completion_ns());
-  s += ", \"write_budget\": " + write_budget_json();
-  s += "}";
+  mutex_lock lock(budget_mtx_);
+  s += ", \"write_budget\": {\"pending_writes\": " +
+       std::to_string(pending_writes_);
+  s += ", \"inflight_write_bytes\": " + std::to_string(inflight_write_bytes_);
+  s += ", \"write_hwm_bytes\": " + std::to_string(write_hwm_bytes_);
+  s += ", \"throttle_stalls\": " + std::to_string(throttle_stalls_);
+  s += ", \"throttle_stall_ns\": " + std::to_string(throttle_stall_ns_);
+  s += ", \"write_error\": ";
+  s += write_error_ ? "true" : "false";
+  s += "}}";
   return s;
 }
 
-void thread_pool_backend::io_loop() {
+void async_io::io_loop() {
   for (;;) {
     request req;
     {
@@ -162,10 +215,8 @@ void thread_pool_backend::io_loop() {
       {
         OBS_SPAN_ARG("io.write", req.len);
         const std::uint64_t t0 = obs::metrics_on() ? now_ns() : 0;
-        const char* src =
-            req.wlease.valid() ? req.wlease.data() : req.wbuf.data();
         try {
-          req.wfile->write(req.offset, req.len, src);
+          req.wfile->write(req.offset, req.len, req.wbuf.data());
           stats.write_ops.fetch_add(1, std::memory_order_relaxed);
           stats.write_bytes.fetch_add(req.len, std::memory_order_relaxed);
         } catch (...) {
@@ -174,8 +225,7 @@ void thread_pool_backend::io_loop() {
         if (t0 != 0) write_hist().record((now_ns() - t0) / 1000);
       }
       req.wbuf.release();
-      req.wlease.reset();
-      stamp_completion();
+      last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
       complete_write(req.len, std::move(err));
     } else {
       std::exception_ptr err;
@@ -196,7 +246,7 @@ void thread_pool_backend::io_loop() {
       // consumer does not hear about it until the injected delay elapses —
       // exactly the shape of an SSD whose completions stop arriving.
       fault_completion_stall();
-      stamp_completion();
+      last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
       if (req.notify) {
         // Completion-order dispatch: hand the result to the prefetch
         // pipeline on this thread, then drop the closure immediately so any
@@ -212,68 +262,13 @@ void thread_pool_backend::io_loop() {
   }
 }
 
-namespace {
-
-/// Selection key: the knobs whose change forces a backend rebuild.
-struct backend_key {
-  io_backend_kind kind = io_backend_kind::threads;
-  int io_threads = 0;
-  int queue_depth = 0;
-  bool sqpoll = false;
-
-  bool operator==(const backend_key& o) const {
-    return kind == o.kind && io_threads == o.io_threads &&
-           queue_depth == o.queue_depth && sqpoll == o.sqpoll;
-  }
-};
-
-backend_key current_key() {
-  const options& o = conf();
-  backend_key k;
-  k.kind = o.io_backend;
-  k.io_threads = o.io_threads;
-  k.queue_depth = o.uring_queue_depth;
-  k.sqpoll = o.uring_sqpoll;
-  return k;
-}
-
-/// Build the backend `key` asks for, falling back to the thread pool when
-/// uring cannot be brought up. The fallback is logged once per process for
-/// an explicit `uring` selection (the user asked for something the kernel
-/// cannot provide) and stays silent for `auto`.
-std::unique_ptr<io_backend> build_backend(const backend_key& key) {
-  if (key.kind == io_backend_kind::uring ||
-      key.kind == io_backend_kind::auto_detect) {
-    try {
-      return uring_backend::create(key.queue_depth, key.sqpoll);
-    } catch (const std::exception& e) {
-      if (key.kind == io_backend_kind::uring) {
-        static const bool warned = [&] {
-          FLASHR_WARN("io_backend=uring unavailable (%s); "
-                      "falling back to the thread pool",
-                      e.what());
-          return true;
-        }();
-        (void)warned;
-      } else {
-        FLASHR_DEBUG("io_backend=auto: uring unavailable (%s); "
-                     "using the thread pool",
-                     e.what());
-      }
-    }
-  }
-  return std::make_unique<thread_pool_backend>(key.io_threads);
-}
-
-}  // namespace
-
-io_backend& async_io::global() {
+async_io& async_io::global() {
   static std::mutex mutex;
-  static std::unique_ptr<io_backend> service;
-  static backend_key built_key;
+  static std::unique_ptr<async_io> service;
+  static int built_threads = 0;
   std::lock_guard<std::mutex> lock(mutex);
-  const backend_key want = current_key();
-  if (service && !(built_key == want)) {
+  const int want = conf().io_threads;
+  if (service && built_threads != want) {
     // Rebuild safely: drain pending writes on the old service and surface
     // any deferred write error instead of silently dropping it with the
     // object. If drain throws, the service is already detached — the next
@@ -282,12 +277,10 @@ io_backend& async_io::global() {
     old->drain_writes();
   }
   if (!service) {
-    service = build_backend(want);
-    built_key = want;
+    service = std::make_unique<async_io>(want);
+    built_threads = want;
   }
   return *service;
 }
-
-const char* async_io::active_backend() { return global().name(); }
 
 }  // namespace flashr

@@ -158,39 +158,6 @@ ssize_t fault_pread(int fd, char* buf, std::size_t len, off_t offset) {
   return ::pread(fd, buf, len, offset);
 }
 
-fault_io_decision fault_next_read_submit(std::size_t len) {
-  (void)len;
-  fault_io_decision d;
-  auto& inj = fault_injector::global();
-  const fault_plan p = inj.snapshot();
-  if (!p.armed()) return d;
-  const auto lat = inj.next_with(p, fault_site::latency);
-  if (lat.fire) d.sleep_us = lat.sleep_us;
-  if (inj.next_with(p, fault_site::short_io).fire) {
-    d.short_io = true;
-    return d;  // the shim returns 0 before evaluating the error site
-  }
-  const auto err = inj.next_with(p, fault_site::pread);
-  if (err.fire) d.err = err.err;
-  return d;
-}
-
-fault_io_decision fault_next_write_submit(std::size_t len) {
-  fault_io_decision d;
-  auto& inj = fault_injector::global();
-  const fault_plan p = inj.snapshot();
-  if (!p.armed()) return d;
-  const auto lat = inj.next_with(p, fault_site::latency);
-  if (lat.fire) d.sleep_us = lat.sleep_us;
-  if (len > 1 && inj.next_with(p, fault_site::short_io).fire) {
-    d.short_io = true;  // a genuine short write, like the shim's len / 2
-    return d;
-  }
-  const auto err = inj.next_with(p, fault_site::pwrite);
-  if (err.fire) d.err = err.err;
-  return d;
-}
-
 void fault_completion_stall() {
   auto& inj = fault_injector::global();
   const fault_plan p = inj.snapshot();

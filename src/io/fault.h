@@ -130,22 +130,6 @@ class fault_scope {
 ssize_t fault_pread(int fd, char* buf, std::size_t len, off_t offset);
 ssize_t fault_pwrite(int fd, const char* buf, std::size_t len, off_t offset);
 
-/// Pre-submission schedule evaluation for backends whose segment I/O never
-/// reaches fault_pread/fault_pwrite (the uring backend submits SQEs
-/// directly). Consults the same sites in the same order as the shims —
-/// latency, short_io, then pread/pwrite — so a given plan fires the same
-/// per-site sequence on either backend. The caller maps the outcome onto
-/// CQE semantics: `err` becomes a synthetic CQE with res = -err, `short_io`
-/// a premature-EOF res = 0 (reads) or a half-length submission (writes),
-/// and `sleep_us` a completion delay applied by the reaper.
-struct fault_io_decision {
-  int sleep_us = 0;       ///< latency site; 0 = none
-  bool short_io = false;  ///< short_io site fired
-  int err = 0;            ///< pread/pwrite site errno; 0 = no fault
-};
-fault_io_decision fault_next_read_submit(std::size_t len);
-fault_io_decision fault_next_write_submit(std::size_t len);
-
 /// Completion-delivery shim: the async I/O service calls this after a read's
 /// data has landed, immediately before resolving the future / invoking the
 /// notify callback. Evaluates the stall site and sleeps the injected delay

@@ -46,14 +46,17 @@ io_stats& io_stats::global() {
   return stats;
 }
 
-namespace io_retry {
+namespace {
 
+/// Errnos worth retrying: the SSD (or injector) may succeed on the next
+/// attempt. Everything else escalates immediately.
 bool transient_errno(int e) {
   return e == EAGAIN || e == EWOULDBLOCK || e == EIO;
 }
 
-/// Deterministic jitter in [0.5, 1.0] of the nominal delay decorrelates
-/// concurrent retriers without Date-style global state.
+/// Capped exponential backoff. Deterministic jitter in [0.5, 1.0] of the
+/// nominal delay decorrelates concurrent retriers without Date-style global
+/// state; the salt folds in the failing byte range.
 void backoff_sleep(int attempt, std::uint64_t salt) {
   const options& o = conf();
   if (o.io_retry_backoff_us <= 0) return;
@@ -70,13 +73,6 @@ void backoff_sleep(int attempt, std::uint64_t salt) {
   std::this_thread::sleep_for(std::chrono::microseconds(
       static_cast<std::int64_t>(static_cast<double>(us) * jitter)));
 }
-
-}  // namespace io_retry
-
-namespace {
-
-using io_retry::backoff_sleep;
-using io_retry::transient_errno;
 
 /// Run one positional syscall with the retry policy: EINTR retries
 /// immediately and unboundedly (it is not a device failure), transient
@@ -210,18 +206,6 @@ std::vector<safs_file::segment> safs_file::map_range(std::size_t offset,
     pos += take;
   }
   return segs;
-}
-
-std::vector<io_segment> safs_file::segments(std::size_t offset,
-                                            std::size_t len) const {
-  std::vector<io_segment> out;
-  std::size_t done = 0;
-  for (const segment& seg : map_range(offset, len)) {
-    out.push_back(io_segment{fds_[static_cast<std::size_t>(seg.file)],
-                             seg.file_off, seg.len, done});
-    done += seg.len;
-  }
-  return out;
 }
 
 void safs_file::read(std::size_t offset, std::size_t len, char* buf) const {

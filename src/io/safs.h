@@ -61,30 +61,6 @@ enum class stripe_placement : int {
   round_robin = 1  ///< unit i -> file i % stripes
 };
 
-/// Shared pieces of the safs retry policy, used both by the synchronous
-/// read/write loops here and by the uring backend's completion reaper
-/// (io/uring_io.cpp), so both backends absorb transient failures
-/// identically.
-namespace io_retry {
-/// Errnos worth retrying: the SSD (or injector) may succeed on the next
-/// attempt. Everything else escalates immediately.
-bool transient_errno(int e);
-/// Capped exponential backoff with deterministic jitter in [0.5, 1.0] of
-/// the nominal delay; the salt folds in the failing byte range.
-void backoff_sleep(int attempt, std::uint64_t salt);
-}  // namespace io_retry
-
-/// One per-backing-file piece of a logical byte range, for backends that
-/// submit their own segment I/O (io/uring_io.cpp) instead of calling
-/// safs_file::read/write. The fd stays valid for the safs_file's lifetime;
-/// async submitters keep the file alive via shared_ptr.
-struct io_segment {
-  int fd = -1;
-  std::size_t file_off = 0;  ///< offset within the backing file
-  std::size_t len = 0;       ///< bytes in this segment
-  std::size_t buf_off = 0;   ///< offset of this segment in the caller's buffer
-};
-
 class safs_file {
  public:
   /// Create a striped file of `bytes` logical bytes under conf().em_dir.
@@ -124,12 +100,6 @@ class safs_file {
   const std::string& stripe_path(int s) const {
     return paths_[static_cast<std::size_t>(s)];
   }
-
-  /// Split a logical range into per-backing-file segments with resolved
-  /// fds, in buffer order (the striping map is immutable after creation, so
-  /// this is safe from any thread). Backends that own their submission path
-  /// use this instead of read()/write().
-  std::vector<io_segment> segments(std::size_t offset, std::size_t len) const;
 
  private:
   safs_file(std::string name, std::size_t bytes, stripe_placement placement,

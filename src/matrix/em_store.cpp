@@ -217,15 +217,6 @@ void em_store::write_part_async(std::size_t pidx, pool_buffer buf) {
                                   std::move(buf));
 }
 
-void em_store::write_part_async(std::size_t pidx, pool_lease buf) {
-  FLASHR_ASSERT(buf.size() >= geom_.part_bytes(pidx, type_),
-                "write buffer too small");
-  record_checksum(pidx, buf.data());
-  async_io::global().submit_write(file_, part_offset(pidx),
-                                  geom_.part_bytes(pidx, type_),
-                                  std::move(buf));
-}
-
 void em_store::write_part(std::size_t pidx, const char* buf) {
   const std::size_t len = geom_.part_bytes(pidx, type_);
   record_checksum(pidx, buf);

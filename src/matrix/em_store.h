@@ -69,11 +69,6 @@ class em_store final : public em_readable {
   /// write-behind; see io/async_io.h).
   void write_part_async(std::size_t pidx, pool_buffer buf);
 
-  /// Zero-copy variant: write straight from a shared lease of the buffer
-  /// (typically the EM read buffer of an identity-cast partition). The
-  /// write holds its share until completion; other consumers keep theirs.
-  void write_part_async(std::size_t pidx, pool_lease buf);
-
   /// Synchronous partition write.
   void write_part(std::size_t pidx, const char* buf);
 

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "common/check.h"
-#include "common/config.h"
 #include "common/error.h"
 #include "obs/trace.h"
 
@@ -55,70 +54,19 @@ int buffer_pool::class_of(std::size_t bytes) {
   return log2 - kMinClassLog2;
 }
 
-void buffer_pool::ensure_arena() {
-  if (arena_ready_.load(std::memory_order_acquire)) return;
-  // Size the arena off-lock: conf()'s lazy initialization may take coarser
-  // locks (stats server) than the pool's.
-  const std::size_t want =
-      conf().pool_arena_bytes / kBufferAlign * kBufferAlign;
-  mutex_lock lock(pool_mtx_);
-  if (arena_ready_.load(std::memory_order_relaxed)) return;
-  if (want != 0) {
-    arena_mem_ = aligned_alloc_bytes(want);
-    arena_size_ = want;
-    arena_next_ = 0;
-    arena_base_.store(arena_mem_.get(), std::memory_order_release);
-  }
-  arena_ready_.store(true, std::memory_order_release);
-}
-
-char* buffer_pool::carve_arena_locked(int cls, std::size_t class_bytes) {
-  // Sub-page classes are never carved: carving them would break the pool's
-  // 4 KiB alignment contract (heap allocations stay aligned because
-  // aligned_alloc_bytes rounds every class up to kBufferAlign).
-  if (class_bytes < kBufferAlign) return nullptr;
-  char* base = arena_base_.load(std::memory_order_relaxed);
-  if (base == nullptr || arena_next_ + class_bytes > arena_size_)
-    return nullptr;
-  char* p = base + arena_next_;
-  arena_next_ += class_bytes;
-  (void)cls;
-  return p;
-}
-
-buffer_pool::arena_info buffer_pool::registrable_arena() {
-  ensure_arena();
-  arena_info info;
-  info.base = arena_base_.load(std::memory_order_acquire);
-  info.size = info.base != nullptr ? arena_size_ : 0;
-  return info;
-}
-
 pool_buffer buffer_pool::get(std::size_t bytes) {
   OBS_INSTANT_HOT("pool.get", bytes);
-  ensure_arena();
   const int cls = class_of(bytes);
   const std::size_t class_bytes = std::size_t{1} << (cls + kMinClassLog2);
   const bool track = invariants_enabled();
   char* data = nullptr;
   {
     mutex_lock lock(pool_mtx_);
-    // Prefer registrable (arena) buffers: reads into them take the uring
-    // fixed-buffer path. Recycled arena buffers first (LIFO cache warmth),
-    // then fresh carves, then recycled heap buffers.
-    auto& alist = arena_free_[cls];
+    // Most recently freed first (LIFO): its lines are likeliest in cache.
     auto& list = free_lists_[cls];
-    if (!alist.empty()) {
-      data = alist.back();
-      alist.pop_back();
-    } else if (char* carved = carve_arena_locked(cls, class_bytes)) {
-      data = carved;
-      // A fresh carve was never handed out, so it has no poison record.
-    } else if (!list.empty()) {
+    if (!list.empty()) {
       data = list.back();
       list.pop_back();
-    }
-    if (data != nullptr) {
       // Always clear the poison record (a buffer may be re-issued while the
       // validator is off; its bytes are then no longer poison), but only
       // verify when the validator is active end to end.
@@ -150,9 +98,8 @@ pool_buffer buffer_pool::get(std::size_t bytes) {
       live_.insert(data);
     }
   }
-  // Alignment contract: O_DIRECT and registered-buffer (READ_FIXED) I/O both
-  // require sector alignment, so a misaligned buffer corrupts I/O instead of
-  // failing loudly. Checked under the validator; a trip means a free list
+  // Alignment contract: O_DIRECT requires sector alignment, so a misaligned
+  // buffer corrupts I/O instead of failing loudly. Checked under the validator; a trip means a free list
   // was corrupted or an allocation path bypassed aligned_alloc_bytes.
   if (invariants_enabled())
     FLASHR_ASSERT(is_buffer_aligned(data),
@@ -175,11 +122,7 @@ void buffer_pool::track_return_locked(char* data, std::size_t size, int cls,
     // handed it out at all (a refcount underflow somewhere released a handle
     // it did not own).
     const auto& list = free_lists_[cls];
-    const auto& alist = arena_free_[cls];
-    const bool on_free_list =
-        std::find(list.begin(), list.end(), data) != list.end() ||
-        std::find(alist.begin(), alist.end(), data) != alist.end();
-    if (on_free_list)
+    if (std::find(list.begin(), list.end(), data) != list.end())
       detail::assert_fail("double return", __FILE__, __LINE__,
                           "pool buffer returned twice");
     detail::assert_fail("refcount underflow", __FILE__, __LINE__,
@@ -198,10 +141,7 @@ void buffer_pool::put(char* data, std::size_t size, int cls,
       track_return_locked(data, size, cls, tracked);
     else if (tracked)
       live_.erase(data);  // validator switched off while we were out
-    if (in_arena(data))
-      arena_free_[cls].push_back(data);
-    else
-      free_lists_[cls].push_back(data);
+    free_lists_[cls].push_back(data);
   }
   outstanding_count_.fetch_sub(1, std::memory_order_relaxed);
   outstanding_.fetch_sub(size);
@@ -216,15 +156,12 @@ void buffer_pool::trim() {
     }
     list.clear();
   }
-  // Arena buffers stay on their free lists: the arena is one kernel-
-  // registered mapping released only with the pool.
 }
 
 std::size_t buffer_pool::cached_count() const {
   mutex_lock lock(pool_mtx_);
   std::size_t n = 0;
   for (const auto& list : free_lists_) n += list.size();
-  for (const auto& list : arena_free_) n += list.size();
   return n;
 }
 

@@ -18,12 +18,7 @@
 // diagnostic instead of corrupting a later pass.
 //
 // Alignment contract: every buffer the pool hands out is kBufferAlign
-// (4 KiB) aligned — required for O_DIRECT and for io_uring's registered-
-// buffer reads (IORING_OP_READ_FIXED). Classes of at least kBufferAlign
-// bytes are preferentially carved from one contiguous arena
-// (conf().pool_arena_bytes) that the uring backend registers with the
-// kernel once (io_uring_register_buffers), so the hot partition-read
-// buffers take the fixed-buffer fast path without per-I/O pinning.
+// (4 KiB) aligned, as O_DIRECT requires.
 #pragma once
 
 #include <atomic>
@@ -77,66 +72,6 @@ class pool_buffer {
   bool tracked_ = false;
 };
 
-/// Refcounted share of a pooled buffer. The zero-copy read path hands the
-/// same EM read buffer to a Pcache chunk alias AND an in-flight partition
-/// write, so ownership must outlive whichever consumer finishes last; the
-/// last lease returns the buffer to its pool. Copies are cheap (one relaxed
-/// fetch_add); destruction may run on an I/O completion thread, where the
-/// underlying pool return is nonblocking by contract.
-class pool_lease {
- public:
-  pool_lease() = default;
-  /// Take ownership of `b`; an invalid buffer yields an invalid lease.
-  explicit pool_lease(pool_buffer&& b) {
-    if (b.valid()) c_ = new ctrl{std::move(b), {1}};
-  }
-  pool_lease(const pool_lease& o) noexcept : c_(o.c_) { retain(); }
-  pool_lease(pool_lease&& o) noexcept : c_(o.c_) { o.c_ = nullptr; }
-  pool_lease& operator=(const pool_lease& o) noexcept {
-    if (this != &o) {
-      reset();
-      c_ = o.c_;
-      retain();
-    }
-    return *this;
-  }
-  pool_lease& operator=(pool_lease&& o) noexcept {
-    if (this != &o) {
-      reset();
-      c_ = o.c_;
-      o.c_ = nullptr;
-    }
-    return *this;
-  }
-  ~pool_lease() { reset(); }
-
-  char* data() const noexcept { return c_ ? c_->buf.data() : nullptr; }
-  std::size_t size() const noexcept { return c_ ? c_->buf.size() : 0; }
-  bool valid() const noexcept { return c_ != nullptr; }
-  /// Shares outstanding on the same buffer (tests).
-  int use_count() const noexcept {
-    return c_ ? c_->refs.load(std::memory_order_relaxed) : 0;
-  }
-
-  /// Drop this share; the last share returns the buffer to the pool.
-  void reset() noexcept {
-    if (c_ != nullptr &&
-        c_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      delete c_;
-    c_ = nullptr;
-  }
-
- private:
-  struct ctrl {
-    pool_buffer buf;
-    std::atomic<int> refs;
-  };
-  void retain() noexcept {
-    if (c_) c_->refs.fetch_add(1, std::memory_order_relaxed);
-  }
-  ctrl* c_ = nullptr;
-};
-
 class buffer_pool {
  public:
   buffer_pool() = default;
@@ -162,29 +97,11 @@ class buffer_pool {
 
   void reset_peak() { peak_.store(outstanding_.load()); }
 
-  /// Free all cached (idle) buffers back to the OS. Arena-carved buffers
-  /// stay cached: the arena is one registered mapping and is only released
-  /// when the pool is destroyed.
+  /// Free all cached (idle) buffers back to the OS.
   void trim();
 
   /// Number of buffers currently cached on free lists (for tests).
   std::size_t cached_count() const;
-
-  /// The contiguous, kBufferAlign-aligned region backends may register with
-  /// the kernel (io_uring_register_buffers). size == 0 when the arena is
-  /// disabled (conf().pool_arena_bytes == 0). Stable for the pool lifetime
-  /// once allocated; first get() of an eligible class allocates it.
-  struct arena_info {
-    char* base = nullptr;
-    std::size_t size = 0;
-  };
-  arena_info registrable_arena();
-
-  /// Whether `p` points into the registrable arena.
-  bool in_arena(const char* p) const noexcept {
-    const char* base = arena_base_.load(std::memory_order_acquire);
-    return base != nullptr && p >= base && p < base + arena_size_;
-  }
 
   /// Process-wide pool shared by the engine.
   static buffer_pool& global();
@@ -208,29 +125,9 @@ class buffer_pool {
   static constexpr int kMaxClassLog2 = 31;  // 2 GiB
   static int class_of(std::size_t bytes);
 
-  /// Allocate the arena on first use (outside pool_mtx_ — sizing reads
-  /// conf(), whose lazy init may take coarser locks).
-  void ensure_arena();
-  /// Carve one class-sized buffer from the arena; null when it does not fit
-  /// or the class is smaller than kBufferAlign.
-  char* carve_arena_locked(int cls, std::size_t class_bytes)
-      REQUIRES(pool_mtx_);
-
   mutable mutex pool_mtx_ LOCK_RANK(buffer_pool);
   std::vector<char*> free_lists_[kMaxClassLog2 - kMinClassLog2 + 1]
       GUARDED_BY(pool_mtx_);
-  /// Free lists of arena-carved buffers, kept apart from heap buffers so
-  /// trim() never frees arena memory and gets prefer registrable buffers.
-  std::vector<char*> arena_free_[kMaxClassLog2 - kMinClassLog2 + 1]
-      GUARDED_BY(pool_mtx_);
-  /// One contiguous kBufferAlign-aligned block; allocated once, freed with
-  /// the pool. arena_base_ is atomic so in_arena() runs lock-free on
-  /// completion threads.
-  aligned_ptr arena_mem_;
-  std::atomic<char*> arena_base_{nullptr};
-  std::size_t arena_size_ = 0;
-  std::atomic<bool> arena_ready_{false};
-  std::size_t arena_next_ GUARDED_BY(pool_mtx_) = 0;
   /// Buffers currently handed out while the validator was active.
   std::unordered_set<const char*> live_ GUARDED_BY(pool_mtx_);
   /// Buffers poisoned on return and not yet re-issued; verified on reuse.

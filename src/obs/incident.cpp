@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "common/timer.h"
 #include "core/exec.h"
@@ -94,37 +95,10 @@ std::uint64_t wall_ns() {
 
 // ---- small JSON helpers --------------------------------------------------
 
-void json_escape(std::string& out, const char* s, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-}
-
+/// Quoted JSON string for a C-string name; a null name (a record torn by a
+/// concurrent writer) prints as "".
 void json_str(std::string& out, const char* s) {
-  out += '"';
-  if (s != nullptr) json_escape(out, s, std::strlen(s));
-  out += '"';
-}
-
-void json_str(std::string& out, const std::string& s) {
-  out += '"';
-  json_escape(out, s.data(), s.size());
-  out += '"';
+  json::quote(out, s != nullptr ? s : "");
 }
 
 bool has_prefix(const std::string& s, const char* p) {
@@ -162,7 +136,7 @@ std::string config_json() {
     out += '"';
     out += k;
     out += "\":";
-    json_str(out, v);
+    json::quote(out, v);
     out += ',';
   };
   auto boolean = [&out](const char* k, bool v) {
@@ -177,7 +151,6 @@ std::string config_json() {
   str("em_dir", o.em_dir);
   num("stripes", static_cast<std::uint64_t>(o.stripes));
   str("mode", exec_mode_name(o.mode));
-  str("io_backend", io_backend_kind_name(o.io_backend));
   num("dispatch_batch", static_cast<std::uint64_t>(o.dispatch_batch));
   num("prefetch_depth", static_cast<std::uint64_t>(
                             o.prefetch_depth < 0 ? 0 : o.prefetch_depth));
@@ -507,7 +480,7 @@ std::string flight_json(std::uint64_t since_ns) {
     if (!first_track) out += ',';
     first_track = false;
     out += "{\"tid\":" + std::to_string(t.os_tid) + ",\"name\":";
-    json_str(out, t.name);
+    json::quote(out, t.name);
     out += ",\"dropped\":" + std::to_string(t.dropped) + ",\"events\":[";
     // Balance spans exactly like trace_json: an end whose begin fell off
     // the ring (or predates the window) is dropped; spans still open at
@@ -600,7 +573,7 @@ std::string stacks_json() {
     if (!first) out += ',';
     first = false;
     out += "{\"tid\":" + std::to_string(v.tid) + ",\"name\":";
-    json_str(out, v.name);
+    json::quote(out, v.name);
     out += ",\"ranks\":[";
     if (v.held != nullptr) {
       const int depth = std::min(v.held->depth, 16);
@@ -653,9 +626,10 @@ std::string incident_bundle_json(incident_kind kind, const char* detail,
 
   out += ",\"governor\":" + exec::resource_governor::global().health().to_json();
 
-  out += ",\"io_backend\":{\"name\":";
-  json_str(out, async_io::active_backend());
-  out += ",\"snapshot\":" + async_io::global().debug_snapshot() + "}";
+  // The section keeps its flashr-incident-v1 name and shape: the pread/
+  // pwrite thread pool is the engine's one I/O service.
+  out += ",\"io_backend\":{\"name\":\"threads\",\"snapshot\":" +
+         async_io::global().debug_snapshot() + "}";
 
   out += ",\"metrics\":" + metrics_registry::global().to_json();
 
@@ -678,7 +652,7 @@ std::string incident_bundle_json(incident_kind kind, const char* detail,
       if (eol > pos) {
         if (!first_line) out += ',';
         first_line = false;
-        json_str(out, folded.substr(pos, eol - pos));
+        json::quote(out, folded.substr(pos, eol - pos));
       }
       pos = eol + 1;
     }
@@ -690,7 +664,7 @@ std::string incident_bundle_json(incident_kind kind, const char* detail,
   for (const std::string& line : log_tail(64)) {
     if (!first) out += ',';
     first = false;
-    json_str(out, line);
+    json::quote(out, line);
   }
   out += "]}";
   return out;
@@ -713,7 +687,7 @@ std::string incidents_list_json() {
     dir = g_dir;
   }
   std::string out = "{\"dir\":";
-  json_str(out, dir);
+  json::quote(out, dir);
   out += ",\"bundles\":[";
   if (!dir.empty()) {
     struct entry {
@@ -744,7 +718,7 @@ std::string incidents_list_json() {
       if (!first) out += ',';
       first = false;
       out += "{\"name\":";
-      json_str(out, e.name);
+      json::quote(out, e.name);
       out += ",\"bytes\":" + std::to_string(e.bytes) + "}";
     }
   }

@@ -8,7 +8,7 @@
 // by a monitor thread that composes one self-contained JSON bundle (schema
 // "flashr-incident-v1") with everything a post-mortem needs: the trigger,
 // the flight-recorder tail, per-thread held lock ranks, the active-pass
-// table with degrade paths, governor health, io-backend introspection, a
+// table with degrade paths, governor health, I/O service introspection, a
 // metrics snapshot, config knobs, the log tail and build info. Bundles land
 // in the armed directory (FLASHR_INCIDENT_DIR / incident_dir) via
 // write-to-temp + atomic rename, pruned to incident_max_bundles.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/json.h"
 
 namespace flashr::obs {
 
@@ -107,13 +108,6 @@ std::uint64_t metrics_registry::value(const std::string& name,
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
 template <typename Map, typename Fn>
 void append_section(std::string& out, const char* title, const Map& map,
                     Fn&& value_of, bool& first_section) {
@@ -126,9 +120,8 @@ void append_section(std::string& out, const char* title, const Map& map,
   for (const auto& [name, v] : map) {
     if (!first) out += ", ";
     first = false;
-    out += "\"";
-    append_escaped(out, name);
-    out += "\": ";
+    json::quote(out, name);
+    out += ": ";
     out += value_of(v);
   }
   out += "}";
@@ -182,9 +175,8 @@ std::string metrics_registry::to_json() const {
   for (const auto& [name, fn] : probes) {
     if (!first) out += ", ";
     first = false;
-    out += "\"";
-    append_escaped(out, name);
-    out += "\": " + u64_str(fn());
+    json::quote(out, name);
+    out += ": " + u64_str(fn());
   }
   out += "}\n}";
   return out;

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/thread_safety.h"
 #include "obs/sampler.h"
@@ -36,29 +37,6 @@ bool has_prefix(const std::string& s, const char* p) {
 bool has_suffix(const std::string& s, const char* suf) {
   const std::size_t n = std::strlen(suf);
   return s.size() >= n && s.compare(s.size() - n, n, suf) == 0;
-}
-
-/// Append a JSON string literal (quotes + escaping) to `out`.
-void json_str(std::string& out, const std::string& v) {
-  out += '"';
-  for (char c : v) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 std::uint64_t realtime_now_ns() {
@@ -100,7 +78,7 @@ std::string prof_record_json(const char* label) {
   const sampler_counters c = sampler_stats();
 
   std::string out = "{\"schema\":\"flashr-prof-v1\",\"label\":";
-  json_str(out, label != nullptr ? label : "");
+  json::quote(out, label != nullptr ? label : "");
   out += ",\"ts_ns\":" + std::to_string(realtime_now_ns());
   out += ",\"sample_hz\":" + std::to_string(c.hz);
   out += ",\"period_ns\":" + std::to_string(period_ns);
@@ -131,7 +109,7 @@ std::string prof_record_json(const char* label) {
     if (!first) out += ',';
     first = false;
     out += "{\"stack\":";
-    json_str(out, line.substr(0, sp));
+    json::quote(out, line.substr(0, sp));
     out += ",\"count\":" + line.substr(sp + 1);
     out += '}';
   }
@@ -215,7 +193,7 @@ std::string prof_store_list_json() {
     dir = g_dir;
   }
   std::string out = "{\"dir\":";
-  json_str(out, dir);
+  json::quote(out, dir);
   out += ",\"records\":[";
   if (!dir.empty()) {
     struct entry {
@@ -243,7 +221,7 @@ std::string prof_store_list_json() {
       if (!first) out += ',';
       first = false;
       out += "{\"name\":";
-      json_str(out, e.name);
+      json::quote(out, e.name);
       out += ",\"bytes\":" + std::to_string(e.bytes);
       out += '}';
     }

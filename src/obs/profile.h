@@ -51,8 +51,7 @@ struct node_profile {
   int group = -1;                 ///< fusion group from the armed plan
   std::uint64_t est_bytes = 0;    ///< planned size, from the armed plan
   std::uint64_t kernel_ns = 0;    ///< kernel/generate/sink-accumulate time
-  std::uint64_t copy_ns = 0;      ///< chunk-copy time (staging/output moves;
-                                  ///< 0 when the zero-copy path aliased)
+  std::uint64_t copy_ns = 0;      ///< chunk-copy time (staging/output moves)
   std::uint64_t io_wait_ns = 0;   ///< worker time blocked on this leaf's I/O
   std::uint64_t partitions = 0;   ///< partitions this node was evaluated in
   std::uint64_t rows = 0;         ///< rows produced/consumed

@@ -157,7 +157,7 @@ class sample_wait_scope {
 /// record its stack bounds, and arm its per-thread timer if the sampler is
 /// running. Idempotent; re-attaching just updates the track name. Called
 /// from obs::set_thread_name() so every named engine thread (worker-N,
-/// io-N, uring-*, watchdog, incident) is covered automatically; the main
+/// io-N, watchdog, incident) is covered automatically; the main
 /// thread attaches in sampler_start(). `track` must have static storage
 /// duration or be copied by the caller — the sampler copies it.
 void sampler_thread_attach(const char* track);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "common/raw_sink.h"
 #include "common/thread_safety.h"
@@ -177,13 +178,6 @@ struct event_rec {
   std::uint64_t arg = 0;
 };
 
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-}
-
 void append_event(std::string& out, const event_rec& ev, int tid) {
   const char* ph = ev.kind == event_kind::begin     ? "B"
                    : ev.kind == event_kind::end     ? "E"
@@ -191,7 +185,7 @@ void append_event(std::string& out, const event_rec& ev, int tid) {
                                                     : "i";
   char buf[160];
   out += "{\"name\":\"";
-  append_escaped(out, ev.name == nullptr ? "?" : ev.name);
+  json::escape(out, ev.name == nullptr ? "?" : ev.name);
   std::snprintf(buf, sizeof(buf),
                 "\",\"cat\":\"flashr\",\"ph\":\"%s\",\"pid\":1,\"tid\":%d,"
                 "\"ts\":%.3f",
@@ -319,7 +313,7 @@ std::string trace_json(trace_summary* summary) {
       std::string line = "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
                          "\"tid\":" + std::to_string(ring->tid) +
                          ",\"args\":{\"name\":\"";
-      append_escaped(line, name.c_str());
+      json::escape(line, name);
       line += "\"}}";
       emit_line(line);
     }

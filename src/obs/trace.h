@@ -138,7 +138,7 @@ struct flight_event {
 /// consumer's job (obs/incident.cpp re-pairs exactly like trace_json).
 struct flight_track {
   unsigned os_tid = 0;      ///< OS thread id (gettid), 0 if unknown
-  std::string name;         ///< thread label ("worker-3", "uring-reap", ...)
+  std::string name;         ///< thread label ("worker-3", "io-0", ...)
   std::uint64_t dropped = 0;  ///< records lost to ring wrap (ever)
   std::vector<flight_event> events;
 };

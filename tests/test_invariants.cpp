@@ -58,9 +58,8 @@ TEST(InvariantDeathTest, UseAfterReturnAborts) {
 }
 
 TEST(InvariantDeathTest, MisalignedBufferAborts) {
-  // The 4 KiB alignment contract backs O_DIRECT and the uring backend's
-  // registered-buffer (READ_FIXED) path; a corrupted free-list pointer must
-  // abort at get() instead of corrupting I/O silently.
+  // The 4 KiB alignment contract backs O_DIRECT; a corrupted free-list
+  // pointer must abort at get() instead of corrupting I/O silently.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {

@@ -303,6 +303,22 @@ TEST(ObsTrace, WriteTraceProducesLoadableFile) {
   std::remove(path.c_str());
 }
 
+TEST(ObsTrace, ThreadNameControlCharactersAreEscaped) {
+  // set_thread_name is public API: a name carrying control characters must
+  // still flush as valid JSON (\n by name, other control bytes as \u00XX).
+  init(obs_options());
+  obs::trace_clear();
+  std::thread named([] {
+    obs::set_thread_name("w\n1\x01");
+    OBS_INSTANT("named.tick", 1);
+  });
+  named.join();
+  const std::string json = obs::trace_json();
+  EXPECT_TRUE(valid_json(json));
+  EXPECT_NE(json.find("\"args\":{\"name\":\"w\\n1\\u0001\"}"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------------

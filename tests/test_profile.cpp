@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "common/log.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
+#include "mem/buffer_pool.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/stats_server.h"
@@ -199,6 +201,47 @@ TEST(ProfileAnalyze, EmLeafAccountsIoAndBytes) {
   // tail, so leaf bytes are at least the matrix's payload.
   EXPECT_GE(find_u64(json, "bytes", leaf), 20000u * 4u * 8u);
   EXPECT_GT(find_u64(json, "io_wait_ns", leaf), 0u);
+}
+
+// conv_store() is an identity cast materialized to the target storage. Over
+// a resident leaf — a mem partition, or an EM partition's prefetched read
+// buffer — the cast aliases the leaf's view instead of running a kernel.
+TEST(ProfileAnalyze, IdentityCastAliasesResidentLeaves) {
+  options o = profile_options();
+  o.obs_profile = true;
+  init(o);
+  const std::size_t n = 5000, cols = 3;
+  smat h(n, cols);
+  for (std::size_t j = 0; j < cols; ++j)
+    for (std::size_t i = 0; i < n; ++i)
+      h(i, j) = 0.5 * static_cast<double>(i) - 1.25 * static_cast<double>(j);
+  const dense_matrix mem = dense_matrix::from_smat(h);
+  auto& pool = buffer_pool::global();
+  const std::size_t count0 = pool.outstanding_count();
+
+  auto convert = [&](const dense_matrix& src, const char* what) {
+    obs::profile_clear();
+    dense_matrix out = conv_store(src, storage::ext_mem);
+    EXPECT_GT(exec::last_pass_stats().zero_copy_chunks, 0u) << what;
+    bool saw_cast = false;
+    for (const obs::pass_profile& pp : obs::profile_history())
+      for (const obs::node_profile& np : pp.nodes)
+        if (std::strcmp(np.op, "cast") == 0 && np.chunks > 0) {
+          saw_cast = true;
+          EXPECT_EQ(np.kernel_ns, 0u) << what;
+        }
+    EXPECT_TRUE(saw_cast) << what;
+    EXPECT_EQ(pool.outstanding_count(), count0) << what;
+    const smat got = out.to_smat();
+    for (std::size_t j = 0; j < cols; ++j)
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(got(i, j), h(i, j)) << what << " " << i << "," << j;
+    return out;
+  };
+  const dense_matrix em = convert(mem, "mem -> EM");
+  convert(em, "EM -> EM");
+  obs::set_profile_enabled(false);
+  obs::profile_clear();
 }
 
 TEST(ProfileHistory, RingIsBoundedAndOrdered) {

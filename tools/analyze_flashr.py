@@ -13,8 +13,7 @@ cannot see):
                   with the full call chain.
 
   nonblocking     Functions marked FLASHR_NONBLOCKING (async-I/O completion
-                  callbacks, trace-ring record paths, watchdog poll bodies,
-                  the uring reaper's CQ harvest uring_backend::pop_cqes)
+                  callbacks, trace-ring record paths, watchdog poll bodies)
                   must not reach a blocking operation: locking a mutex whose
                   rank is not nonblocking_safe, a condition-variable wait, a
                   thread join/sleep, direct heap allocation (new / malloc

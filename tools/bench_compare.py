@@ -39,11 +39,14 @@ import sys
 def is_measurement(key: str) -> bool:
     """Fields whose values vary run-to-run; everything else identifies the
     record.  Derived ratios (speedup, occupancy) are measurements too — keying
-    on them would make records unmatchable across runs."""
+    on them would make records unmatchable across runs — and so are the
+    emulated-SSD settings bench_pipeline calibrates from the measured compute
+    rate of the machine it runs on."""
     return (key == "seconds" or key.endswith("_seconds")
             or key.endswith("_gbps")
             or "speedup" in key or "occupancy" in key
-            or key in ("wall_ns", "kernel_ns", "coverage"))
+            or key in ("wall_ns", "kernel_ns", "coverage", "throttle_mbps",
+                       "latency_spike_us"))
 
 
 def record_key(rec: dict) -> tuple:

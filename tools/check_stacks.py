@@ -10,8 +10,8 @@ Checks, in order:
   1. every non-empty line splits into a stack and a positive integer count
      (exactly one space before the count, no tabs, no trailing spaces);
   2. the first frame is a known track (``main``, ``worker-N``, ``io-N``,
-     ``uring-disp-N``, ``uring-reap``, ``watchdog``, ``incident``, or the
-     ``thread`` fallback for unnamed threads);
+     ``watchdog``, ``incident``, ``sampler-collect``, or the ``thread``
+     fallback for unnamed threads);
   3. the second frame is a sample state: ``cpu``, ``io_wait`` or
      ``lock_wait``;
   4. every further frame is non-empty, contains no whitespace, and is
@@ -44,8 +44,8 @@ import sys
 
 KNOWN_STATES = ("cpu", "io_wait", "lock_wait")
 TRACK_RE = re.compile(
-    r"^(main|thread|watchdog|incident|uring-reap|sampler-collect"
-    r"|worker-\d+|io-\d+|uring-disp-\d+)$")
+    r"^(main|thread|watchdog|incident|sampler-collect"
+    r"|worker-\d+|io-\d+)$")
 FRAME_RE = re.compile(r"^\S+$")
 
 

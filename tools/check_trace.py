@@ -22,9 +22,9 @@ Usage: check_trace.py TRACE.json [--min-events N] [--require-name NAME ...]
                       [--require-counter NAME ...]
                       [--require-track PATTERN ...] [--self-test]
 
---require-track takes an fnmatch pattern (e.g. ``uring-*``) that must match
+--require-track takes an fnmatch pattern (e.g. ``io-*``) that must match
 the thread_name label of at least one track that carries events — how CI
-asserts the uring reaper/dispatcher threads actually traced.
+asserts that a family of named threads actually traced.
 
 --self-test validates the fixtures in tools/trace_fixtures/: good_*.json
 must pass, bad_*.json must fail.
@@ -204,7 +204,7 @@ def main() -> int:
     ap.add_argument("--require-track", action="append", default=[],
                     help="fnmatch pattern that must match at least one "
                          "event-carrying track's thread_name label, e.g. "
-                         "'uring-*' (repeatable)")
+                         "'io-*' (repeatable)")
     ap.add_argument("--self-test", action="store_true",
                     help="validate the fixtures in tools/trace_fixtures/")
     args = ap.parse_args()

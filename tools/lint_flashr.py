@@ -9,14 +9,6 @@ Rules (each with a stable ID used in messages and suppressions):
               checksumming see every byte. Method calls (``f.open(...)``)
               and the io layer's own shims are fine.
 
-  uring-scope io_uring primitives — liburing-style ``io_uring_*()`` calls,
-              ``IORING_*`` constants, the raw ``__NR_io_uring*`` syscall
-              numbers and the <linux/io_uring.h> header — are only allowed
-              in src/io/uring_io.{h,cpp}. Every other file (the rest of
-              src/io/ included) must reach the ring through the io_backend
-              interface, so backend selection and graceful fallback stay in
-              one place.
-
   naked-new   No naked ``new T[...]`` / ``malloc`` in src/core/ and
               src/matrix/: buffers there must come from mem/buffer_pool (or
               a container), otherwise the pool's peak-memory accounting and
@@ -57,8 +49,6 @@ RAW_IO_RE = re.compile(
     r"|aio_read|aio_write|aio_suspend|io_submit|io_getevents|io_uring_\w+"
     r")\s*\("
 )
-URING_RE = re.compile(r"\b(?:io_uring\w*|IORING_\w+|__NR_io_uring\w*)\b")
-URING_ALLOWLIST_PREFIXES = ("src/io/uring_io.",)
 NAKED_NEW_RE = re.compile(r"\bnew\s+[A-Za-z_][\w:<>]*\s*\[")
 MALLOC_RE = re.compile(r"(?<![\w.>:])(?:malloc|calloc|realloc)\s*\(")
 RAW_CLOCK_RE = re.compile(
@@ -118,7 +108,6 @@ def lint_file(path: pathlib.Path, rel: str) -> list[Violation]:
 
     lines = text.splitlines()
     in_io_layer = rel.startswith("src/io/")
-    uring_allowed = rel.startswith(URING_ALLOWLIST_PREFIXES)
     clock_allowed = rel.startswith(CLOCK_ALLOWLIST_PREFIXES)
     in_pool_scope = rel.startswith(("src/core/", "src/matrix/"))
     is_header = path.suffix in {".h", ".hpp"}
@@ -137,13 +126,6 @@ def lint_file(path: pathlib.Path, rel: str) -> list[Violation]:
                     rel, lineno, "raw-io",
                     "raw POSIX I/O call outside src/io/; use the "
                     "safs/async_io layer"))
-
-        if not uring_allowed and "uring-scope" not in suppressed:
-            if URING_RE.search(line):
-                violations.append(Violation(
-                    rel, lineno, "uring-scope",
-                    "io_uring primitive outside src/io/uring_io.*; go "
-                    "through the io_backend interface (io/io_backend.h)"))
 
         if not clock_allowed and "raw-clock" not in suppressed:
             if RAW_CLOCK_RE.search(line):
@@ -197,23 +179,18 @@ def lint_tree(root: pathlib.Path) -> list[Violation]:
 def self_test(root: pathlib.Path) -> int:
     """Prove every rule fires on its fixture and stays quiet on clean code."""
     fixtures = root / "tools" / "lint_fixtures"
-    # Fixtures emulate files inside the restricted directories; entries with
-    # an explicit rel exercise directory-sensitive rules (uring-scope fires
-    # even inside src/io/, just not in uring_io.* itself).
+    # Fixtures emulate files inside the restricted directories.
     expect = {
-        "bad_raw_io.cpp": ("raw-io", None),
-        "bad_raw_io_pipeline.cpp": ("raw-io", None),
-        "bad_uring_scope.cpp": ("uring-scope", "src/io/bad_uring_scope.cpp"),
-        "bad_naked_new.cpp": ("naked-new", None),
-        "bad_raw_clock.cpp": ("raw-clock", None),
-        "bad_mutex_member.h": ("mutex-ann", None),
-        "bad_unannotated_mutex.h": ("mutex-ann", None),
+        "bad_raw_io.cpp": "raw-io",
+        "bad_raw_io_pipeline.cpp": "raw-io",
+        "bad_naked_new.cpp": "naked-new",
+        "bad_raw_clock.cpp": "raw-clock",
+        "bad_mutex_member.h": "mutex-ann",
+        "bad_unannotated_mutex.h": "mutex-ann",
     }
     failures = 0
-    for name, (rule, rel) in expect.items():
-        path = fixtures / name
-        rel = rel or f"src/core/{name}"
-        got = lint_file(path, rel)
+    for name, rule in expect.items():
+        got = lint_file(fixtures / name, f"src/core/{name}")
         if not any(v.rule == rule for v in got):
             print(f"SELF-TEST FAIL: {name}: rule {rule} did not fire "
                   f"(got: {[str(v) for v in got]})")
@@ -225,8 +202,6 @@ def self_test(root: pathlib.Path) -> int:
     got += lint_file(fixtures / "clean_header.h", "src/core/clean_header.h")
     got += lint_file(fixtures / "clean_pipeline_queue.h",
                      "src/core/clean_pipeline_queue.h")
-    # uring primitives linted as if they were uring_io.cpp itself: quiet.
-    got += lint_file(fixtures / "bad_uring_scope.cpp", "src/io/uring_io.cpp")
     if got:
         print("SELF-TEST FAIL: clean fixtures produced violations:")
         for v in got:
