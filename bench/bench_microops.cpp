@@ -45,6 +45,37 @@ int main() {
   print_table({"1 op", "6-op chain"}, rows, "%10.2f");
   std::printf("\nExpected shape: the fused modes hold their throughput on "
               "the chain; eager divides it by the chain length.\n");
+
+  // The exec framework's fixed cost per Pcache chunk: the same one-op pass
+  // at the default chunk size and at 4 KiB chunks does the same kernel work
+  // over 16x more chunks, so the time difference per extra chunk is the
+  // per-chunk overhead.
+  header("Per-chunk cost: sum(X * 2) in cache-fuse, default vs 4 KiB Pcache",
+         "values: seconds per extra Pcache chunk (lower is better)");
+  auto chunks_at = [&](std::size_t pcache_bytes) {
+    mutable_conf().pcache_bytes = pcache_bytes;
+    const std::size_t part = conf().io_part_rows;
+    const std::size_t chunk_rows = exec::pcache_rows(p, part);
+    std::size_t chunks = 0;
+    for (std::size_t r0 = 0; r0 < n; r0 += part)
+      chunks += (std::min(part, n - r0) + chunk_rows - 1) / chunk_rows;
+    return chunks;
+  };
+  const std::size_t default_pcache = conf().pcache_bytes;
+  const std::size_t chunks_4k = chunks_at(4 * 1024);
+  const double t_4k = time_median(11, one_op);
+  const std::size_t chunks_default = chunks_at(default_pcache);
+  const double t_default = time_median(11, one_op);
+  const double per_chunk =
+      (t_4k - t_default) / static_cast<double>(chunks_4k - chunks_default);
+  std::printf("  default: %zu chunks %.4f s   4 KiB: %zu chunks %.4f s   "
+              "per chunk %.3f us\n",
+              chunks_default, t_default, chunks_4k, t_4k, per_chunk * 1e6);
+  out.rec()
+      .kv("probe", "per_chunk")
+      .kv("default_seconds", t_default)
+      .kv("pcache_4k_seconds", t_4k)
+      .kv("per_chunk_seconds", per_chunk);
   out.write();
   return 0;
 }

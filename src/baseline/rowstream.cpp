@@ -202,7 +202,8 @@ smat rs_naive_bayes_train(const rs_matrix& X, const rs_matrix& y,
   return model;
 }
 
-smat rs_logistic(const rs_matrix& X, const rs_matrix& y, int max_iters) {
+smat rs_logistic(const rs_matrix& X, const rs_matrix& y, int max_iters,
+                 double loss_tol) {
   const std::size_t p = X.ncol() + 1;  // + intercept
   const double n = static_cast<double>(X.nrow());
   rs_matrix aug = rs_zip(X, y, p + 1,
@@ -242,7 +243,7 @@ smat rs_logistic(const rs_matrix& X, const rs_matrix& y, int max_iters) {
 
   ml::lbfgs_options o;
   o.max_iters = max_iters;
-  o.loss_tol = 1e-6;
+  o.loss_tol = loss_tol;
   ml::lbfgs_result r =
       ml::lbfgs_minimize(objective, std::vector<double>(p, 0.0), o);
   smat w(p, 1);

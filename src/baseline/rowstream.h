@@ -83,7 +83,10 @@ std::vector<double> rs_pca_eigenvalues(const rs_matrix& X);
 smat rs_naive_bayes_train(const rs_matrix& X, const rs_matrix& y,
                           std::size_t num_classes);
 /// Logistic regression via LBFGS; returns weights (with intercept last).
-smat rs_logistic(const rs_matrix& X, const rs_matrix& y, int max_iters);
+/// Stops after max_iters iterations or once the loss moves by less than
+/// loss_tol (0 runs exactly max_iters, like ml::logistic_options).
+smat rs_logistic(const rs_matrix& X, const rs_matrix& y, int max_iters,
+                 double loss_tol);
 /// Lloyd's k-means; returns final centers.
 smat rs_kmeans(const rs_matrix& X, std::size_t k, int max_iters,
                const smat& init_centers);

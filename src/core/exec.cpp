@@ -59,31 +59,51 @@ bool is_pending(const matrix_store* s) {
 // DAG collection
 // ---------------------------------------------------------------------------
 
+/// One node of a pass's plan. collect() resolves the DAG once into these,
+/// indexed by dense id, so the chunk loop never resolves a store, hashes a
+/// pointer or touches a shared_ptr.
+struct plan_node {
+  /// The resolved store: a physical leaf or a pending virtual node.
+  const matrix_store* store = nullptr;
+  store_kind kind = store_kind::virt;
+  bool sink = false;
+  /// Edges from collected parents, +1 for a tall output's writer: the
+  /// node's chunk buffer is recycled when this many uses have passed.
+  int consumers = 0;
+  /// The children's ids: dag_info::child_ids[first_child, +num_children).
+  int first_child = 0;
+  int num_children = 0;
+};
+
 struct dag_info {
   /// All pending virtual nodes, topologically ordered (children first).
   std::vector<virtual_store*> order;
-  /// Consumer counts (edges from collected parents, +1 per output writer /
-  /// sink use) for every node appearing as an input or output of a chunk.
-  std::unordered_map<const matrix_store*, int> consumers;
-  /// Dense ids for every node touched during a chunk (leaves included), so
-  /// per-chunk evaluation state lives in flat arrays instead of hash maps.
-  /// Populated once at the end of collect(); read-only during the pass.
+  /// The plan: every leaf and pending virtual node (sinks included), by
+  /// dense id. Read-only during the pass.
+  std::vector<plan_node> nodes;
+  std::vector<int> child_ids;
+  /// Dense id of each resolved store; for collect() and per-partition or
+  /// per-pass lookups only — the chunk loop works on ids.
   std::unordered_map<const matrix_store*, int> ids;
-  int num_ids = 0;
 
   int id_of(const matrix_store* s) const {
     auto it = ids.find(s);
     FLASHR_ASSERT(it != ids.end(), "node without a chunk id");
     return it->second;
   }
+  const int* children_of(int id) const {
+    return child_ids.data() + nodes[static_cast<std::size_t>(id)].first_child;
+  }
   /// Partition-aligned nodes whose data must be written out (targets and
-  /// set.cache'd intermediates).
+  /// set.cache'd intermediates), and their ids.
   std::vector<virtual_store*> tall_outputs;
+  std::vector<int> tall_ids;
   /// Requested (as opposed to cache-flag-only) tall outputs: these honour
   /// the caller's storage; cache-only nodes use their own cache_storage.
   std::unordered_set<const virtual_store*> requested_talls;
-  /// Sink targets.
+  /// Sink targets, and their ids.
   std::vector<virtual_store*> sinks;
+  std::vector<int> sink_ids;
   /// The shared partition space of the DAG.
   part_geom space{0, 1, 1};
   bool space_set = false;
@@ -110,54 +130,61 @@ void note_space(dag_info& dag, const matrix_store* s) {
   dag.max_elem = std::max(dag.max_elem, s->elem_size());
 }
 
-void collect_node(dag_info& dag, const matrix_store::ptr& store,
-                  std::unordered_set<const matrix_store*>& visited);
-
-void collect_child(dag_info& dag, const matrix_store::ptr& child,
-                   std::unordered_set<const matrix_store*>& visited) {
-  const matrix_store* r = resolve(child.get());
-  ++dag.consumers[r];
-  if (r->kind() == store_kind::virt) {
-    collect_node(dag, child, visited);
-  } else {
+/// Give a resolved store its dense id and, for a pending virtual node, its
+/// subtree (children first, so `order` is topological).
+void collect_node(dag_info& dag, const matrix_store* r) {
+  const auto id = static_cast<int>(dag.nodes.size());
+  if (!dag.ids.emplace(r, id).second) return;
+  dag.nodes.push_back(plan_node{r, r->kind()});
+  if (r->kind() != store_kind::virt) {
     // Leaf in the tall space.
     note_space(dag, r);
     if (r->kind() == store_kind::ext)
       dag.em_leaves.push_back(static_cast<const em_readable*>(r));
+    return;
   }
-}
-
-void collect_node(dag_info& dag, const matrix_store::ptr& store,
-                  std::unordered_set<const matrix_store*>& visited) {
-  const matrix_store* r = resolve(store.get());
-  if (r->kind() != store_kind::virt) return;
-  if (!visited.insert(r).second) return;
   auto* v = const_cast<virtual_store*>(static_cast<const virtual_store*>(r));
-  FLASHR_CHECK(!v->is_sink_node() || dag.consumers[r] == 0,
-               "internal: sink used as DAG input (materialize it first)");
+  dag.nodes.back().sink = v->is_sink_node();
   for (const auto& child : v->children())
-    collect_child(dag, child, visited);
+    collect_node(dag, resolve(child.get()));
   if (!v->is_sink_node()) note_space(dag, v);
   if (v->op().kind == node_kind::cum_col) dag.has_cum = true;
-  dag.order.push_back(v);  // children pushed first -> topological
+  dag.order.push_back(v);
 }
 
 dag_info collect(const std::vector<matrix_store::ptr>& targets) {
   dag_info dag;
-  std::unordered_set<const matrix_store*> visited;
   std::unordered_set<const virtual_store*> outputs_seen;
   for (const auto& t : targets) {
     if (!t || !is_pending(t.get())) continue;
-    collect_node(dag, t, visited);
+    collect_node(dag, resolve(t.get()));
+  }
+  // Edges: each node's children ids, and every child's consumer count.
+  for (const virtual_store* v : dag.order) {
+    plan_node& n = dag.nodes[static_cast<std::size_t>(dag.id_of(v))];
+    n.first_child = static_cast<int>(dag.child_ids.size());
+    n.num_children = static_cast<int>(v->children().size());
+    for (const auto& child : v->children()) {
+      const int c = dag.id_of(resolve(child.get()));
+      plan_node& cn = dag.nodes[static_cast<std::size_t>(c)];
+      FLASHR_CHECK(!cn.sink,
+                   "internal: sink used as DAG input (materialize it first)");
+      dag.child_ids.push_back(c);
+      ++cn.consumers;
+    }
   }
   // Classify outputs: requested targets plus cache-flagged intermediates.
   auto add_output = [&](virtual_store* v) {
     if (!outputs_seen.insert(v).second) return;
+    const int id = dag.id_of(v);
     if (v->is_sink_node()) {
       dag.sinks.push_back(v);
+      dag.sink_ids.push_back(id);
     } else {
       dag.tall_outputs.push_back(v);
-      ++dag.consumers[v];  // the output writer consumes the node's chunks
+      dag.tall_ids.push_back(id);
+      // The output writer consumes the node's chunks.
+      ++dag.nodes[static_cast<std::size_t>(id)].consumers;
     }
   };
   for (const auto& t : targets) {
@@ -169,17 +196,6 @@ dag_info collect(const std::vector<matrix_store::ptr>& targets) {
   }
   for (virtual_store* v : dag.order)
     if (v->cache_flag() && !v->has_result()) add_output(v);
-  // Deduplicate EM leaves.
-  std::sort(dag.em_leaves.begin(), dag.em_leaves.end());
-  dag.em_leaves.erase(
-      std::unique(dag.em_leaves.begin(), dag.em_leaves.end()),
-      dag.em_leaves.end());
-  // Assign dense node ids: every node that can appear in per-chunk state is
-  // a key of `consumers` (children and counted outputs).
-  for (const auto& [node, count] : dag.consumers) {
-    (void)count;
-    dag.ids.emplace(node, dag.num_ids++);
-  }
   if (!dag.space_set && !dag.order.empty())
     throw_error("cannot infer the partition space of an empty DAG");
   return dag;
@@ -346,6 +362,61 @@ struct chunk_buf {
   std::uint64_t gen = 0;
 };
 
+/// A worker's LIFO free list of chunk buffers: §3.5.1's recycling without
+/// the shared pool's mutex. A buffer released by its last consumer waits
+/// here, and the next request of its size class — usually the consumer's
+/// own output — takes back the most recently freed one while its lines are
+/// still in cache. Only a miss reaches buffer_pool::global(). The list never
+/// grows past the capacity reserved before the pass, so recycling allocates
+/// nothing; a surplus buffer goes straight home. Destruction returns every
+/// listed buffer to the pool, whether the pass succeeded or was cancelled.
+/// Under the invariant validator a listed buffer is poisoned, and verified
+/// when it is taken again or sent home, like one on the pool's free lists.
+class chunk_free_list {
+ public:
+  chunk_free_list() = default;
+  chunk_free_list(const chunk_free_list&) = delete;
+  chunk_free_list& operator=(const chunk_free_list&) = delete;
+  ~chunk_free_list() {
+    for (const entry& e : free_) verify(e);
+  }
+
+  void reserve(std::size_t capacity) { free_.reserve(capacity); }
+
+  pool_buffer take(std::size_t bytes) {
+    const std::size_t size = buffer_pool::class_bytes(bytes);
+    for (std::size_t i = free_.size(); i-- > 0;) {
+      if (free_[i].buf.size() != size) continue;
+      entry e = std::move(free_[i]);
+      free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(i));
+      verify(e);
+      return std::move(e.buf);
+    }
+    return buffer_pool::global().get(bytes);
+  }
+
+  void give(pool_buffer&& b) noexcept {
+    if (free_.size() == free_.capacity()) {
+      b.release();
+      return;
+    }
+    const bool poison = invariants_enabled();
+    if (poison) poison_fill(b.data(), b.size());
+    free_.push_back(entry{std::move(b), poison});
+  }
+
+ private:
+  struct entry {
+    pool_buffer buf;
+    bool poisoned = false;
+  };
+  static void verify(const entry& e) {
+    if (e.poisoned && invariants_enabled())
+      poison_verify(e.buf.data(), e.buf.size());
+  }
+  std::vector<entry> free_;
+};
+
 class pass_runner {
  public:
   pass_runner(dag_info& dag, pass_config cfg, pass_ctl* ctl = nullptr)
@@ -371,19 +442,26 @@ class pass_runner {
     std::vector<chunk_buf> chunk;   // indexed by dag node id
     std::uint64_t gen = 0;          // current chunk generation
     int live_owned = 0;             // owned buffers not yet recycled
+    chunk_free_list free_bufs;      // this worker's recycled chunk buffers
+    /// Identity casts aliased this pass; folded into the global count when
+    /// the worker exits.
+    std::uint64_t zero_copy = 0;
     /// Per-sink partial accumulators.
     std::vector<std::vector<char>> sink_acc;
     /// Per-node profiling partials, plain u64 (slot * kProfFields + field);
     /// merged lock-free into prof_acc_ when the worker exits. Empty unless
     /// profiling is on.
     std::vector<std::uint64_t> prof;
-    /// Per-cum-node running carry for the current partition.
-    std::unordered_map<const virtual_store*, std::vector<char>> cum_carry;
+    /// Running carry of each cum node for the current partition, by id.
+    std::vector<std::vector<char>> cum_carry;
     bool cum_has_carry = false;
     /// Current EM read buffers: (leaf, part) -> buffer.
     std::unordered_map<const em_readable*, pool_buffer> em_bufs;
-    /// Staging buffers for EM outputs of the current partition.
-    std::unordered_map<const virtual_store*, pool_buffer> out_stage;
+    /// Every mem/ext leaf's view of the current partition, by id.
+    std::vector<kern::view> part_view;
+    /// Staging buffers for EM outputs of the current partition, parallel
+    /// to dag_.tall_outputs.
+    std::vector<pool_buffer> out_stage;
     /// Current chunk geometry.
     std::size_t part = 0;
     std::size_t part_row0 = 0;     // global row of partition start
@@ -394,10 +472,15 @@ class pass_runner {
 
   void process_partition(thread_ctx& ctx);
   void process_chunk(thread_ctx& ctx);
-  chunk_buf& ensure(thread_ctx& ctx, const matrix_store::ptr& child);
-  void unref(thread_ctx& ctx, const matrix_store::ptr& child);
-  kern::view leaf_view(thread_ctx& ctx, const matrix_store* leaf);
-  void eval_virtual(thread_ctx& ctx, virtual_store* v, chunk_buf& out);
+  /// Set ctx.part_view for every mem/ext leaf of the current partition.
+  void bind_partition_leaves(thread_ctx& ctx);
+  /// The per-chunk path works on plan ids (dag_info::nodes) only.
+  chunk_buf& ensure(thread_ctx& ctx, int id);
+  void unref(thread_ctx& ctx, int id);
+  void eval_virtual(thread_ctx& ctx, int id, chunk_buf& out);
+  const matrix_store& store_of(int id) const {
+    return *dag_.nodes[static_cast<std::size_t>(id)].store;
+  }
 
   /// Worker dispatch loop (body of the pass; runs on every pool thread):
   /// drain the home pipeline's completed partitions, then steal from other
@@ -416,8 +499,7 @@ class pass_runner {
   /// Field layout of one profiling slot's accumulators.
   enum prof_field { pf_kernel = 0, pf_copy, pf_io, pf_parts, pf_rows,
                     pf_bytes, pf_chunks, kProfFields };
-  /// Resolve the pass's profiling slots: dense dag ids first, then one slot
-  /// per sink (sink targets have no dense id — nothing consumes them).
+  /// Resolve the pass's profiling slots, one per dense dag id.
   void prof_init();
   /// Per-pass wrap-up: fold prof_acc_ into a pass_profile and push it into
   /// the history ring. Success path only.
@@ -445,9 +527,9 @@ class pass_runner {
   /// Output stores, parallel to dag_.tall_outputs.
   std::vector<matrix_store::ptr> out_stores_;
   std::vector<sink_desc> sinks_;
-  /// One chain per cum node; populated before the pass, then read-only (each
-  /// chain carries its own mutex).
-  std::unordered_map<const virtual_store*, cum_chain> cum_chains_;
+  /// One chain per cum node, by id; populated before the pass, then
+  /// read-only (each chain carries its own mutex).
+  std::unordered_map<int, cum_chain> cum_chains_;
   mutex acc_mutex_ LOCK_RANK(pass_acc);
   /// Sink partials are produced per PARTITION and merged in ascending
   /// partition order: neither which worker claimed a partition, the claim
@@ -579,10 +661,12 @@ obs::counter& zero_copy_counter() {
   return c;
 }
 
-/// One zero-copy chunk evaluation happened (an alias replaced a kernel).
-void count_zero_copy() {
-  g_zero_copy_total.fetch_add(1, std::memory_order_relaxed);
-  if (obs::metrics_on()) zero_copy_counter().add();
+/// A worker's zero-copy chunk evaluations (aliases that replaced a
+/// kernel), counted once when it leaves the pass.
+void count_zero_copy(std::uint64_t n) {
+  if (n == 0) return;
+  g_zero_copy_total.fetch_add(n, std::memory_order_relaxed);
+  if (obs::metrics_on()) zero_copy_counter().add(n);
 }
 
 /// Expose every pass_stats field through the metrics registry as probes:
@@ -666,8 +750,8 @@ void pass_runner::init_cum_chains() {
   if (!dag_.has_cum) return;
   for (virtual_store* v : dag_.order) {
     if (v->op().kind != node_kind::cum_col) continue;
-    cum_chains_[v].init(dag_.space.num_parts(),
-                        v->ncol() * type_size(v->type()));
+    cum_chains_[dag_.id_of(v)].init(dag_.space.num_parts(),
+                                    v->ncol() * type_size(v->type()));
   }
 }
 
@@ -678,19 +762,20 @@ std::size_t chunk_rows_for(const dag_info& dag) {
 void pass_runner::prof_init() {
   prof_ = obs::profile_on();
   if (!prof_) return;
-  prof_slots_ = static_cast<std::size_t>(dag_.num_ids) + sinks_.size();
+  prof_slots_ = dag_.nodes.size();
   prof_plan_id_.assign(prof_slots_, -1);
   prof_meta_.assign(prof_slots_, {});
   prof_label_.assign(prof_slots_, "?");
   prof_sink_.assign(prof_slots_, 0);
   prof_leaf_.assign(prof_slots_, 0);
-  for (const auto& [node, id] : dag_.ids) {
-    const auto slot = static_cast<std::size_t>(id);
+  for (std::size_t slot = 0; slot < prof_slots_; ++slot) {
+    const matrix_store* node = dag_.nodes[slot].store;
     prof_plan_id_[slot] = obs::profile_node_id(node, &prof_meta_[slot]);
     switch (node->kind()) {
       case store_kind::virt:
         prof_label_[slot] = node_kind_name(
             static_cast<const virtual_store*>(node)->op().kind);
+        prof_sink_[slot] = dag_.nodes[slot].sink ? 1 : 0;
         break;
       case store_kind::mem:
         prof_label_[slot] = "mem";
@@ -705,13 +790,6 @@ void pass_runner::prof_init() {
         prof_leaf_[slot] = 1;
         break;
     }
-  }
-  for (std::size_t s = 0; s < sinks_.size(); ++s) {
-    const std::size_t slot = static_cast<std::size_t>(dag_.num_ids) + s;
-    prof_plan_id_[slot] =
-        obs::profile_node_id(sinks_[s].node, &prof_meta_[slot]);
-    prof_label_[slot] = node_kind_name(sinks_[s].node->op().kind);
-    prof_sink_[slot] = 1;
   }
   prof_acc_ =
       std::vector<std::atomic<std::uint64_t>>(prof_slots_ * kProfFields);
@@ -924,7 +1002,14 @@ void pass_runner::run() {
     obs::sample_pass_scope sample_pass(samp_pass_);
     thread_ctx ctx;
     ctx.thread_idx = thread_idx;
-    ctx.chunk.resize(static_cast<std::size_t>(dag_.num_ids));
+    const std::size_t num_ids = dag_.nodes.size();
+    ctx.chunk.resize(num_ids);
+    ctx.part_view.resize(num_ids);
+    ctx.out_stage.resize(dag_.tall_outputs.size());
+    // A node holds at most one chunk buffer at a time; twice the plan size
+    // leaves room for a short last chunk's smaller size class as well.
+    ctx.free_bufs.reserve(2 * num_ids);
+    ctx.cum_carry.resize(num_ids);
     if (prof_) ctx.prof.assign(prof_slots_ * kProfFields, 0);
     // Sink partials start at the aggregation identity; they are re-armed
     // after every partition by submit_sink_partials().
@@ -948,8 +1033,10 @@ void pass_runner::run() {
       for (std::size_t i = 0; i < ctx.prof.size(); ++i)
         if (ctx.prof[i] != 0)
           prof_acc_[i].fetch_add(ctx.prof[i], std::memory_order_relaxed);
+    count_zero_copy(ctx.zero_copy);
     // ctx destruction returns every worker-held pool buffer (chunk bufs,
-    // EM read buffers, staged outputs) whether the pass succeeded or not.
+    // the free list, EM read buffers, staged outputs) whether the pass
+    // succeeded or not.
     // Sink partials were already submitted per partition; whatever is left
     // in ctx.sink_acc is an untouched identity (or a cancelled partition's
     // partial, discarded with the pass).
@@ -1010,9 +1097,10 @@ void pass_runner::process_partition(thread_ctx& ctx) {
   // Fetch incoming cumulative carries before the first chunk.
   ctx.cum_has_carry = false;
   if (dag_.has_cum) {
-    for (auto& [node, chain] : cum_chains_) {
-      auto& carry = ctx.cum_carry[node];
-      carry.resize(node->ncol() * type_size(node->type()));
+    for (auto& [id, chain] : cum_chains_) {
+      const matrix_store& node = store_of(id);
+      auto& carry = ctx.cum_carry[static_cast<std::size_t>(id)];
+      carry.resize(node.ncol() * node.elem_size());
       if (ctx.part > 0) {
         // Parked on a predecessor's cumulative carry: lock wait.
         obs::sample_wait_scope sample_scope(obs::sample_state::lock_wait);
@@ -1026,9 +1114,10 @@ void pass_runner::process_partition(thread_ctx& ctx) {
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
     virtual_store* v = dag_.tall_outputs[i];
     if (out_stores_[i]->kind() != store_kind::ext) continue;
-    ctx.out_stage[v] =
+    ctx.out_stage[i] =
         buffer_pool::global().get(v->geom().part_bytes(ctx.part, v->type()));
   }
+  bind_partition_leaves(ctx);
 
   const std::size_t step =
       cfg_.chunk_rows == 0 ? ctx.part_rows : cfg_.chunk_rows;
@@ -1042,114 +1131,100 @@ void pass_runner::process_partition(thread_ctx& ctx) {
 
   // Flush outputs: each staged partition moves into its asynchronous write.
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
-    virtual_store* v = dag_.tall_outputs[i];
     if (out_stores_[i]->kind() != store_kind::ext) continue;
     auto* em = static_cast<em_store*>(out_stores_[i].get());
-    auto it = ctx.out_stage.find(v);
-    em->write_part_async(ctx.part, std::move(it->second));
-    ctx.out_stage.erase(it);
+    em->write_part_async(ctx.part, std::move(ctx.out_stage[i]));
   }
 
   // Publish cumulative carries for the next partition.
-  for (auto& [node, chain] : cum_chains_) {
-    const auto& carry = ctx.cum_carry[node];
+  for (auto& [id, chain] : cum_chains_) {
+    const auto& carry = ctx.cum_carry[static_cast<std::size_t>(id)];
     chain.publish(ctx.part, carry.data(), carry.size());
   }
 
-  FLASHR_DCHECK(ctx.out_stage.empty(),
+  FLASHR_DCHECK(std::none_of(ctx.out_stage.begin(), ctx.out_stage.end(),
+                             [](const pool_buffer& b) { return b.valid(); }),
                 "staged output buffer survived its partition");
   if (svc0 != 0) partition_service_hist().record((now_ns() - svc0) / 1000);
 }
 
-kern::view pass_runner::leaf_view(thread_ctx& ctx, const matrix_store* leaf) {
-  switch (leaf->kind()) {
-    case store_kind::mem: {
-      auto* m = static_cast<const mem_store*>(leaf);
-      const std::size_t stride = m->part_stride(ctx.part);
-      return kern::view{
-          m->part_data(ctx.part) + ctx.chunk_row0 * leaf->elem_size(),
-          stride};
-    }
-    case store_kind::ext: {
-      auto* e = static_cast<const em_readable*>(leaf);
-      auto it = ctx.em_bufs.find(e);
+void pass_runner::bind_partition_leaves(thread_ctx& ctx) {
+  for (std::size_t id = 0; id < dag_.nodes.size(); ++id) {
+    const plan_node& n = dag_.nodes[id];
+    if (n.kind == store_kind::mem) {
+      auto* m = static_cast<const mem_store*>(n.store);
+      ctx.part_view[id] =
+          kern::view{m->part_data(ctx.part), m->part_stride(ctx.part)};
+    } else if (n.kind == store_kind::ext) {
+      auto it = ctx.em_bufs.find(static_cast<const em_readable*>(n.store));
       FLASHR_ASSERT(it != ctx.em_bufs.end(), "EM partition not prefetched");
-      return kern::view{
-          it->second.data() + ctx.chunk_row0 * leaf->elem_size(),
-          ctx.part_rows};
+      ctx.part_view[id] = kern::view{it->second.data(), ctx.part_rows};
     }
-    default:
-      FLASHR_ASSERT(false, "not a leaf store");
-      return {};
   }
 }
 
-chunk_buf& pass_runner::ensure(thread_ctx& ctx,
-                               const matrix_store::ptr& child) {
-  const matrix_store* key = resolve(child.get());
-  chunk_buf& cb = ctx.chunk[static_cast<std::size_t>(dag_.id_of(key))];
+chunk_buf& pass_runner::ensure(thread_ctx& ctx, int id) {
+  const auto idx = static_cast<std::size_t>(id);
+  chunk_buf& cb = ctx.chunk[idx];
   if (cb.gen == ctx.gen) return cb;
 
+  const plan_node& n = dag_.nodes[idx];
   cb.gen = ctx.gen;
-  cb.owned.release();
-  auto cons = dag_.consumers.find(key);
-  cb.remaining = cons == dag_.consumers.end() ? 1 : cons->second;
+  cb.remaining = n.consumers;
 
-  switch (key->kind()) {
+  switch (n.kind) {
     case store_kind::mem:
-    case store_kind::ext:
-      cb.v = leaf_view(ctx, key);
+    case store_kind::ext: {
+      const kern::view& part = ctx.part_view[idx];
+      cb.v = kern::view{part.data + ctx.chunk_row0 * n.store->elem_size(),
+                        part.stride};
       break;
+    }
     case store_kind::generated: {
-      auto* g = static_cast<const generated_store*>(key);
-      cb.owned = buffer_pool::global().get(ctx.chunk_rows * g->ncol() *
-                                           g->elem_size());
+      auto* g = static_cast<const generated_store*>(n.store);
+      const std::size_t bytes = ctx.chunk_rows * g->ncol() * g->elem_size();
+      cb.owned = ctx.free_bufs.take(bytes);
       ++ctx.live_owned;
-      obs::sample_node_scope sample_scope(
-          prof_ ? prof_plan_id_[static_cast<std::size_t>(dag_.id_of(key))]
-                : -1);
+      obs::sample_node_scope sample_scope(prof_ ? prof_plan_id_[idx] : -1);
       const std::uint64_t g0 = prof_ ? now_ns() : 0;
       g->generate(ctx.part_row0 + ctx.chunk_row0, ctx.chunk_rows,
                   cb.owned.data(), ctx.chunk_rows);
       if (prof_) {
-        const int slot = dag_.id_of(key);
-        prof_add(ctx, slot, pf_kernel, now_ns() - g0);
-        prof_add(ctx, slot, pf_rows, ctx.chunk_rows);
-        prof_add(ctx, slot, pf_bytes,
-                 ctx.chunk_rows * g->ncol() * g->elem_size());
-        prof_add(ctx, slot, pf_chunks, 1);
-        if (ctx.chunk_row0 == 0) prof_add(ctx, slot, pf_parts, 1);
+        prof_add(ctx, id, pf_kernel, now_ns() - g0);
+        prof_add(ctx, id, pf_rows, ctx.chunk_rows);
+        prof_add(ctx, id, pf_bytes, bytes);
+        prof_add(ctx, id, pf_chunks, 1);
+        if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
       }
       cb.v = kern::view{cb.owned.data(), ctx.chunk_rows};
       break;
     }
-    case store_kind::virt: {
-      auto* v = const_cast<virtual_store*>(
-          static_cast<const virtual_store*>(key));
-      eval_virtual(ctx, v, cb);
+    case store_kind::virt:
+      eval_virtual(ctx, id, cb);
       break;
-    }
   }
   return cb;
 }
 
-void pass_runner::unref(thread_ctx& ctx, const matrix_store::ptr& child) {
-  const matrix_store* key = resolve(child.get());
-  chunk_buf& cb = ctx.chunk[static_cast<std::size_t>(dag_.id_of(key))];
+void pass_runner::unref(thread_ctx& ctx, int id) {
+  chunk_buf& cb = ctx.chunk[static_cast<std::size_t>(id)];
   FLASHR_ASSERT(cb.gen == ctx.gen && cb.remaining > 0,
                 "unref of missing chunk");
   if (--cb.remaining <= 0 && cb.owned.valid()) {
-    // Buffer returns to the pool (LIFO) so the very next allocation —
-    // typically the consumer's output — reuses cache-hot memory (§3.5.1).
-    cb.owned.release();
+    // The buffer goes on this worker's LIFO free list, so the very next
+    // allocation — typically the consumer's output — reuses cache-hot
+    // memory (§3.5.1).
+    ctx.free_bufs.give(std::move(cb.owned));
     --ctx.live_owned;
   }
 }
 
-void pass_runner::eval_virtual(thread_ctx& ctx, virtual_store* v,
-                               chunk_buf& out) {
+void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
+  const plan_node& n = dag_.nodes[static_cast<std::size_t>(id)];
+  const auto* v = static_cast<const virtual_store*>(n.store);
   const genop& op = v->op();
-  const auto& ch = v->children();
+  const int* ch = dag_.children_of(id);
+  const matrix_store& c0 = store_of(ch[0]);
   const std::size_t rows = ctx.chunk_rows;
   const std::size_t cols = v->ncol();
 
@@ -1159,27 +1234,27 @@ void pass_runner::eval_virtual(thread_ctx& ctx, virtual_store* v,
   // output chunk and running a copy kernel. Restricted to mem/ext leaves:
   // their views do not live in a recycled chunk buffer, so the alias stays
   // valid after the child's unref.
-  if (op.kind == node_kind::cast_type) {
-    const matrix_store* c0 = resolve(ch[0].get());
-    if (op.to_type == c0->type() &&
-        (c0->kind() == store_kind::mem || c0->kind() == store_kind::ext)) {
-      out.v = ensure(ctx, ch[0]).v;
-      unref(ctx, ch[0]);
-      count_zero_copy();
-      if (prof_) {
-        const int slot = dag_.id_of(v);
-        prof_add(ctx, slot, pf_rows, rows);
-        prof_add(ctx, slot, pf_chunks, 1);
-        if (ctx.chunk_row0 == 0) prof_add(ctx, slot, pf_parts, 1);
-      }
-      return;
+  if (op.kind == node_kind::cast_type && op.to_type == c0.type() &&
+      (c0.kind() == store_kind::mem || c0.kind() == store_kind::ext)) {
+    out.v = ensure(ctx, ch[0]).v;
+    unref(ctx, ch[0]);
+    ++ctx.zero_copy;
+    if (prof_) {
+      prof_add(ctx, id, pf_rows, rows);
+      prof_add(ctx, id, pf_chunks, 1);
+      if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
     }
+    return;
   }
 
-  // Gather child views first (depth-first traversal).
-  std::vector<kern::view> in;
-  in.reserve(ch.size());
-  for (const auto& c : ch) in.push_back(ensure(ctx, c).v);
+  // Evaluate the children first (depth-first traversal). Their views stay
+  // in their own chunk slots: a node is evaluated once per chunk, so the
+  // nested ensure() calls never overwrite a sibling's slot, and a child's
+  // buffer stays live until the unref() below.
+  for (int k = 0; k < n.num_children; ++k) ensure(ctx, ch[k]);
+  auto in = [&](int k) -> const kern::view& {
+    return ctx.chunk[static_cast<std::size_t>(ch[k])].v;
+  };
 
   // Kernel execution: node_kind_name() returns a string literal, which
   // satisfies the span's static-storage requirement.
@@ -1187,74 +1262,71 @@ void pass_runner::eval_virtual(thread_ctx& ctx, virtual_store* v,
   // Samples landing in the kernel (or its allocation) attribute to this
   // node's plan id; nested ensure() calls already closed their own scopes.
   obs::sample_node_scope sample_scope(
-      prof_ ? prof_plan_id_[static_cast<std::size_t>(dag_.id_of(v))] : -1);
+      prof_ ? prof_plan_id_[static_cast<std::size_t>(id)] : -1);
   const std::uint64_t k0 = (obs::metrics_on() || prof_) ? now_ns() : 0;
 
-  out.owned = buffer_pool::global().get(rows * cols * v->elem_size());
+  out.owned = ctx.free_bufs.take(rows * cols * v->elem_size());
   ++ctx.live_owned;
   char* o = out.owned.data();
   const std::size_t ostride = rows;
-  const scalar_type ct = resolve(ch[0].get())->type();
+  const scalar_type ct = c0.type();
 
   switch (op.kind) {
     case node_kind::sapply:
-      kern::sapply(ct, op.u, in[0], rows, cols, o, ostride);
+      kern::sapply(ct, op.u, in(0), rows, cols, o, ostride);
       break;
     case node_kind::map2: {
-      const bool bcast =
-          resolve(ch[1].get())->ncol() == 1 && cols > 1;
-      kern::map2(ct, op.b, in[0], in[1], bcast, rows, cols, o, ostride);
+      const bool bcast = store_of(ch[1]).ncol() == 1 && cols > 1;
+      kern::map2(ct, op.b, in(0), in(1), bcast, rows, cols, o, ostride);
       break;
     }
     case node_kind::map_scalar:
-      kern::map_scalar(ct, op.b, in[0], op.scalar, op.scalar_left, rows, cols,
+      kern::map_scalar(ct, op.b, in(0), op.scalar, op.scalar_left, rows, cols,
                        o, ostride);
       break;
     case node_kind::sweep_rowvec:
-      kern::sweep_rowvec(ct, op.b, in[0], op.small.data(), rows, cols, o,
+      kern::sweep_rowvec(ct, op.b, in(0), op.small.data(), rows, cols, o,
                          ostride);
       break;
     case node_kind::inner_prod:
-      kern::inner_prod(ct, op.b, op.a, in[0], rows,
-                       resolve(ch[0].get())->ncol(), op.small, o, ostride);
+      kern::inner_prod(ct, op.b, op.a, in(0), rows, c0.ncol(), op.small, o,
+                       ostride);
       break;
     case node_kind::agg_row:
-      kern::agg_row(ct, op.a, op.return_index, in[0], rows,
-                    resolve(ch[0].get())->ncol(), o);
+      kern::agg_row(ct, op.a, op.return_index, in(0), rows, c0.ncol(), o);
       break;
     case node_kind::cum_col: {
-      auto& carry = ctx.cum_carry[v];
-      kern::cum_col(ct, op.b, in[0], rows, cols, o, ostride, carry.data(),
+      auto& carry = ctx.cum_carry[static_cast<std::size_t>(id)];
+      kern::cum_col(ct, op.b, in(0), rows, cols, o, ostride, carry.data(),
                     ctx.cum_has_carry);
       break;
     }
     case node_kind::cum_row:
-      kern::cum_row(ct, op.b, in[0], rows, cols, o, ostride);
+      kern::cum_row(ct, op.b, in(0), rows, cols, o, ostride);
       break;
     case node_kind::cast_type:
-      kern::cast(ct, op.to_type, in[0], rows, cols, o, ostride);
+      kern::cast(ct, op.to_type, in(0), rows, cols, o, ostride);
       break;
     case node_kind::select_cols: {
       for (std::size_t j = 0; j < op.cols.size(); ++j) {
-        kern::view col{in[0].data + op.cols[j] * in[0].stride * v->elem_size(),
-                       in[0].stride};
+        kern::view col{in(0).data + op.cols[j] * in(0).stride * v->elem_size(),
+                       in(0).stride};
         kern::copy(ct, col, rows, 1, o + j * ostride * v->elem_size(),
                    ostride);
       }
       break;
     }
     case node_kind::groupby_col:
-      kern::groupby_col(ct, op.a, in[0], rows,
-                        resolve(ch[0].get())->ncol(), op.cols.data(),
+      kern::groupby_col(ct, op.a, in(0), rows, c0.ncol(), op.cols.data(),
                         op.num_groups, o, ostride);
       break;
     case node_kind::cbind2: {
       std::size_t at = 0;
-      for (std::size_t c = 0; c < ch.size(); ++c) {
-        const std::size_t w = resolve(ch[c].get())->ncol();
-        kern::copy(resolve(ch[c].get())->type(), in[c], rows, w,
+      for (int k = 0; k < n.num_children; ++k) {
+        const matrix_store& c = store_of(ch[k]);
+        kern::copy(c.type(), in(k), rows, c.ncol(),
                    o + at * ostride * v->elem_size(), ostride);
-        at += w;
+        at += c.ncol();
       }
       break;
     }
@@ -1266,16 +1338,15 @@ void pass_runner::eval_virtual(thread_ctx& ctx, virtual_store* v,
     const std::uint64_t dt = now_ns() - k0;
     if (obs::metrics_on()) kernel_hist(op.kind).record(dt);
     if (prof_) {
-      const int slot = dag_.id_of(v);
-      prof_add(ctx, slot, pf_kernel, dt);
-      prof_add(ctx, slot, pf_rows, rows);
-      prof_add(ctx, slot, pf_bytes, rows * cols * v->elem_size());
-      prof_add(ctx, slot, pf_chunks, 1);
-      if (ctx.chunk_row0 == 0) prof_add(ctx, slot, pf_parts, 1);
+      prof_add(ctx, id, pf_kernel, dt);
+      prof_add(ctx, id, pf_rows, rows);
+      prof_add(ctx, id, pf_bytes, rows * cols * v->elem_size());
+      prof_add(ctx, id, pf_chunks, 1);
+      if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
     }
   }
   out.v = kern::view{o, ostride};
-  for (const auto& c : ch) unref(ctx, c);
+  for (int k = 0; k < n.num_children; ++k) unref(ctx, ch[k]);
 }
 
 void pass_runner::process_chunk(thread_ctx& ctx) {
@@ -1283,40 +1354,41 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
   ++ctx.gen;
   // Tall outputs: evaluate and copy the chunk into the partition store.
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
-    virtual_store* v = dag_.tall_outputs[i];
+    const int id = dag_.tall_ids[i];
+    const matrix_store& v = store_of(id);
     obs::sample_node_scope sample_scope(
-        prof_ ? prof_plan_id_[static_cast<std::size_t>(dag_.id_of(v))] : -1);
-    chunk_buf& cb = ensure(ctx, v->shared_from_this());
-    const std::size_t esz = v->elem_size();
+        prof_ ? prof_plan_id_[static_cast<std::size_t>(id)] : -1);
+    chunk_buf& cb = ensure(ctx, id);
+    const std::size_t esz = v.elem_size();
     // The output move is data plumbing, not compute: it lands on the node's
     // copy time, not its kernel time.
     const std::uint64_t c0 = prof_ ? now_ns() : 0;
     if (out_stores_[i]->kind() == store_kind::ext) {
-      char* dst = ctx.out_stage[v].data() + ctx.chunk_row0 * esz;
-      kern::copy(v->type(), cb.v, ctx.chunk_rows, v->ncol(), dst,
+      char* dst = ctx.out_stage[i].data() + ctx.chunk_row0 * esz;
+      kern::copy(v.type(), cb.v, ctx.chunk_rows, v.ncol(), dst,
                  ctx.part_rows);
     } else {
       auto* m = static_cast<mem_store*>(out_stores_[i].get());
       char* dst = m->part_data(ctx.part) + ctx.chunk_row0 * esz;
-      kern::copy(v->type(), cb.v, ctx.chunk_rows, v->ncol(), dst,
+      kern::copy(v.type(), cb.v, ctx.chunk_rows, v.ncol(), dst,
                  m->part_stride(ctx.part));
     }
-    if (prof_) prof_add(ctx, dag_.id_of(v), pf_copy, now_ns() - c0);
-    unref(ctx, v->shared_from_this());
+    if (prof_) prof_add(ctx, id, pf_copy, now_ns() - c0);
+    unref(ctx, id);
   }
 
   // Sinks: accumulate into this thread's partials.
   for (std::size_t s = 0; s < sinks_.size(); ++s) {
+    const int id = dag_.sink_ids[s];
     // The sink's accumulate kernel samples attribute to the sink slot;
     // child evaluation inside ensure() re-scopes to the child's node.
     obs::sample_node_scope sample_scope(
-        prof_ ? prof_plan_id_[static_cast<std::size_t>(dag_.num_ids) + s]
-              : -1);
-    virtual_store* v = sinks_[s].node;
-    const genop& op = v->op();
-    const auto& ch = v->children();
+        prof_ ? prof_plan_id_[static_cast<std::size_t>(id)] : -1);
+    const genop& op = sinks_[s].node->op();
+    const int* ch = dag_.children_of(id);
     char* acc = ctx.sink_acc[s].data();
-    const scalar_type ct = resolve(ch[0].get())->type();
+    const matrix_store& a = store_of(ch[0]);
+    const scalar_type ct = a.type();
     // Time ONLY the accumulate kernel: ensure() may evaluate the whole
     // virtual chain beneath the sink, and those kernels account their own
     // time — including them here would double-count.
@@ -1326,42 +1398,39 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
       // so both accumulate exactly like a column aggregate.
       case node_kind::s_agg_full:
       case node_kind::s_agg_col: {
-        chunk_buf& a = ensure(ctx, ch[0]);
+        const kern::view& av = ensure(ctx, ch[0]).v;
         const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::agg_col_acc(ct, op.a, a.v, ctx.chunk_rows,
-                          resolve(ch[0].get())->ncol(), acc);
+        kern::agg_col_acc(ct, op.a, av, ctx.chunk_rows, a.ncol(), acc);
         if (prof_) acc_ns = now_ns() - s0;
         unref(ctx, ch[0]);
         break;
       }
       case node_kind::s_tmm: {
-        chunk_buf& a = ensure(ctx, ch[0]);
-        chunk_buf& b = ensure(ctx, ch[1]);
+        const kern::view& av = ensure(ctx, ch[0]).v;
+        const kern::view& bv = ensure(ctx, ch[1]).v;
         const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::tmm_acc(ct, op.b, op.a, a.v, b.v, ctx.chunk_rows,
-                      resolve(ch[0].get())->ncol(),
-                      resolve(ch[1].get())->ncol(), acc);
+        kern::tmm_acc(ct, op.b, op.a, av, bv, ctx.chunk_rows, a.ncol(),
+                      store_of(ch[1]).ncol(), acc);
         if (prof_) acc_ns = now_ns() - s0;
         unref(ctx, ch[0]);
         unref(ctx, ch[1]);
         break;
       }
       case node_kind::s_groupby_row: {
-        chunk_buf& a = ensure(ctx, ch[0]);
-        chunk_buf& lab = ensure(ctx, ch[1]);
+        const kern::view& av = ensure(ctx, ch[0]).v;
+        const kern::view& lab = ensure(ctx, ch[1]).v;
         const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::groupby_row_acc(ct, op.a, a.v, lab.v, ctx.chunk_rows,
-                              resolve(ch[0].get())->ncol(), op.num_groups,
-                              acc);
+        kern::groupby_row_acc(ct, op.a, av, lab, ctx.chunk_rows, a.ncol(),
+                              op.num_groups, acc);
         if (prof_) acc_ns = now_ns() - s0;
         unref(ctx, ch[0]);
         unref(ctx, ch[1]);
         break;
       }
       case node_kind::s_count_groups: {
-        chunk_buf& lab = ensure(ctx, ch[0]);
+        const kern::view& lab = ensure(ctx, ch[0]).v;
         const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::count_groups_acc(lab.v, ctx.chunk_rows, op.num_groups,
+        kern::count_groups_acc(lab, ctx.chunk_rows, op.num_groups,
                                reinterpret_cast<std::int64_t*>(acc));
         if (prof_) acc_ns = now_ns() - s0;
         unref(ctx, ch[0]);
@@ -1371,11 +1440,10 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
         FLASHR_ASSERT(false, "aligned node in sink list");
     }
     if (prof_) {
-      const int slot = dag_.num_ids + static_cast<int>(s);
-      prof_add(ctx, slot, pf_kernel, acc_ns);
-      prof_add(ctx, slot, pf_rows, ctx.chunk_rows);
-      prof_add(ctx, slot, pf_chunks, 1);
-      if (ctx.chunk_row0 == 0) prof_add(ctx, slot, pf_parts, 1);
+      prof_add(ctx, id, pf_kernel, acc_ns);
+      prof_add(ctx, id, pf_rows, ctx.chunk_rows);
+      prof_add(ctx, id, pf_chunks, 1);
+      if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
     }
   }
 
@@ -1448,15 +1516,15 @@ resource_governor::footprint estimate_footprint(const dag_info& dag,
   fp.bytes += (d + threads) * leaf_part_bytes;
 
   // Chunk evaluation state: every node that owns a chunk buffer (virtual
-  // and generated; mem/ext leaves are views into existing storage).
+  // and generated; mem/ext leaves are views into existing storage, sinks
+  // accumulate into their partials).
   const std::size_t crows =
       chunk_rows == 0 ? dag.space.part_rows : chunk_rows;
   std::size_t node_row_bytes = 0;
-  for (const auto& [node, id] : dag.ids) {
-    (void)id;
-    if (node->kind() == store_kind::mem || node->kind() == store_kind::ext)
+  for (const plan_node& n : dag.nodes) {
+    if (n.kind == store_kind::mem || n.kind == store_kind::ext || n.sink)
       continue;
-    node_row_bytes += node->ncol() * node->elem_size();
+    node_row_bytes += n.store->ncol() * n.store->elem_size();
   }
   fp.bytes += threads * crows * node_row_bytes;
 

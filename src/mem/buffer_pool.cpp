@@ -18,6 +18,21 @@ bool is_buffer_aligned(const char* p) {
 }
 }  // namespace
 
+void poison_fill(char* data, std::size_t bytes) noexcept {
+  std::memset(data, kPoisonByte, bytes);
+}
+
+void poison_verify(const char* data, std::size_t bytes) noexcept {
+  // Any byte that changed since the buffer came home was written through a
+  // stale pointer.
+  const bool intact = std::all_of(data, data + bytes, [](char c) {
+    return static_cast<unsigned char>(c) == kPoisonByte;
+  });
+  FLASHR_ASSERT(intact,
+                "pool buffer written after return to pool "
+                "(use-after-return)");
+}
+
 pool_buffer& pool_buffer::operator=(pool_buffer&& o) noexcept {
   if (this != &o) {
     release();
@@ -57,7 +72,7 @@ int buffer_pool::class_of(std::size_t bytes) {
 pool_buffer buffer_pool::get(std::size_t bytes) {
   OBS_INSTANT_HOT("pool.get", bytes);
   const int cls = class_of(bytes);
-  const std::size_t class_bytes = std::size_t{1} << (cls + kMinClassLog2);
+  const std::size_t size = class_bytes(bytes);
   const bool track = invariants_enabled();
   char* data = nullptr;
   {
@@ -72,27 +87,14 @@ pool_buffer buffer_pool::get(std::size_t bytes) {
       // verify when the validator is active end to end.
       const bool was_poisoned =
           !poisoned_.empty() && poisoned_.erase(data) != 0;
-      if (track && was_poisoned) {
-        // The buffer was poisoned when it came home; any byte that changed
-        // since means someone wrote through a stale pointer.
-        const char* stale = nullptr;
-        for (std::size_t i = 0; i < class_bytes; ++i) {
-          if (static_cast<unsigned char>(data[i]) != kPoisonByte) {
-            stale = data + i;
-            break;
-          }
-        }
-        FLASHR_ASSERT(stale == nullptr,
-                      "pool buffer written after return to pool "
-                      "(use-after-return)");
-      }
+      if (track && was_poisoned) poison_verify(data, size);
     }
     if (track && data != nullptr) live_.insert(data);
   }
   if (data == nullptr) {
     // aligned_alloc_bytes rounds up to the alignment; class sizes are already
     // multiples of kBufferAlign for all classes >= 4 KiB.
-    data = aligned_alloc_bytes(class_bytes).release();
+    data = aligned_alloc_bytes(size).release();
     if (track) {
       mutex_lock lock(pool_mtx_);
       live_.insert(data);
@@ -106,12 +108,12 @@ pool_buffer buffer_pool::get(std::size_t bytes) {
                   "pool handed out a misaligned buffer "
                   "(4 KiB alignment contract)");
   outstanding_count_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t out = outstanding_.fetch_add(class_bytes) + class_bytes;
+  const std::size_t out = outstanding_.fetch_add(size) + size;
   std::size_t peak = peak_.load(std::memory_order_relaxed);
   while (out > peak &&
          !peak_.compare_exchange_weak(peak, out, std::memory_order_relaxed)) {
   }
-  return pool_buffer(this, data, class_bytes, cls, track);
+  return pool_buffer(this, data, size, cls, track);
 }
 
 void buffer_pool::track_return_locked(char* data, std::size_t size, int cls,
@@ -128,7 +130,7 @@ void buffer_pool::track_return_locked(char* data, std::size_t size, int cls,
     detail::assert_fail("refcount underflow", __FILE__, __LINE__,
                         "returned a buffer the pool never handed out");
   }
-  std::memset(data, kPoisonByte, size);
+  poison_fill(data, size);
   poisoned_.insert(data);
 }
 

@@ -35,6 +35,14 @@ namespace flashr {
 class buffer_pool;
 struct pool_debug;
 
+/// Use-after-return poisoning, shared by the pool's free lists and the
+/// executor's worker-local chunk free lists (invariant validator only):
+/// fill a buffer that went back on a free list with kPoisonByte, and abort
+/// with a use-after-return diagnostic if any byte changed by the time it is
+/// handed out again.
+void poison_fill(char* data, std::size_t bytes) noexcept;
+void poison_verify(const char* data, std::size_t bytes) noexcept;
+
 /// RAII handle for a pooled buffer. Movable, not copyable; returns the
 /// buffer to its pool on destruction.
 class pool_buffer {
@@ -81,6 +89,12 @@ class buffer_pool {
 
   /// Get a buffer of at least `bytes` bytes (rounded to the size class).
   pool_buffer get(std::size_t bytes);
+
+  /// Size of the class a `bytes` request is rounded to: the size() of the
+  /// buffer get(bytes) returns.
+  static std::size_t class_bytes(std::size_t bytes) {
+    return std::size_t{1} << (class_of(bytes) + kMinClassLog2);
+  }
 
   /// Bytes currently handed out (not on free lists).
   std::size_t outstanding_bytes() const { return outstanding_.load(); }

@@ -108,9 +108,10 @@ TEST_F(BaselineTest, RsLogisticMatchesFlashr) {
     const double logit = 1.2 * h(i, 0) - 0.7 * h(i, 1) + 0.1;
     lab(i, 0) = rng.next_uniform() < 1 / (1 + std::exp(-logit)) ? 1 : 0;
   }
-  smat w_rs = rs_logistic(rs_from_smat(h), rs_from_smat(lab), 50);
   ml::logistic_options o;
   o.max_iters = 50;
+  smat w_rs =
+      rs_logistic(rs_from_smat(h), rs_from_smat(lab), o.max_iters, o.loss_tol);
   auto m = ml::logistic_regression(dense_matrix::from_smat(h),
                                    dense_matrix::from_smat(lab), o);
   for (std::size_t j = 0; j <= p; ++j)

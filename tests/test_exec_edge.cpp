@@ -8,6 +8,8 @@
 #include "core/dense_matrix.h"
 #include "core/exec.h"
 #include "io/safs.h"
+#include "mem/buffer_pool.h"
+#include "obs/trace.h"
 
 namespace flashr {
 namespace {
@@ -149,6 +151,87 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       return s;
     });
+
+/// Chrome-trace instant events ("ph":"i") named `name` in a trace flush.
+std::size_t count_instants(const std::string& json, const std::string& name) {
+  const std::string needle =
+      "{\"name\":\"" + name + "\",\"cat\":\"flashr\",\"ph\":\"i\"";
+  std::size_t n = 0;
+  for (std::size_t pos = json.find(needle); pos != std::string::npos;
+       pos = json.find(needle, pos + 1))
+    ++n;
+  return n;
+}
+
+// §3.5.1's buffer recycling is worker-local: a worker keeps the chunk
+// buffers its last consumers released and reuses them for the next chunk,
+// so the shared pool hands each worker a bounded set of buffers however many
+// Pcache chunks the pass runs. A sinks-only DAG over an in-memory leaf makes
+// every pool.get of the pass a chunk buffer, plus one per sink result.
+TEST(ExecTest, ChunkBuffersRecycleWithinWorker) {
+  const std::size_t n = 64 * 1024, p = 8;
+  // X, X %*% w, abs, negate, exp, log1p, sum, sigmoid, crossprod.
+  const std::size_t dag_nodes = 9;
+  options o;
+  o.em_dir = "/tmp/flashr_test_em";
+  o.num_threads = 4;
+  o.obs_trace = true;
+  init(o);
+  const dense_matrix X =
+      conv_store(dense_matrix::rnorm(n, p, 0, 1, 17), storage::in_mem);
+  smat wm(p, 1);
+  for (std::size_t j = 0; j < p; ++j)
+    wm(j, 0) = 0.1 * static_cast<double>(j) - 0.3;
+  const dense_matrix w = dense_matrix::from_smat(wm);
+
+  struct fit {
+    double loss = 0;
+    smat grad;
+    std::size_t gets = 0;
+    std::size_t chunk_rows = 0;
+  };
+  auto run = [&](exec_mode mode, std::size_t pcache_bytes) {
+    o.mode = mode;
+    o.pcache_bytes = pcache_bytes;
+    init(o);
+    obs::trace_clear();
+    fit f;
+    f.chunk_rows = exec::pcache_rows(p, conf().io_part_rows);
+    const std::size_t outstanding0 = buffer_pool::global().outstanding_count();
+    {
+      const dense_matrix xw = matmul(X, w);
+      const dense_matrix loss = sum(log1p(exp(-abs(xw))));
+      const dense_matrix grad = crossprod(X, sigmoid(xw));
+      materialize_all({loss, grad});
+      f.gets = count_instants(obs::trace_json(), "pool.get");
+      EXPECT_EQ(obs::trace_dropped(), 0u);
+      f.loss = loss.scalar();
+      f.grad = grad.to_smat();
+    }
+    EXPECT_EQ(buffer_pool::global().outstanding_count(), outstanding0);
+    return f;
+  };
+
+  const fit small = run(exec_mode::cache_fuse, 4 * 1024);
+  const fit large = run(exec_mode::cache_fuse, 64 * 1024);
+  const fit eager = run(exec_mode::eager, 64 * 1024);
+  // 16x the chunks at 4 KiB, yet both stay within a per-worker bound.
+  EXPECT_EQ(large.chunk_rows, 16 * small.chunk_rows);
+  const std::size_t bound =
+      static_cast<std::size_t>(o.num_threads) * (dag_nodes + 1);
+  EXPECT_LE(small.gets, bound);
+  EXPECT_LE(large.gets, bound);
+  EXPECT_EQ(small.loss, large.loss);
+  EXPECT_EQ(small.loss, eager.loss);
+  ASSERT_EQ(small.grad.nrow(), p);
+  for (std::size_t j = 0; j < p; ++j) {
+    EXPECT_EQ(small.grad(j, 0), large.grad(j, 0));
+    EXPECT_EQ(small.grad(j, 0), eager.grad(j, 0));
+  }
+
+  o.obs_trace = false;
+  init(o);
+}
 
 class FailureTest : public ::testing::Test {
  protected:

@@ -45,7 +45,7 @@ def is_measurement(key: str) -> bool:
     return (key == "seconds" or key.endswith("_seconds")
             or key.endswith("_gbps")
             or "speedup" in key or "occupancy" in key
-            or key in ("wall_ns", "kernel_ns", "coverage", "throttle_mbps",
+            or key in ("wall_ns", "kernel_ns", "utilization", "throttle_mbps",
                        "latency_spike_us"))
 
 
