@@ -45,7 +45,9 @@ enum class storage : int {
 struct options {
   /// Worker threads for compute.
   int num_threads = static_cast<int>(std::thread::hardware_concurrency());
-  /// Dedicated I/O threads servicing asynchronous reads/writes.
+  /// Dedicated I/O threads servicing asynchronous reads/writes. Workers
+  /// idle in a prefetch pop run queued requests too, so this is a floor on
+  /// I/O parallelism, not a cap.
   int io_threads = 2;
   /// Rows per I/O partition; must be a power of two (paper §3.2.1).
   std::size_t io_part_rows = 16384;

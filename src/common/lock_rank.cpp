@@ -51,39 +51,51 @@ unsigned os_tid() noexcept {
   return static_cast<unsigned>(::syscall(SYS_gettid));
 }
 
-struct tls_slot {
-  rank_rec* rec = nullptr;
-  bool registered = false;
-  ~tls_slot() {
-    if (rec != nullptr && registered) {
-      rec->depth.store(0, std::memory_order_relaxed);
-      rec->tid.store(0, std::memory_order_release);  // slot becomes reusable
-    }
+// This thread's record and whether its registry slot was released. Both are
+// trivially destructible, so they stay usable after the thread's other
+// thread_locals are destroyed.
+thread_local rank_rec* t_rec = nullptr;
+thread_local bool t_released = false;
+
+// Releases this thread's registry slot at thread exit. Ranked locks can
+// still follow (later thread_local destructors; on the main thread, static
+// destructors such as the buffer pool's trim). They must not land in the
+// released slot, or the next thread to claim it would inherit them as held,
+// so local_rec() gives them a private record from then on.
+struct slot_release {
+  bool armed = false;
+  ~slot_release() {
+    if (!armed) return;
+    t_rec->depth.store(0, std::memory_order_relaxed);
+    t_rec->tid.store(0, std::memory_order_release);  // slot becomes reusable
+    t_rec = nullptr;
+    t_released = true;
   }
 };
 
-thread_local tls_slot t_slot;
+thread_local slot_release t_release;
 
 rank_rec& local_rec() noexcept {
-  if (t_slot.rec == nullptr) {
+  if (t_rec == nullptr) {
     const unsigned tid = os_tid();
-    for (int i = 0; i < kMaxThreads; ++i) {
+    for (int i = 0; i < kMaxThreads && !t_released; ++i) {
       unsigned expect = 0;
       if (g_recs[i].tid.compare_exchange_strong(expect, tid,
                                                 std::memory_order_acq_rel)) {
-        t_slot.rec = &g_recs[i];
-        t_slot.registered = true;
-        return *t_slot.rec;
+        t_rec = &g_recs[i];
+        t_release.armed = true;
+        return *t_rec;
       }
     }
-    // Registry full (> kMaxThreads concurrent threads): rank checking still
-    // works through a private record; the thread is just invisible to
+    // Registry full (> kMaxThreads concurrent threads), or this thread's
+    // slot was already released at thread exit: rank checking still works
+    // through a private record; the thread is just invisible to
     // cross-thread snapshots.
     static thread_local rank_rec overflow;
     overflow.tid.store(tid, std::memory_order_relaxed);
-    t_slot.rec = &overflow;
+    t_rec = &overflow;
   }
-  return *t_slot.rec;
+  return *t_rec;
 }
 
 }  // namespace
@@ -130,8 +142,8 @@ void rank_note(const void* m, const lock_rank::rank_t& r) {
 }
 
 void rank_forget(const void* m) noexcept {
-  if (t_slot.rec == nullptr) return;  // nothing ever noted on this thread
-  rank_rec& rec = *t_slot.rec;
+  if (t_rec == nullptr) return;  // nothing ever noted on this thread
+  rank_rec& rec = *t_rec;
   const int depth = rec.depth.load(std::memory_order_relaxed);
   // Last occurrence, scanned from the top: unlocks are LIFO in practice,
   // and a mutex locked while the gate was off is simply absent (no-op).
@@ -149,8 +161,8 @@ void rank_forget(const void* m) noexcept {
 }
 
 int held_ranks(int* out, int max) noexcept {
-  if (t_slot.rec == nullptr) return 0;
-  rank_rec& rec = *t_slot.rec;
+  if (t_rec == nullptr) return 0;
+  rank_rec& rec = *t_rec;
   const int depth = rec.depth.load(std::memory_order_relaxed);
   const int n = depth < max ? depth : max;
   for (int i = 0; i < n; ++i)

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/timer.h"
+#include "io/async_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -88,9 +89,22 @@ void prefetch_pipeline::on_leaf_read_complete(
 bool prefetch_pipeline::pop(slot& out) {
   if (depth_ == 0) return pop_sync(out);
   OBS_SPAN("prefetch.pop");
+  async_io& io = async_io::global();
+  // Write back-pressure: claim no new work while more writes wait in the I/O
+  // FIFO than the window holds partitions; run the oldest requests first.
+  // When the I/O threads fall behind (a slow disk, or a loaded host that
+  // starves them of CPU), write-behind then stays near the window size
+  // instead of pinning pool buffers up to the write budget.
+  while (io.queued_writes() > depth_ && io.help_one()) {
+  }
   pf_state& s = *st_;
   mutex_lock lock(s.win_mtx);
   std::uint64_t waited_ns = 0;
+  // One help attempt per wake-up: with nothing to claim, run the I/O FIFO's
+  // oldest request here instead of sleeping while the I/O threads work
+  // through it, and keep helping while that finds work; an empty FIFO sends
+  // the worker to wait, so it never spins.
+  bool may_help = true;
   for (;;) {
     if (s.cancelled) throw pipeline_cancelled{};
     // Claimable = all leaf reads landed. Sequential mode only ever claims
@@ -121,7 +135,8 @@ bool prefetch_pipeline::pop(slot& out) {
       s.st.read_wait_ns += waited_ns;
       if (claimed->error) {
         // Release the buffers here, under the lock, not via `claimed`'s
-        // destructor: a completion closure on an I/O thread may still hold
+        // destructor: a completion closure on the thread that ran its read
+        // (an I/O thread, or a worker helping from pop()) may still hold
         // a shared_ptr to this entry, and the pass's pool audit must not
         // race its destruction. All reads landed (remaining == 0), so
         // nothing can still write into them.
@@ -137,9 +152,19 @@ bool prefetch_pipeline::pop(slot& out) {
       s.st.read_wait_ns += waited_ns;
       return false;
     }
+    if (may_help) {
+      // Help with the window lock dropped (the request's completion may
+      // take it), then re-check before sleeping: a completion that landed
+      // meanwhile notified nobody.
+      lock.unlock();
+      may_help = io.help_one();
+      lock.lock();
+      continue;
+    }
     const std::uint64_t t0 = now_ns();
     s.cv.wait(lock);
     waited_ns += now_ns() - t0;
+    may_help = true;
   }
 }
 
@@ -208,10 +233,10 @@ void prefetch_pipeline::settle() noexcept {
   while (s.outstanding_reads != 0) s.cv.wait(lock);
   // Release window-held buffers here, on the settling thread, not in the
   // pf_state destructor: completion closures hold shared_ptrs to st_ that
-  // the I/O threads drop asynchronously after their final notify, so st_
-  // can briefly outlive this object — but the pass's pool audit runs as
-  // soon as settle() returns. All reads have landed (outstanding == 0), so
-  // nothing can still write into these buffers.
+  // the threads running the reads drop asynchronously after their final
+  // notify, so st_ can briefly outlive this object — but the pass's pool
+  // audit runs as soon as settle() returns. All reads have landed
+  // (outstanding == 0), so nothing can still write into these buffers.
   for (auto& fl : s.window) fl->bufs.clear();
   s.window.clear();
 }

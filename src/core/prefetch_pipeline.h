@@ -86,7 +86,10 @@ class prefetch_pipeline {
   /// Block until a completed partition is available and claim it. Returns
   /// false when the source is exhausted and the window drained; throws
   /// pipeline_cancelled after cancel(), and rethrows a partition's read
-  /// error to the claiming worker.
+  /// error to the claiming worker. The caller runs queued I/O requests
+  /// itself (async_io::help_one) before it claims while more writes than
+  /// `depth` wait, and before it sleeps with nothing claimable, so it must
+  /// hold no ranked lock.
   bool pop(slot& out);
 
   /// Stop refilling and wake every blocked pop() with pipeline_cancelled.
@@ -144,10 +147,11 @@ class prefetch_pipeline {
   void refill(pf_state& s) REQUIRES(s.win_mtx);
   bool pop_sync(slot& out);
   /// Async-I/O completion for one leaf read of one windowed partition.
-  /// Runs on an I/O service thread between completions, so it must never
-  /// block: it takes only nonblocking-safe leaf locks (the window mutex,
-  /// and the pool mutex via bufs.clear()) and allocates nothing — the
-  /// analyzer verifies that transitively.
+  /// Runs between requests on the thread that runs the request: an I/O
+  /// thread, or a worker helping from pop(). So it must never block: it
+  /// takes only nonblocking-safe leaf locks (the window mutex, and the pool
+  /// mutex via bufs.clear()) and allocates nothing — the analyzer verifies
+  /// that transitively.
   static void on_leaf_read_complete(const std::shared_ptr<pf_state>& st,
                                     const std::shared_ptr<pf_inflight>& fl,
                                     std::exception_ptr err) FLASHR_NONBLOCKING;

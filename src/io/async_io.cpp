@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/check.h"
 #include "common/config.h"
 #include "common/timer.h"
 #include "io/fault.h"
@@ -56,9 +57,22 @@ async_io::~async_io() {
 void async_io::enqueue(request req) {
   {
     mutex_lock lock(io_mtx_);
+    if (req.is_write) ++queued_writes_;
     queue_.push_back(std::move(req));
   }
   cv_.notify_one();
+}
+
+async_io::request async_io::pop_front() {
+  request req = std::move(queue_.front());
+  queue_.pop_front();
+  if (req.is_write) --queued_writes_;
+  return req;
+}
+
+std::size_t async_io::queued_writes() const {
+  mutex_lock lock(io_mtx_);
+  return queued_writes_;
 }
 
 std::future<void> async_io::submit_read(std::shared_ptr<const safs_file> file,
@@ -201,64 +215,82 @@ void async_io::io_loop() {
     {
       mutex_lock lock(io_mtx_);
       while (!stop_ && queue_.empty()) cv_.wait(lock);
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      req = std::move(queue_.front());
-      queue_.pop_front();
+      if (queue_.empty()) return;  // stopping, and the FIFO is drained
+      req = pop_front();
     }
-    io_throttle::global().acquire(req.len);
-    auto& stats = io_stats::global();
-    if (req.is_write) {
-      std::exception_ptr err;
-      {
-        OBS_SPAN_ARG("io.write", req.len);
-        const std::uint64_t t0 = obs::metrics_on() ? now_ns() : 0;
-        try {
-          req.wfile->write(req.offset, req.len, req.wbuf.data());
-          stats.write_ops.fetch_add(1, std::memory_order_relaxed);
-          stats.write_bytes.fetch_add(req.len, std::memory_order_relaxed);
-        } catch (...) {
-          err = std::current_exception();
-        }
-        if (t0 != 0) write_hist().record((now_ns() - t0) / 1000);
+    run(req);
+  }
+}
+
+bool async_io::help_one() noexcept {
+  // The completion below takes the window, join, budget and pool locks;
+  // the analyzer cannot see through its std::function, so check here.
+  FLASHR_DCHECK(detail::held_ranks(nullptr, 0) == 0,
+                "async_io::help_one with a ranked lock held");
+  // The helper does the I/O thread's work, not a wait: keep these samples
+  // out of the io_wait scope its caller (the pass worker's pop) opened.
+  obs::sample_wait_scope cpu_scope(obs::sample_state::cpu);
+  request req;
+  {
+    mutex_lock lock(io_mtx_);
+    if (queue_.empty()) return false;
+    req = pop_front();
+  }
+  run(req);
+  return true;
+}
+
+void async_io::run(request& req) {
+  io_throttle::global().acquire(req.len);
+  auto& stats = io_stats::global();
+  if (req.is_write) {
+    std::exception_ptr err;
+    {
+      OBS_SPAN_ARG("io.write", req.len);
+      const std::uint64_t t0 = obs::metrics_on() ? now_ns() : 0;
+      try {
+        req.wfile->write(req.offset, req.len, req.wbuf.data());
+        stats.write_ops.fetch_add(1, std::memory_order_relaxed);
+        stats.write_bytes.fetch_add(req.len, std::memory_order_relaxed);
+      } catch (...) {
+        err = std::current_exception();
       }
-      req.wbuf.release();
-      last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
-      complete_write(req.len, std::move(err));
-    } else {
-      std::exception_ptr err;
-      {
-        OBS_SPAN_ARG("io.read", req.len);
-        const std::uint64_t t0 = obs::metrics_on() ? now_ns() : 0;
-        try {
-          req.rfile->read(req.offset, req.len, req.rbuf);
-          stats.read_ops.fetch_add(1, std::memory_order_relaxed);
-          stats.read_bytes.fetch_add(req.len, std::memory_order_relaxed);
-        } catch (...) {
-          err = std::current_exception();
-        }
-        if (t0 != 0) read_hist().record((now_ns() - t0) / 1000);
-      }
-      // Stall injection sits between "data landed" and "completion
-      // delivered": the read already happened (and was counted), but the
-      // consumer does not hear about it until the injected delay elapses —
-      // exactly the shape of an SSD whose completions stop arriving.
-      fault_completion_stall();
-      last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
-      if (req.notify) {
-        // Completion-order dispatch: hand the result to the prefetch
-        // pipeline on this thread, then drop the closure immediately so any
-        // buffers it references are not pinned past the notification.
-        completion_fn notify = std::move(req.notify);
-        notify(err);
-      } else if (err) {
-        req.done.set_exception(err);
-      } else {
-        req.done.set_value();
-      }
+      if (t0 != 0) write_hist().record((now_ns() - t0) / 1000);
     }
+    req.wbuf.release();
+    last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
+    complete_write(req.len, std::move(err));
+    return;
+  }
+  std::exception_ptr err;
+  {
+    OBS_SPAN_ARG("io.read", req.len);
+    const std::uint64_t t0 = obs::metrics_on() ? now_ns() : 0;
+    try {
+      req.rfile->read(req.offset, req.len, req.rbuf);
+      stats.read_ops.fetch_add(1, std::memory_order_relaxed);
+      stats.read_bytes.fetch_add(req.len, std::memory_order_relaxed);
+    } catch (...) {
+      err = std::current_exception();
+    }
+    if (t0 != 0) read_hist().record((now_ns() - t0) / 1000);
+  }
+  // Stall injection sits between "data landed" and "completion
+  // delivered": the read already happened (and was counted), but the
+  // consumer does not hear about it until the injected delay elapses —
+  // exactly the shape of an SSD whose completions stop arriving.
+  fault_completion_stall();
+  last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
+  if (req.notify) {
+    // Completion-order dispatch: hand the result to the prefetch pipeline
+    // on this thread, then drop the closure immediately so any buffers it
+    // references are not pinned past the notification.
+    completion_fn notify = std::move(req.notify);
+    notify(err);
+  } else if (err) {
+    req.done.set_exception(err);
+  } else {
+    req.done.set_value();
   }
 }
 

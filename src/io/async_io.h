@@ -5,18 +5,25 @@
 // partitions as they complete; writes of materialized partitions are likewise
 // issued asynchronously so compute never stalls on the SSDs. The service is a
 // small pool of dedicated I/O threads draining a FIFO of pread/pwrite
-// requests against safs_files. Reads either complete a future the compute
-// thread waits on (synchronous consumers: import, tests, depth-0 mode) or
-// invoke a completion callback on the I/O thread (the prefetch pipeline's
-// completion-order dispatch); writes carry their buffer's ownership and are
-// tracked so a pass can drain them before finishing.
+// requests against safs_files; a compute worker with nothing to claim in the
+// prefetch window runs the oldest queued request itself (help_one), so
+// io_threads is a floor on read parallelism, not a cap. Reads either
+// complete a future the compute thread waits on (synchronous consumers:
+// import, tests, depth-0 mode) or invoke a completion callback on the thread
+// that runs the request: an I/O thread, or a worker helping from pop() (the
+// prefetch pipeline's completion-order dispatch); writes carry their
+// buffer's ownership and are tracked so a pass can drain them before
+// finishing.
 //
 // Write-behind is bounded by a byte budget (conf().max_inflight_write_bytes):
 // submit_write blocks while the in-flight write volume is over budget, and
-// the I/O thread that finishes a write releases its bytes and wakes the
-// throttled submitters. The queue and stop flag are GUARDED_BY(io_mtx_), the
-// budget state GUARDED_BY(budget_mtx_); the FLASHR_THREAD_SAFETY build
-// proves no path touches them unlocked.
+// the thread that finishes a write releases its bytes and wakes the
+// throttled submitters. Within the budget, a worker about to claim more work
+// while more writes are queued than its prefetch window holds runs queued
+// requests first (queued_writes), so write-behind stays near the window when
+// the I/O threads fall behind. The queue, its write count and the stop flag
+// are GUARDED_BY(io_mtx_), the budget state GUARDED_BY(budget_mtx_); the
+// FLASHR_THREAD_SAFETY build proves no path touches them unlocked.
 //
 // async_io::global() is the process-wide service, rebuilt (after draining
 // the old service's writes) when conf().io_threads changes.
@@ -40,8 +47,9 @@ namespace flashr {
 
 class async_io {
  public:
-  /// Invoked on an I/O thread when a notify-read completes; the argument is
-  /// null on success, the I/O error otherwise. Must not block on I/O.
+  /// Invoked when a notify-read completes, on the thread that runs the
+  /// request: an I/O thread, or a worker helping from pop(). The argument
+  /// is null on success, the I/O error otherwise. Must not block on I/O.
   using completion_fn = std::function<void(std::exception_ptr)>;
 
   explicit async_io(int num_threads);
@@ -57,8 +65,9 @@ class async_io {
                                 char* buf);
 
   /// Like submit_read, but instead of completing a future, `done` is invoked
-  /// on the I/O thread once the data landed (or the read failed). The
-  /// caller must keep `buf` alive until `done` runs.
+  /// once the data landed (or the read failed), on the thread that runs the
+  /// request: an I/O thread, or a worker helping from pop(). The caller
+  /// must keep `buf` alive until `done` runs.
   void submit_read_notify(std::shared_ptr<const safs_file> file,
                           std::size_t offset, std::size_t len, char* buf,
                           completion_fn done);
@@ -75,6 +84,19 @@ class async_io {
   /// Wait until all submitted writes have completed; rethrows the first
   /// deferred write error if any.
   void drain_writes();
+
+  /// Run the oldest queued request, read or write, on the calling thread,
+  /// exactly as an I/O thread would (throttle, fault shims, stats, stall
+  /// site, completion); false when the FIFO is empty. Only the prefetch
+  /// pipeline's windowed pop() calls this: while it has nothing to claim,
+  /// and while too many writes wait (queued_writes()). The request's
+  /// completion takes the window, join, budget and pool locks, so the
+  /// caller must hold no ranked lock (checked when invariants are on).
+  bool help_one() noexcept;
+
+  /// Write requests in the FIFO that no thread has started yet; pop()
+  /// compares it with its window depth to bound write-behind memory.
+  std::size_t queued_writes() const;
 
   /// Writes submitted but not yet completed. Unlike drain_writes(), polling
   /// this does NOT consume a deferred write error — tests use it to wait
@@ -124,15 +146,21 @@ class async_io {
   };
 
   void enqueue(request req);
+  /// Dequeue the FIFO's oldest request (non-empty FIFO).
+  request pop_front() REQUIRES(io_mtx_);
   void io_loop();
+  /// Serve one dequeued request on the calling thread; the body of both
+  /// io_loop() and help_one(), so the two paths cannot drift apart.
+  void run(request& req);
 
   /// Admit one write of `len` bytes under the byte budget: blocks while the
   /// budget is exhausted, then charges it and bumps the pending count.
   void admit_write(std::size_t len);
   /// Account one finished write: record its deferred error (first wins),
   /// release its byte budget and wake drainers/throttled submitters. Runs
-  /// on the I/O thread between requests, so it must never block or
-  /// allocate (the analyzer verifies that; the budget mutex rank is
+  /// between requests on the thread that runs the request: an I/O thread,
+  /// or a worker helping from pop(). So it must never block or allocate
+  /// (the analyzer verifies that; the budget mutex rank is
   /// nonblocking-safe).
   void complete_write(std::size_t len, std::exception_ptr err)
       FLASHR_NONBLOCKING;
@@ -141,6 +169,8 @@ class async_io {
   cond_var cv_;
   std::deque<request> queue_ GUARDED_BY(io_mtx_);
   bool stop_ GUARDED_BY(io_mtx_) = false;
+  /// Writes in queue_.
+  std::size_t queued_writes_ GUARDED_BY(io_mtx_) = 0;
 
   mutable mutex budget_mtx_ LOCK_RANK(io_write_budget);
   cond_var cv_drained_;

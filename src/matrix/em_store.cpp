@@ -107,10 +107,11 @@ void em_store::read_part_notify(std::size_t pidx, char* buf,
                                           std::move(done));
     return;
   }
-  // Verify on the I/O thread before notifying, so completion-order
-  // consumers see exactly the same checksum guarantees as future waiters.
-  // A repair re-read is a direct synchronous pread, not a queued request,
-  // so running it here cannot deadlock the I/O service.
+  // Verify before notifying, on the thread that runs the request (an I/O
+  // thread, or a worker helping from pop()), so completion-order consumers
+  // see exactly the same checksum guarantees as future waiters. A repair
+  // re-read is a direct synchronous pread, not a queued request, so running
+  // it here cannot deadlock the I/O service.
   auto self = std::static_pointer_cast<const em_store>(shared_from_this());
   async_io::global().submit_read_notify(
       file_, off, len, buf,
@@ -168,10 +169,11 @@ struct col_join_state {
   em_readable::read_callback done;
 };
 
-/// Async-I/O completion for one column read. Runs on an I/O service thread
-/// between completions, so it must never block: only the nonblocking-safe
-/// join mutex is taken, and `done` (the prefetch pipeline's own completion,
-/// verified separately) is invoked after it is released.
+/// Async-I/O completion for one column read. Runs between requests on the
+/// thread that runs the request: an I/O thread, or a worker helping from
+/// pop(). So it must never block: only the nonblocking-safe join mutex is
+/// taken, and `done` (the prefetch pipeline's own completion, verified
+/// separately) is invoked after it is released.
 void on_col_read_complete(const std::shared_ptr<col_join_state>& join,
                           std::exception_ptr err) FLASHR_NONBLOCKING;
 

@@ -25,7 +25,8 @@ class em_readable : public matrix_store {
  public:
   using matrix_store::matrix_store;
 
-  /// Completion callback for read_part_notify; runs on an I/O thread with a
+  /// Completion callback for read_part_notify; runs on the thread that runs
+  /// the request (an I/O thread, or a worker helping from pop()) with a
   /// null pointer on success, the I/O error otherwise.
   using read_callback = std::function<void(std::exception_ptr)>;
 
@@ -36,9 +37,10 @@ class em_readable : public matrix_store {
                                             char* buf) const = 0;
 
   /// Completion-notified variant feeding the prefetch pipeline: `done` is
-  /// invoked on an I/O thread once the partition landed in `buf` (checksum
-  /// verification included), instead of a future the caller must poll. The
-  /// caller keeps `buf` alive until `done` runs.
+  /// invoked once the partition landed in `buf` (checksum verification
+  /// included), on the thread that runs the request: an I/O thread, or a
+  /// worker helping from pop(). No future to poll. The caller keeps `buf`
+  /// alive until `done` runs.
   virtual void read_part_notify(std::size_t pidx, char* buf,
                                 read_callback done) const = 0;
 

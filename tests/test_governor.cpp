@@ -434,7 +434,8 @@ TEST_F(GovernorTest, DeadlineCancelsARunningPass) {
     fault_plan p;
     p.seed = 91;
     p.latency_prob = 1.0;
-    p.latency_us = 5000;  // 16 partitions / 2 I/O threads: >= 40ms of reads
+    // 16 partitions / (2 I/O threads + 4 workers): >= 53ms of reads
+    p.latency_us = 20000;
     fault_scope scope(p);
     exec::materialize_opts opts;
     opts.deadline_ms = 20;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -16,6 +18,7 @@
 #include "common/thread_safety.h"
 #include "core/dense_matrix.h"
 #include "core/governor.h"
+#include "io/async_io.h"
 #include "obs/stats_server.h"
 
 namespace flashr {
@@ -57,6 +60,64 @@ TEST(LockRankDeathTest, RecursiveLockAborts) {
         m.lock();  // same mutex, same thread
       },
       "recursive lock");
+}
+
+// A worker helping the I/O service runs completions that take the window,
+// join, budget and pool locks; holding any ranked lock while it helps risks
+// a recursive acquisition or an inversion the analyzer cannot see through
+// the completion's std::function, so help_one() refuses up front.
+TEST(LockRankDeathTest, HelpingWithARankedLockHeldAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        invariant_scope on;
+        mutex m LOCK_RANK(prefetch_window);
+        mutex_lock held(m);
+        (void)async_io::global().help_one();
+      },
+      "ranked lock held");
+}
+
+// A thread's rank record is released when its thread_locals are destroyed,
+// but ranked locks can still be taken after that: the main thread runs static
+// destructors (buffer_pool's trim) once its thread_locals are gone. Those
+// locks must not land in the released slot, or the next thread to claim it
+// inherits them, and its first lock reports an inversion it never made.
+TEST(LockRankDeathTest, LocksAfterThreadLocalTeardownStayWithTheirThread) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        invariant_scope on;
+        static mutex high LOCK_RANK(buffer_pool);
+        static mutex low LOCK_RANK(watchdog);
+        static std::promise<void> holding;
+        static std::promise<void> release;
+        std::shared_future<void> released = release.get_future().share();
+        std::thread late([released] {
+          // Constructed before this thread's rank record, so destroyed after
+          // the record is released.
+          struct late_locker {
+            std::shared_future<void> released;
+            ~late_locker() {
+              mutex_lock lock(high);
+              holding.set_value();
+              released.wait();
+            }
+          };
+          thread_local late_locker locker{released};
+          (void)locker;
+          mutex_lock lock(low);  // claims this thread's rank record
+        });
+        holding.get_future().wait();
+        // The lowest free slot is the one `late` released, so this thread
+        // claims it.
+        std::thread fresh([] { mutex_lock lock(low); });
+        fresh.join();
+        release.set_value();
+        late.join();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(LockRank, GateOffIsSilent) {

@@ -1,7 +1,9 @@
 // Prefetch-pipeline tests: completion-order dispatch correctness, forced
 // sequential fallback for cumulative DAGs, clean cancellation with a window
-// of reads in flight, the bounded write-behind budget, and the per-pass
-// stats surfaced by exec::last_pass_stats().
+// of reads in flight, the bounded write-behind budget, the per-pass stats
+// surfaced by exec::last_pass_stats(), and workers running queued I/O
+// requests while the I/O thread is busy: reads when they have nothing to
+// claim, writes when too many wait.
 //
 // Latency injection (io/fault.h) is the lever that makes completion order
 // genuinely scramble: a deterministic subset of preads sleep, so later
@@ -9,14 +11,23 @@
 // is exercised for real, not just compiled.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/config.h"
 #include "common/error.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
+#include "io/async_io.h"
 #include "io/fault.h"
 #include "io/safs.h"
 #include "matrix/em_store.h"
@@ -285,6 +296,118 @@ TEST_F(PrefetchPipelineTest, PassStatsCountEveryPartitionReadOnce) {
   EXPECT_EQ(ps0.reads_issued, kParts);
   EXPECT_EQ(ps0.occupancy_x100, 0u);
   EXPECT_EQ(io_stats::global().read_ops.load(), kParts);
+}
+
+// ---------------------------------------------------------------------------
+// Workers run queued I/O requests themselves
+// ---------------------------------------------------------------------------
+
+// With the only I/O thread parked inside a completion, a windowed pass still
+// finishes: workers with nothing to claim run the queued partition reads
+// themselves (async_io::help_one), each exactly once, and leak no buffer.
+TEST_F(PrefetchPipelineTest, WorkersRunQueuedReadsWhileIoThreadParked) {
+  init_with(/*prefetch_depth=*/4);
+  mutable_conf().io_threads = 1;
+  dense_matrix x = make_em_input();
+  const double want = sum(x * 2.0).scalar();
+
+  // Park io-0 inside a notify-read's completion. The request is queued
+  // before any pass runs and io-0 has taken it once `parked` is set, so no
+  // worker can run it in io-0's place.
+  auto file = safs_file::create("park" + std::to_string(::getpid()), 4096);
+  auto buf = std::make_shared<std::vector<char>>(4096);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  // Open the gate on every exit path, so a failed assertion cannot leave
+  // io-0 parked for the rest of the suite.
+  std::unique_ptr<std::promise<void>, void (*)(std::promise<void>*)> opener(
+      &gate, [](std::promise<void>* g) { g->set_value(); });
+  auto parked = std::make_shared<std::atomic<bool>>(false);
+  async_io::global().submit_read_notify(
+      file, 0, buf->size(), buf->data(),
+      [buf, opened, parked](std::exception_ptr) {
+        parked->store(true);
+        opened.wait();
+      });
+  for (int i = 0; i < 10000 && !parked->load(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(parked->load()) << "io-0 never ran the parking read";
+
+  auto& pool = buffer_pool::global();
+  const std::size_t count0 = pool.outstanding_count();
+  const std::uint64_t reads0 = io_stats::global().read_ops.load();
+  auto pass = std::async(std::launch::async,
+                         [&x] { return sum(x * 2.0).scalar(); });
+  const bool finished =
+      pass.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  opener.reset();  // io-0 resumes; a pass that waited on it finishes now
+  const double got = pass.get();
+
+  EXPECT_TRUE(finished) << "the pass waited on the parked I/O thread";
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(io_stats::global().read_ops.load() - reads0, kParts);
+  EXPECT_EQ(pool.outstanding_count(), count0);
+}
+
+// With the only I/O thread parked, a pass writing an EM output does not let
+// its writes pile up to the write budget: a worker runs queued writes itself
+// before it claims another partition while more than the window depth wait.
+TEST_F(PrefetchPipelineTest, WriteBehindStaysNearTheWindowWhileIoThreadParked) {
+  constexpr int kDepth = 4;
+  constexpr std::size_t kOutParts = 64;
+  constexpr std::size_t kRows = kOutParts * kPartRows;
+  init_with(kDepth);
+  mutable_conf().io_threads = 1;
+  smat h(kRows, kCols);
+  for (std::size_t j = 0; j < kCols; ++j)
+    for (std::size_t i = 0; i < kRows; ++i)
+      h(i, j) = static_cast<double>(i) - 2.0 * static_cast<double>(j);
+  dense_matrix x = dense_matrix::from_smat(h);
+
+  auto file = safs_file::create("park" + std::to_string(::getpid()), 4096);
+  auto buf = std::make_shared<std::vector<char>>(4096);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::unique_ptr<std::promise<void>, void (*)(std::promise<void>*)> opener(
+      &gate, [](std::promise<void>* g) { g->set_value(); });
+  auto parked = std::make_shared<std::atomic<bool>>(false);
+  async_io& io = async_io::global();
+  io.submit_read_notify(file, 0, buf->size(), buf->data(),
+                        [buf, opened, parked](std::exception_ptr) {
+                          parked->store(true);
+                          opened.wait();
+                        });
+  for (int i = 0; i < 10000 && !parked->load(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(parked->load()) << "io-0 never ran the parking read";
+
+  auto pass = std::async(std::launch::async, [&x] {
+    return conv_store(x * 3.0 - 1.0, storage::ext_mem);
+  });
+  // Every partition's write was either run by a worker or is still queued
+  // for io-0: the pass is left waiting in drain_writes.
+  bool submitted = false;
+  for (int i = 0; i < 10000 && !submitted; ++i) {
+    submitted =
+        io_stats::global().write_ops.load() + io.queued_writes() == kOutParts;
+    if (!submitted) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  opener.reset();
+  const dense_matrix out = pass.get();
+  const exec::pass_stats ps = exec::last_pass_stats();
+  const smat got = out.to_smat();
+
+  EXPECT_TRUE(submitted) << "the pass never submitted all of its writes";
+  const std::size_t part_bytes = kPartRows * kCols * sizeof(double);
+  EXPECT_EQ(ps.write_bytes, kOutParts * part_bytes);
+  // Queued writes exceed the depth by at most one per worker (each submits
+  // once after its last check), and each worker runs at most one more.
+  const std::size_t bound =
+      (kDepth + 2 * static_cast<std::size_t>(conf().num_threads)) * part_bytes;
+  EXPECT_LE(ps.write_inflight_hwm, bound);
+  for (std::size_t j = 0; j < kCols; ++j)
+    for (std::size_t i = 0; i < kRows; ++i)
+      ASSERT_EQ(got(i, j), h(i, j) * 3.0 - 1.0);
 }
 
 // ---------------------------------------------------------------------------
