@@ -4,12 +4,14 @@
 // that the figure-level benches aggregate over.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <vector>
 
 #include "blas/blas.h"
 #include "blas/smat.h"
 #include "common/rng.h"
 #include "core/kernels.h"
+#include "core/vmath.h"
 #include "sparse/csr.h"
 
 namespace flashr {
@@ -55,6 +57,65 @@ void BM_kern_sapply_sqrt(benchmark::State& state) {
                           static_cast<std::int64_t>(rows * cols * 8 * 2));
 }
 BENCHMARK(BM_kern_sapply_sqrt)->Arg(1024)->Arg(16384);
+
+// The core/vmath ops on the sqrt case's shape, in elements/s, labelled with
+// the instruction-set variant that ran. log and log1p take |x| (etl_em's
+// log1p(abs(X))), exp and sigmoid the normal draws as they are.
+void sapply_vmath_case(benchmark::State& state, uop_id op) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t cols = 8;
+  auto a = random_vec(rows * cols, 12);
+  if (op == uop_id::log_v || op == uop_id::log1p_v)
+    for (auto& x : a) x = std::abs(x);
+  std::vector<double> out(rows * cols);
+  for (auto _ : state) {
+    kern::sapply(scalar_type::f64, op,
+                 {reinterpret_cast<const char*>(a.data()), rows}, rows, cols,
+                 reinterpret_cast<char*>(out.data()), rows);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * cols));
+  state.SetLabel(vmath::isa_name(vmath::active_isa()));
+}
+
+void BM_kern_sapply_exp(benchmark::State& state) {
+  sapply_vmath_case(state, uop_id::exp_v);
+}
+BENCHMARK(BM_kern_sapply_exp)->Arg(1024)->Arg(16384);
+
+void BM_kern_sapply_log(benchmark::State& state) {
+  sapply_vmath_case(state, uop_id::log_v);
+}
+BENCHMARK(BM_kern_sapply_log)->Arg(1024)->Arg(16384);
+
+void BM_kern_sapply_log1p(benchmark::State& state) {
+  sapply_vmath_case(state, uop_id::log1p_v);
+}
+BENCHMARK(BM_kern_sapply_log1p)->Arg(1024)->Arg(16384);
+
+void BM_kern_sapply_sigmoid(benchmark::State& state) {
+  sapply_vmath_case(state, uop_id::sigmoid);
+}
+BENCHMARK(BM_kern_sapply_sigmoid)->Arg(1024)->Arg(16384);
+
+// The reference for BM_kern_sapply_log1p: one scalar libm call per element
+// over the same data.
+void BM_libm_log1p(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t cols = 8;
+  auto a = random_vec(rows * cols, 12);
+  for (auto& x : a) x = std::abs(x);
+  std::vector<double> out(rows * cols);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < rows * cols; ++i) out[i] = std::log1p(a[i]);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * cols));
+  state.SetLabel("libm");
+}
+BENCHMARK(BM_libm_log1p)->Arg(1024)->Arg(16384);
 
 void BM_kern_inner_prod_sqdiff(benchmark::State& state) {
   // The k-means distance kernel: rows x 32 against 32 x 10 centers.

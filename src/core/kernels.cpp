@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "blas/blas.h"
 #include "common/error.h"
+#include "core/vmath.h"
 
 namespace flashr::kern {
 
@@ -28,14 +30,6 @@ inline T uop_eval(T x) {
   }
   if constexpr (OP == uop_id::sqrt_v)
     return static_cast<T>(std::sqrt(static_cast<double>(x)));
-  if constexpr (OP == uop_id::exp_v)
-    return static_cast<T>(std::exp(static_cast<double>(x)));
-  if constexpr (OP == uop_id::log_v)
-    return static_cast<T>(std::log(static_cast<double>(x)));
-  if constexpr (OP == uop_id::log1p_v)
-    return static_cast<T>(std::log1p(static_cast<double>(x)));
-  if constexpr (OP == uop_id::sigmoid)
-    return static_cast<T>(1.0 / (1.0 + std::exp(-static_cast<double>(x))));
   if constexpr (OP == uop_id::square) return static_cast<T>(x * x);
   if constexpr (OP == uop_id::inv) return static_cast<T>(T{1} / x);
   if constexpr (OP == uop_id::floor_v)
@@ -131,16 +125,31 @@ inline T agg_combine(T a, T b) {
 
 // ---- chunk-level op dispatchers -------------------------------------------
 
+/// The transcendental unary ops, which core/vmath computes; nullopt for the
+/// ops uop_eval computes.
+std::optional<vmath::fn> vmath_fn_of(uop_id op) {
+  switch (op) {
+    case uop_id::exp_v: return vmath::fn::exp;
+    case uop_id::log_v: return vmath::fn::log;
+    case uop_id::log1p_v: return vmath::fn::log1p;
+    case uop_id::sigmoid: return vmath::fn::sigmoid;
+    default: return std::nullopt;
+  }
+}
+
+/// Dispatch over the ops uop_eval computes (every op vmath_fn_of rejects).
 template <typename F>
 decltype(auto) dispatch_uop(uop_id op, F&& f) {
   switch (op) {
     case uop_id::neg: return f.template operator()<uop_id::neg>();
     case uop_id::abs_v: return f.template operator()<uop_id::abs_v>();
     case uop_id::sqrt_v: return f.template operator()<uop_id::sqrt_v>();
-    case uop_id::exp_v: return f.template operator()<uop_id::exp_v>();
-    case uop_id::log_v: return f.template operator()<uop_id::log_v>();
-    case uop_id::log1p_v: return f.template operator()<uop_id::log1p_v>();
-    case uop_id::sigmoid: return f.template operator()<uop_id::sigmoid>();
+    case uop_id::exp_v:
+    case uop_id::log_v:
+    case uop_id::log1p_v:
+    case uop_id::sigmoid:
+      FLASHR_ASSERT(false, "dispatch_uop: core/vmath computes this op");
+      break;
     case uop_id::square: return f.template operator()<uop_id::square>();
     case uop_id::inv: return f.template operator()<uop_id::inv>();
     case uop_id::floor_v: return f.template operator()<uop_id::floor_v>();
@@ -195,10 +204,39 @@ const T* col_of(view v, std::size_t j) {
   return reinterpret_cast<const T*>(v.data) + j * v.stride;
 }
 
+/// Widening block for vmath on f32 and integer columns: stack-resident, so
+/// the chunk loop stays allocation-free.
+constexpr std::size_t kWidenRows = 256;
+
 }  // namespace
 
 void sapply(scalar_type t, uop_id op, view a, std::size_t rows,
             std::size_t cols, char* out, std::size_t out_stride) {
+  if (const std::optional<vmath::fn> f = vmath_fn_of(op)) {
+    // vmath works in f64; other types widen to f64 and narrow the result
+    // back, the same conversions uop_eval makes.
+    dispatch_type(t, [&]<typename T>() {
+      for (std::size_t j = 0; j < cols; ++j) {
+        const T* ac = col_of<T>(a, j);
+        T* oc = reinterpret_cast<T*>(out) + j * out_stride;
+        if constexpr (std::is_same_v<T, double>) {
+          vmath::apply(*f, ac, oc, rows);
+        } else {
+          double in[kWidenRows];
+          double res[kWidenRows];
+          for (std::size_t i0 = 0; i0 < rows; i0 += kWidenRows) {
+            const std::size_t m = std::min(kWidenRows, rows - i0);
+            for (std::size_t i = 0; i < m; ++i)
+              in[i] = static_cast<double>(ac[i0 + i]);
+            vmath::apply(*f, in, res, m);
+            for (std::size_t i = 0; i < m; ++i)
+              oc[i0 + i] = static_cast<T>(res[i]);
+          }
+        }
+      }
+    });
+    return;
+  }
   dispatch_type(t, [&]<typename T>() {
     dispatch_uop(op, [&]<uop_id OP>() {
       for (std::size_t j = 0; j < cols; ++j) {

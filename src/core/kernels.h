@@ -25,6 +25,8 @@ struct view {
 
 // ---- Partition-aligned kernels ------------------------------------------
 
+/// C_ij = f(A_ij). exp, log, log1p and sigmoid go through core/vmath, in
+/// f64 (other types widen and narrow back); `out` must not overlap `a`.
 void sapply(scalar_type t, uop_id op, view a, std::size_t rows,
             std::size_t cols, char* out, std::size_t out_stride);
 

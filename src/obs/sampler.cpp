@@ -80,6 +80,9 @@ struct samp_rec {
   std::uint64_t ts = 0;       ///< CLOCK_MONOTONIC ns
   std::uint32_t pass = 0;     ///< sampler_new_pass() token; 0 = none
   std::int32_t node = -1;     ///< executor plan-node id; -1 = none
+  /// Timer periods this signal stands for: 1 + the expirations the kernel
+  /// merged into it while it was pending (a descheduled or masked thread).
+  std::uint32_t weight = 1;
   std::uint16_t state = 0;    ///< sample_state
   std::uint16_t nframes = 0;
   std::uintptr_t pcs[kMaxFrames] = {};  ///< leaf first
@@ -123,6 +126,7 @@ struct stack_agg {
 struct recent_ent {
   std::uint64_t ts;
   const stack_agg* agg;
+  std::uint32_t weight;
 };
 
 struct sampler_state {
@@ -214,7 +218,7 @@ walk_stack(void* ucv, std::uintptr_t lo, std::uintptr_t hi,
 /// no locks, no allocation, no library I/O — verified by the analyzer's
 /// FLASHR_SIGNAL_SAFE rules.
 FLASHR_SIGNAL_SAFE
-void samp_on_signal(int, siginfo_t*, void* ucv) noexcept {
+void samp_on_signal(int, siginfo_t* info, void* ucv) noexcept {
   const int saved_errno = errno;
   samp_thread* st = t_samp;
   if (st != nullptr &&
@@ -234,6 +238,9 @@ void samp_on_signal(int, siginfo_t*, void* ucv) noexcept {
         r.pass = detail::t_sample_ctx.pass.load(std::memory_order_relaxed);
         r.node = detail::t_sample_ctx.node.load(std::memory_order_relaxed);
         r.state = detail::t_sample_ctx.state.load(std::memory_order_relaxed);
+        const int overrun =
+            info != nullptr && info->si_code == SI_TIMER ? info->si_overrun : 0;
+        r.weight = 1 + static_cast<std::uint32_t>(overrun > 0 ? overrun : 0);
         r.nframes =
             walk_stack(ucv, st->stack_lo, st->stack_hi, r.pcs, kMaxFrames);
         ring->head.store(h + 1, std::memory_order_release);
@@ -292,7 +299,9 @@ bool arm_timer_locked(samp_thread& st, int hz) {
   return ::timer_settime(st.timer, 0, &its, nullptr) == 0;
 }
 
-/// Fold one drained record into the aggregates (sampler mutex held).
+/// Fold one drained record into the aggregates with its weight, so the
+/// folded counts, the per-node counts and the total all count timer
+/// periods rather than delivered signals (sampler mutex held).
 void fold_locked(sampler_state& s, const char* track, const samp_rec& r) {
   std::string key;
   key.reserve(2 + sizeof(((samp_thread*)nullptr)->track) +
@@ -309,15 +318,15 @@ void fold_locked(sampler_state& s, const char* track, const samp_rec& r) {
     a.state = static_cast<std::uint8_t>(r.state);
     a.pcs.assign(r.pcs, r.pcs + r.nframes);
   }
-  a.count += 1;
-  s.recent.push_back({r.ts, &a});
+  a.count += r.weight;
+  s.recent.push_back({r.ts, &a, r.weight});
   while (!s.recent.empty() &&
          (s.recent.size() > kRecentMaxEntries ||
           s.recent.front().ts + kRecentRetainNs < r.ts))
     s.recent.pop_front();
   auto& n = s.nodes[{r.pass, r.node}];
-  n[r.state < 3 ? r.state : 0] += 1;
-  s.samples_total.fetch_add(1, std::memory_order_relaxed);
+  n[r.state < 3 ? r.state : 0] += r.weight;
+  s.samples_total.fetch_add(r.weight, std::memory_order_relaxed);
 }
 
 /// Drain one thread's ring into the aggregates (sampler mutex held).
@@ -615,7 +624,7 @@ std::string folded_recent(std::uint64_t window_ns) {
   const std::uint64_t cutoff = now > window_ns ? now - window_ns : 0;
   std::map<const stack_agg*, std::uint64_t> counts;
   for (const recent_ent& e : s.recent)
-    if (e.ts >= cutoff) counts[e.agg] += 1;
+    if (e.ts >= cutoff) counts[e.agg] += e.weight;
   std::map<std::string, std::uint64_t> merged;
   for (const auto& [agg, count] : counts)
     merged[folded_frames_locked(s, *agg)] += count;

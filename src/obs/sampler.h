@@ -177,7 +177,9 @@ void sampler_clear();
 
 /// Monotone counters (survive stop; cleared by sampler_clear()).
 struct sampler_counters {
-  std::uint64_t samples = 0;  ///< records folded by the collector
+  /// Samples folded by the collector. A signal counts 1 + its timer
+  /// overruns: periods that expired while it was pending still count.
+  std::uint64_t samples = 0;
   std::uint64_t dropped = 0;  ///< ring-full drops (newest-dropped)
   std::uint32_t hz = 0;       ///< current rate, 0 when stopped
 };
@@ -186,7 +188,8 @@ sampler_counters sampler_stats();
 /// Mint a pass token for tagging samples (wraps, never returns 0).
 std::uint32_t sampler_new_pass();
 
-/// Per-(pass, node) aggregate for the explain_analyze() join.
+/// Per-(pass, node) aggregate for the explain_analyze() join, in samples
+/// counted as sampler_counters::samples counts them.
 struct node_samples {
   std::uint32_t pass = 0;
   std::int32_t node = -1;       ///< executor plan id; -1 = unattributed

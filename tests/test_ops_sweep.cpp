@@ -5,8 +5,12 @@
 // suite that would catch a miscompiled or mis-dispatched kernel.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "common/rng.h"
@@ -23,7 +27,9 @@ double host_uop(uop_id op, double x) {
     case uop_id::exp_v: return std::exp(x);
     case uop_id::log_v: return std::log(x);
     case uop_id::log1p_v: return std::log1p(x);
-    case uop_id::sigmoid: return 1.0 / (1.0 + std::exp(-x));
+    case uop_id::sigmoid:  // overflow-free for x < 0
+      return x < 0 ? std::exp(x) / (1.0 + std::exp(x))
+                   : 1.0 / (1.0 + std::exp(-x));
     case uop_id::square: return x * x;
     case uop_id::inv: return 1.0 / x;
     case uop_id::floor_v: return std::floor(x);
@@ -133,6 +139,80 @@ TEST_P(OpSweepTest, EveryUnaryOpMatchesHost) {
         if (integer()) expect = std::trunc(expect);
         ASSERT_NEAR(got(i, j), expect, tol())
             << uop_name(op) << " at (" << i << "," << j << ")";
+      }
+  }
+}
+
+/// Inputs for TranscendentalSpecialValues. Floating types get the values
+/// the vector kernels hand to libm (NaN, infinities, zeros, subnormals, the
+/// domain edges, the overflow thresholds) next to ordinary ones; integer
+/// types get integers whose results narrow back to the type.
+std::vector<double> transcendental_inputs(uop_id op, scalar_type t) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  switch (t) {
+    case scalar_type::f64:
+      return {0.0,      -0.0,     -1.0,   -2.0,    inf,    -inf,
+              nan,      4.9e-324, -4.9e-324, 0x1p-1022, DBL_MAX, -DBL_MAX,
+              708.0,    -708.0,   707.99, -707.99, 709.5,  -709.5,
+              -745.0,   -740.0,   710.0,  -1.0 + 0x1p-52, 0.5, -0.5,
+              3.25,     -3.25,    1e-300, 1e300};
+    case scalar_type::f32:
+      return {0.0,    -0.0,    -1.0,   -2.0,    inf,     -inf,
+              nan,    0x1p-149, -0x1p-149, 0x1p-126, FLT_MAX, -FLT_MAX,
+              88.0,   -88.0,   89.0,   -104.0,  708.0,   -708.0,
+              -745.0, -1.0 + 0x1p-23, 0.5, -0.5,   3.25,    1e-30};
+    default:
+      switch (op) {
+        case uop_id::exp_v: return {-800, -745, -708, -2, -1, 0, 1, 2, 20};
+        case uop_id::log_v: return {1, 2, 3, 1000, 1 << 30};
+        case uop_id::log1p_v: return {0, 1, 2, 1000, 1 << 30};
+        default: return {-800, -708, -2, -1, 0, 1, 2, 708, 800};
+      }
+  }
+}
+
+// exp, log, log1p and sigmoid on the values their fast vector path does
+// not cover, scattered through every partition and mixed with ordinary
+// ones: NaN, infinities and signed zeros must come back exactly as libm
+// gives them, everything else within a couple of ulps of the type.
+TEST_P(OpSweepTest, TranscendentalSpecialValues) {
+  const scalar_type t = GetParam().type;
+  const double rel = integer() ? 0.0
+                     : t == scalar_type::f32 ? 2 * FLT_EPSILON
+                                             : 2 * DBL_EPSILON;
+  for (uop_id op : {uop_id::exp_v, uop_id::log_v, uop_id::log1p_v,
+                    uop_id::sigmoid}) {
+    const std::vector<double> vals = transcendental_inputs(op, t);
+    smat h(kN, kP);
+    rng64 rng(7);
+    for (std::size_t j = 0; j < kP; ++j)
+      for (std::size_t i = 0; i < kN; ++i)
+        h(i, j) = (i + j) % 2 == 0 ? vals[(i / 2 + j) % vals.size()]
+                  : integer() ? static_cast<double>(1 + rng.next_below(9))
+                              : 0.1 + 3.0 * rng.next_uniform();
+    const dense_matrix m = place(h);
+    const smat x = m.to_smat();  // the inputs as the type holds them
+    const smat got = sapply(m, op).to_smat();
+    for (std::size_t j = 0; j < kP; ++j)
+      for (std::size_t i = 0; i < kN; ++i) {
+        double want = host_uop(op, x(i, j));
+        if (integer()) want = std::trunc(want);
+        if (t == scalar_type::f32) want = static_cast<float>(want);
+        const std::string at = std::string(uop_name(op)) + "(" +
+                               std::to_string(x(i, j)) + ") at (" +
+                               std::to_string(i) + "," + std::to_string(j) +
+                               ")";
+        const double g = got(i, j);
+        if (std::isnan(want)) {
+          ASSERT_TRUE(std::isnan(g)) << at << " = " << g;
+        } else if (std::isinf(want) || want == 0.0) {
+          ASSERT_EQ(g, want) << at;
+          ASSERT_EQ(std::signbit(g), std::signbit(want)) << at;
+        } else {
+          ASSERT_LE(std::fabs(g - want), rel * std::fabs(want))
+              << at << " = " << g << ", libm " << want;
+        }
       }
   }
 }

@@ -2,18 +2,21 @@
 // server routes and the native Prometheus histogram export): zero-cost-off
 // gating, folded-stack shape, wait-state attribution, the explain_analyze
 // sampled-self-time join (coverage of measured kernel time on one thread),
-// flashr-prof-v1 store round trip with traversal rejection, and concurrent
-// live-socket scrapes of /debug/pprof/profile while passes run (TSan gate).
+// timer overruns of a pending signal counted as samples, flashr-prof-v1
+// store round trip with traversal rejection, and concurrent live-socket
+// scrapes of /debug/pprof/profile while passes run (TSan gate).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -273,6 +276,43 @@ TEST(Sampler, ExplainAnalyzeSampledSelfTimeCoverage) {
                          << kernel << " ns\n" << json;
   EXPECT_LE(cover, 1.60) << "sampled self-time double-counted?\n" << json;
 #endif
+  sampler_reset();
+}
+
+// While SIGPROF is pending, further expirations of the thread's timer are
+// merged into it as overruns: the thread was descheduled or, here, had the
+// signal masked. Each one is a sampling period that passed, so the count
+// must include them. Masked for ~200 ms at 997 Hz, the weighted count
+// covers the ~200 periods where an unweighted one would see one sample.
+TEST(Sampler, TimerOverrunsAreCounted) {
+  sampler_reset();
+  obs::sampler_start(997);
+  const std::uint32_t pass = obs::sampler_new_pass();
+  std::uint64_t masked_ns = 0;
+  {
+    obs::sample_pass_scope ps(pass);
+    sigset_t prof;
+    sigset_t old;
+    sigemptyset(&prof);
+    sigaddset(&prof, SIGPROF);
+    ASSERT_EQ(pthread_sigmask(SIG_BLOCK, &prof, &old), 0);
+    const std::uint64_t t0 = now_ns();
+    spin_ms(200);
+    masked_ns = now_ns() - t0;
+    // The pending signal is delivered here, inside the pass scope.
+    EXPECT_EQ(pthread_sigmask(SIG_SETMASK, &old, nullptr), 0);
+  }
+  obs::sampler_stop();
+
+  std::uint64_t period_ns = 0;
+  std::uint64_t counted = 0;
+  for (const obs::node_samples& e : obs::sampler_pass_samples(pass, &period_ns))
+    counted += e.cpu + e.io_wait + e.lock_wait;
+  ASSERT_GT(period_ns, 0u);
+  const double periods =
+      static_cast<double>(masked_ns) / static_cast<double>(period_ns);
+  EXPECT_GE(static_cast<double>(counted), 0.8 * periods)
+      << counted << " samples for " << periods << " masked timer periods";
   sampler_reset();
 }
 

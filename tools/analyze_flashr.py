@@ -530,8 +530,8 @@ def scan_ops(body: str, base_line: int, fn: Func, locks: dict):
         # Encode how the call site names its target so resolution can
         # restrict candidates: "this->base" = own-class member call,
         # "!base" = member call through a named other object, ".base" =
-        # member call through a complex expression, "Qual::base" =
-        # qualified, "base" = plain.
+        # member call through a complex expression, "A::Qual::base" =
+        # qualified (the whole qualifier), "base" = plain.
         if is_method:
             recv = LAST_IDENT_RE.search(masked[:m.start(1)])
             if recv and recv.group(1) == "this":
@@ -541,7 +541,7 @@ def scan_ops(body: str, base_line: int, fn: Func, locks: dict):
             else:
                 detail = "." + base
         elif qual:
-            detail = qual + "::" + base
+            detail = full
         else:
             detail = base
         events.append((pos, Op("call", detail, line)))
@@ -578,9 +578,12 @@ FUNC_HEAD_RE = re.compile(r"((?:\w+::)*~?\w+)\s*\(")
 CLASS_RE = re.compile(r"\b(?:class|struct)\s+(\w+)[^;{(]*\{")
 REQUIRES_ARGS_RE = re.compile(r"\bREQUIRES\s*\(([^)]*)\)")
 
-# Leading attribute macros that precede a function definition.
+# Leading attribute macros that precede a function definition. GNU
+# `__attribute__((...))` is skipped the same way, keeping the pending
+# attributes, so the definition after it is registered under its own name.
 LEADING_ATTR_MACROS = {"FLASHR_BLOCKING_EXEMPT": "exempt",
-                       "FLASHR_ANNOTATE": None}
+                       "FLASHR_ANNOTATE": None,
+                       "__attribute__": None}
 
 # Object-like attribute macros (no parens, so FUNC_HEAD_RE cannot see them)
 # that may precede a definition: `FLASHR_SIGNAL_SAFE void f(...) { ... }`.
@@ -1032,9 +1035,10 @@ class Analysis:
         detail encodes the call form: ".base" (member call through an
         object — only class members are candidates), "Qual::base"
         (qualified — members of Qual, else free functions for namespace
-        qualifiers), "base" (plain — own-class members, else free
-        functions).  Ambiguity resolves to every remaining candidate
-        (over-approximation is sound for deadlock detection; the blocking
+        qualifiers; std:: names resolve to nothing), "base" (plain —
+        own-class members, else free functions).  Ambiguity resolves to
+        every remaining candidate (over-approximation is sound for
+        deadlock detection; the blocking
         rule only descends into functions it resolved, and annotated roots
         are verified independently, so over-approximation cannot hide a
         finding there)."""
@@ -1063,6 +1067,8 @@ class Analysis:
             return cands
         if "::" in detail:
             qual, base = detail.rsplit("::", 1)
+            if qual.split("::")[0] == "std":
+                return []  # the standard library, never an engine function
             cands = self.by_name.get(base, [])
             by_qual = [c for c in cands if c.cls == qual.split("::")[-1]]
             if by_qual:
@@ -1373,8 +1379,14 @@ FIXTURE_EXPECT = {
     "bad_pool_leak.cpp": "pool-discipline",
     "bad_unranked_mutex.cpp": "unranked-mutex",
     "bad_signal_unsafe.cpp": "signal-safe",
+    "bad_attribute_prefixed_signal_unsafe.cpp": "signal-safe",
 }
-CLEAN_FIXTURES = ["clean_concurrency.cpp"]
+CLEAN_FIXTURES = ["clean_concurrency.cpp", "clean_attribute_prefixed.cpp"]
+# Fixtures whose call chain must start at a given function: the name the
+# definition really has, not an attribute written before it.
+FIXTURE_ROOT = {
+    "bad_attribute_prefixed_signal_unsafe.cpp": "on_profile_signal",
+}
 
 
 def self_test(root: pathlib.Path) -> int:
@@ -1401,6 +1413,13 @@ def self_test(root: pathlib.Path) -> int:
                 not any(len(f.chain) >= 2 for f in got):
             print(f"SELF-TEST FAIL: {name}: {rule} fired without a "
                   f"call-chain diagnostic")
+            failures += 1
+            continue
+        root_name = FIXTURE_ROOT.get(name)
+        if root_name and not any(f.chain and f.chain[0][0] == root_name
+                                 for f in got):
+            print(f"SELF-TEST FAIL: {name}: {rule} did not start its call "
+                  f"chain at {root_name}: {[str(f) for f in got]}")
             failures += 1
             continue
         print(f"self-test ok: {name} -> {rule} "
