@@ -138,23 +138,51 @@ void BM_kern_inner_prod_sqdiff(benchmark::State& state) {
 }
 BENCHMARK(BM_kern_inner_prod_sqdiff)->Arg(1024)->Arg(8192);
 
-void BM_kern_tmm_gemm(benchmark::State& state) {
-  // The crossprod accumulation kernel: t(rows x 40) %*% (rows x 40).
+// The crossprod accumulation kernel, t(A) %*% B with B = A's first k
+// columns (as in perfbench's own tmm probe), as rows/m/k: 40 x 40 at two
+// chunk lengths, then the per-chunk shapes perfbench's workloads run —
+// logit_em's gradient folds 128-row chunks of 40 columns against k = 1,
+// interactive's crossprod(X) 1024-row chunks of 8 columns against k = 8.
+void BM_kern_tmm_acc(benchmark::State& state) {
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
-  const std::size_t p = 40;
-  auto a = random_vec(rows * p, 6);
-  std::vector<double> acc(p * p, 0);
+  const std::size_t m = static_cast<std::size_t>(state.range(1));
+  const std::size_t k = static_cast<std::size_t>(state.range(2));
+  auto a = random_vec(rows * m, 6);
+  std::vector<double> acc(m * k, 0);
+  const kern::view v{reinterpret_cast<const char*>(a.data()), rows};
   for (auto _ : state) {
-    kern::tmm_acc(scalar_type::f64, bop_id::mul, agg_id::sum,
-                  {reinterpret_cast<const char*>(a.data()), rows},
-                  {reinterpret_cast<const char*>(a.data()), rows}, rows, p, p,
-                  reinterpret_cast<char*>(acc.data()));
+    kern::tmm_acc(scalar_type::f64, bop_id::mul, agg_id::sum, v, v, rows, m,
+                  k, reinterpret_cast<char*>(acc.data()));
     benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rows * p * p));
+                          static_cast<std::int64_t>(rows * m * k));
 }
-BENCHMARK(BM_kern_tmm_gemm)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_kern_tmm_acc)
+    ->Args({1024, 40, 40})
+    ->Args({8192, 40, 40})
+    ->Args({128, 40, 1})
+    ->Args({1024, 8, 8});
+
+// Column sums per chunk, as rows/cols: etl_em's 39-column colSums over
+// 128-row chunks, interactive's colSums and sum over 1024-row chunks of 8.
+void BM_kern_agg_col_acc(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t cols = static_cast<std::size_t>(state.range(1));
+  auto a = random_vec(rows * cols, 14);
+  std::vector<double> acc(cols, 0);
+  for (auto _ : state) {
+    kern::agg_col_acc(scalar_type::f64, agg_id::sum,
+                      {reinterpret_cast<const char*>(a.data()), rows}, rows,
+                      cols, reinterpret_cast<char*>(acc.data()));
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * cols * 8));
+}
+BENCHMARK(BM_kern_agg_col_acc)->Args({128, 39})->Args({1024, 8});
 
 void BM_blas_gemm_nn(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -100,21 +100,6 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, T alpha, const T* A,
 }
 
 template <typename T>
-void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const T* A,
-                 std::size_t lda, const T* B, std::size_t ldb, T* C,
-                 std::size_t ldc) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const T* b = B + j * ldb;
-    for (std::size_t i = 0; i < m; ++i) {
-      const T* a = A + i * lda;
-      T c = C[j * ldc + i];
-      for (std::size_t p = 0; p < k; ++p) c += a[p] * b[p];
-      C[j * ldc + i] = c;
-    }
-  }
-}
-
-template <typename T>
 void gemv(std::size_t m, std::size_t n, T alpha, const T* A, std::size_t lda,
           const T* x, T beta, T* y) {
   if (beta == T{0})
@@ -141,12 +126,6 @@ template void gemm_tn<double>(std::size_t, std::size_t, std::size_t, double,
 template void gemm_tn<float>(std::size_t, std::size_t, std::size_t, float,
                              const float*, std::size_t, const float*,
                              std::size_t, float, float*, std::size_t);
-template void gemm_tn_acc<double>(std::size_t, std::size_t, std::size_t,
-                                  const double*, std::size_t, const double*,
-                                  std::size_t, double*, std::size_t);
-template void gemm_tn_acc<float>(std::size_t, std::size_t, std::size_t,
-                                 const float*, std::size_t, const float*,
-                                 std::size_t, float*, std::size_t);
 template void gemv<double>(std::size_t, std::size_t, double, const double*,
                            std::size_t, const double*, double, double*);
 template void gemv<float>(std::size_t, std::size_t, float, const float*,

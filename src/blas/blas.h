@@ -23,23 +23,13 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, T alpha, const T* A,
              std::size_t ldc);
 
 /// C = alpha * A^T * B + beta * C.  A is k×m (so A^T is m×k), B is k×n.
-/// This is the workhorse of crossprod-style sinks: per-partition chunks
-/// accumulate into a small C with beta = 1.
+/// Host-side crossprod of small matrices and the BLAS-only baseline use
+/// it; the engine's crossprod sink folds in kern::tmm_acc instead, whose
+/// results do not depend on how rows are chunked.
 template <typename T>
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, T alpha, const T* A,
              std::size_t lda, const T* B, std::size_t ldb, T beta, T* C,
              std::size_t ldc);
-
-/// C += A^T * B, folding each C element strictly sequentially over k (no
-/// blocked intermediate accumulator): splitting the k range across any
-/// number of calls yields bit-identical C. The chunked crossprod sinks use
-/// this so exec's Pcache chunk-size degradation cannot perturb results
-/// (DESIGN.md §11.2); k is a Pcache chunk there, small enough that the
-/// unblocked column walk stays cache-resident.
-template <typename T>
-void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const T* A,
-                 std::size_t lda, const T* B, std::size_t ldb, T* C,
-                 std::size_t ldc);
 
 /// y = alpha * A * x + beta * y. A is m×n.
 template <typename T>

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "blas/blas.h"
 #include "common/error.h"
@@ -204,9 +206,73 @@ const T* col_of(view v, std::size_t j) {
   return reinterpret_cast<const T*>(v.data) + j * v.stride;
 }
 
-/// Widening block for vmath on f32 and integer columns: stack-resident, so
-/// the chunk loop stays allocation-free.
-constexpr std::size_t kWidenRows = 256;
+/// Row block for per-row temporaries kept on the stack (vmath's f64 widening
+/// in sapply, the running best in agg_row), so the chunk loop stays
+/// allocation-free.
+constexpr std::size_t kStackRows = 256;
+
+// ---- side-by-side folds ---------------------------------------------------
+//
+// The sink kernels fold each output element strictly in row order, so a
+// result never depends on how a partition's rows were split into chunks
+// (DESIGN.md §11.2). One fold is a chain of dependent steps (adds, for a
+// sum) waiting a full latency per row; the kernels below run kFoldWidth
+// folds side by side, each with its own accumulator, so the chains overlap.
+// Every accumulator still takes the same separately rounded steps in the
+// same row order, so the bits are those of one fold at a time.
+
+constexpr std::size_t kFoldWidth = 8;
+
+/// Calls f.template operator()<W>(j0) for the blocks [j0, j0 + W) that
+/// cover [0, n): kFoldWidth columns at a time, then the remainder as one
+/// narrower block (39 columns fold as 4 x 8 + 7).
+template <typename F>
+void for_each_fold_block(std::size_t n, F&& f) {
+  static_assert(kFoldWidth == 8, "the remainder switch covers widths 1..7");
+  std::size_t j0 = 0;
+  for (; j0 + kFoldWidth <= n; j0 += kFoldWidth)
+    f.template operator()<kFoldWidth>(j0);
+  switch (n - j0) {
+    case 1: f.template operator()<1>(j0); break;
+    case 2: f.template operator()<2>(j0); break;
+    case 3: f.template operator()<3>(j0); break;
+    case 4: f.template operator()<4>(j0); break;
+    case 5: f.template operator()<5>(j0); break;
+    case 6: f.template operator()<6>(j0); break;
+    case 7: f.template operator()<7>(j0); break;
+    default: break;
+  }
+}
+
+// The pack expansions spell out one step per column, so the accumulators
+// are named registers at -O2 without an unroll pragma (GCC 12 leaves a
+// loop over a T[8] accumulator array rolled there).
+
+/// acc[j0 + q] = op-fold over rows of column j0 + q, for q in Q.
+template <agg_id OP, typename T, std::size_t... Q>
+void agg_cols_side_by_side(std::index_sequence<Q...>, view a, std::size_t j0,
+                           std::size_t rows, T* acc) {
+  const T* col[] = {col_of<T>(a, j0 + Q)...};
+  T v[] = {acc[j0 + Q]...};
+  for (std::size_t r = 0; r < rows; ++r)
+    ((v[Q] = agg_step<OP>(v[Q], col[Q][r])), ...);
+  ((acc[j0 + Q] = v[Q]), ...);
+}
+
+/// c[i0 + q] += sum over rows of A_r,(i0+q) * b_r, for q in Q.
+template <typename T, std::size_t... Q>
+void dot_cols_side_by_side(std::index_sequence<Q...>, view a, std::size_t i0,
+                           const T* b, std::size_t rows, T* c) {
+  const T* col[] = {col_of<T>(a, i0 + Q)...};
+  T v[] = {c[i0 + Q]...};
+  for (std::size_t r = 0; r < rows; ++r) {
+    const T br = b[r];
+    ((v[Q] = agg_step<agg_id::sum>(v[Q],
+                                   bop_eval<bop_id::mul>(col[Q][r], br))),
+     ...);
+  }
+  ((c[i0 + Q] = v[Q]), ...);
+}
 
 }  // namespace
 
@@ -222,10 +288,10 @@ void sapply(scalar_type t, uop_id op, view a, std::size_t rows,
         if constexpr (std::is_same_v<T, double>) {
           vmath::apply(*f, ac, oc, rows);
         } else {
-          double in[kWidenRows];
-          double res[kWidenRows];
-          for (std::size_t i0 = 0; i0 < rows; i0 += kWidenRows) {
-            const std::size_t m = std::min(kWidenRows, rows - i0);
+          double in[kStackRows];
+          double res[kStackRows];
+          for (std::size_t i0 = 0; i0 < rows; i0 += kStackRows) {
+            const std::size_t m = std::min(kStackRows, rows - i0);
             for (std::size_t i = 0; i < m; ++i)
               in[i] = static_cast<double>(ac[i0 + i]);
             vmath::apply(*f, in, res, m);
@@ -338,30 +404,29 @@ void agg_row(scalar_type t, agg_id op, bool return_index, view a,
                   "which.min/which.max require min/max aggregation");
     dispatch_type(t, [&]<typename T>() {
       std::int64_t* o = reinterpret_cast<std::int64_t*>(out);
-      const bool want_min = op == agg_id::min_v;
-      if (want_min) {
-        for (std::size_t i = 0; i < rows; ++i) o[i] = 0;
-        std::vector<T> best(col_of<T>(a, 0), col_of<T>(a, 0) + rows);
-        for (std::size_t j = 1; j < cols; ++j) {
-          const T* ac = col_of<T>(a, j);
-          for (std::size_t i = 0; i < rows; ++i)
-            if (ac[i] < best[i]) {
-              best[i] = ac[i];
-              o[i] = static_cast<std::int64_t>(j);
-            }
+      // A strict comparison, so the first column wins ties; a NaN never
+      // replaces the running best, and a NaN in column 0 is never replaced.
+      auto scan = [&](auto better) {
+        T best[kStackRows];
+        for (std::size_t i0 = 0; i0 < rows; i0 += kStackRows) {
+          const std::size_t n = std::min(kStackRows, rows - i0);
+          const T* first = col_of<T>(a, 0) + i0;
+          std::copy(first, first + n, best);
+          std::fill(o + i0, o + i0 + n, std::int64_t{0});
+          for (std::size_t j = 1; j < cols; ++j) {
+            const T* ac = col_of<T>(a, j) + i0;
+            for (std::size_t i = 0; i < n; ++i)
+              if (better(ac[i], best[i])) {
+                best[i] = ac[i];
+                o[i0 + i] = static_cast<std::int64_t>(j);
+              }
+          }
         }
-      } else {
-        for (std::size_t i = 0; i < rows; ++i) o[i] = 0;
-        std::vector<T> best(col_of<T>(a, 0), col_of<T>(a, 0) + rows);
-        for (std::size_t j = 1; j < cols; ++j) {
-          const T* ac = col_of<T>(a, j);
-          for (std::size_t i = 0; i < rows; ++i)
-            if (ac[i] > best[i]) {
-              best[i] = ac[i];
-              o[i] = static_cast<std::int64_t>(j);
-            }
-        }
-      }
+      };
+      if (op == agg_id::min_v)
+        scan(std::less<T>{});
+      else
+        scan(std::greater<T>{});
     });
     return;
   }
@@ -507,24 +572,31 @@ void agg_col_acc(scalar_type t, agg_id op, view a, std::size_t rows,
   dispatch_type(t, [&]<typename T>() {
     dispatch_agg(op, [&]<agg_id OP>() {
       T* o = reinterpret_cast<T*>(acc);
-      for (std::size_t j = 0; j < cols; ++j) {
-        const T* ac = col_of<T>(a, j);
-        T v = o[j];
-        for (std::size_t i = 0; i < rows; ++i) v = agg_step<OP>(v, ac[i]);
-        o[j] = v;
-      }
+      for_each_fold_block(cols, [&]<std::size_t W>(std::size_t j0) {
+        agg_cols_side_by_side<OP>(std::make_index_sequence<W>{}, a, j0, rows,
+                                  o);
+      });
     });
   });
 }
 
 void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
              std::size_t rows, std::size_t m, std::size_t k, char* acc) {
-  if (f1 == bop_id::mul && f2 == agg_id::sum && t == scalar_type::f64) {
-    // gemm_tn_acc, not gemm_tn: its strictly sequential k-fold makes the
-    // accumulated C independent of how the rows were chunked.
-    blas::gemm_tn_acc(m, k, rows, reinterpret_cast<const double*>(a.data),
-                      a.stride, reinterpret_cast<const double*>(b.data),
-                      b.stride, reinterpret_cast<double*>(acc), m);
+  if (f1 == bop_id::mul && f2 == agg_id::sum) {
+    // crossprod: each C element folds its rows in order, kFoldWidth
+    // elements of a C column side by side. Only this case is written out
+    // per block width: the generic loop below serves the rest of the
+    // 17 x 7 (f1, f2) dispatch, whose size the blocks would multiply.
+    dispatch_type(t, [&]<typename T>() {
+      T* C = reinterpret_cast<T*>(acc);
+      for (std::size_t j = 0; j < k; ++j) {
+        const T* bc = col_of<T>(b, j);
+        for_each_fold_block(m, [&]<std::size_t W>(std::size_t i0) {
+          dot_cols_side_by_side(std::make_index_sequence<W>{}, a, i0, bc,
+                                rows, C + j * m);
+        });
+      }
+    });
     return;
   }
   dispatch_type(t, [&]<typename T>() {

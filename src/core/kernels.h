@@ -93,11 +93,12 @@ void agg_merge(scalar_type t, agg_id op, char* into, const char* from,
                std::size_t n);
 
 /// acc[j] = op-fold(acc[j], elements of column j in row order): a strictly
-/// sequential fold, so splitting a partition's rows across any number of
-/// chunked calls yields bit-identical acc — the invariant exec's
-/// degradation ladder relies on (DESIGN.md §11.2). Serves both column
-/// aggregates and full aggregates; the latter keep one accumulator PER
-/// COLUMN until agg_finish, so their fold order never depends on the
+/// sequential fold per column, so splitting a partition's rows across any
+/// number of chunked calls yields bit-identical acc — the invariant exec's
+/// degradation ladder relies on (DESIGN.md §11.2). Eight columns fold side
+/// by side, each in its own accumulator, which changes no bits. Serves both
+/// column aggregates and full aggregates; the latter keep one accumulator
+/// PER COLUMN until agg_finish, so their fold order never depends on the
 /// Pcache chunk size either.
 void agg_col_acc(scalar_type t, agg_id op, view a, std::size_t rows,
                  std::size_t cols, char* acc);
@@ -108,7 +109,9 @@ void agg_finish(scalar_type t, agg_id op, const char* acc, std::size_t n,
 
 /// Generalized t(A) %*% B accumulation: acc (m×k, col-major, type t,
 /// stride m) += f2-combine over chunk rows of f1(A_ri, B_rj). A is rows×m,
-/// B is rows×k. Fast path f1 = mul, f2 = sum, floating T -> blas::gemm_tn.
+/// B is rows×k. Each acc element folds the rows strictly in order, as
+/// agg_col_acc does; the f1 = mul, f2 = sum case (crossprod) runs eight
+/// elements of an acc column side by side, for every type.
 void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
              std::size_t rows, std::size_t m, std::size_t k, char* acc);
 
