@@ -57,6 +57,11 @@ double run_rowstream(const bench_algo& algo, const baseline::rs_matrix& X,
   });
 }
 
+/// Passes the engine has admitted so far; a run's delta is its pass count.
+std::uint64_t passes_so_far() {
+  return obs::metrics_registry::global().value("governor.admitted");
+}
+
 std::string json_needle(const char* key) {
   std::string needle("\"");
   needle += key;
@@ -164,8 +169,12 @@ int main() {
       }
     }
 
+    std::uint64_t p0 = passes_so_far();
     const double t_im = time_once([&] { algo.run(d_im.X, d_im.y); });
+    const std::uint64_t im_passes = passes_so_far() - p0;
+    p0 = passes_so_far();
     const double t_em = time_once([&] { algo.run(d_em.X, d_em.y); });
+    const std::uint64_t em_passes = passes_so_far() - p0;
 
     // Rowstream baseline runs on fully materialized host data (that is the
     // model: Spark/H2O cache the dataset in memory before benchmarking).
@@ -177,13 +186,18 @@ int main() {
 
     rows.push_back({algo.name + " (n=" + std::to_string(an) + ")",
                     {1.0, t_em / t_im, t_rs / t_im}});
-    std::printf("  %-12s IM %.2fs  EM %.2fs  rowstream %.2fs\n",
-                algo.name.c_str(), t_im, t_em, t_rs);
+    std::printf("  %-12s IM %.2fs (%llu passes)  EM %.2fs (%llu passes)  "
+                "rowstream %.2fs\n",
+                algo.name.c_str(), t_im,
+                static_cast<unsigned long long>(im_passes), t_em,
+                static_cast<unsigned long long>(em_passes), t_rs);
     out.rec()
         .kv("algo", algo.name)
         .kv("n", an)
         .kv("im_seconds", t_im)
         .kv("em_seconds", t_em)
+        .kv("im_passes", static_cast<unsigned long long>(im_passes))
+        .kv("em_passes", static_cast<unsigned long long>(em_passes))
         .kv("rowstream_seconds", t_rs);
   }
   print_table({"FlashR-IM", "FlashR-EM", "rowstream"}, rows, "%10.2f");

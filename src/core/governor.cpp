@@ -349,11 +349,14 @@ void pass_watchdog::loop() {
       }
     }
     if (wake == 0) {
+      obs::sample_idle_scope idle;
       cv_.wait(lock);
       continue;
     }
-    if (wake > now)
+    if (wake > now) {
+      obs::sample_idle_scope idle;
       cv_.wait_for(lock, std::chrono::nanoseconds(wake - now));
+    }
 
     // Trip at most one entry per iteration: the cancel callback runs with
     // the lock dropped, so the entry map may change under it. The poll

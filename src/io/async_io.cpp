@@ -214,7 +214,10 @@ void async_io::io_loop() {
     request req;
     {
       mutex_lock lock(io_mtx_);
-      while (!stop_ && queue_.empty()) cv_.wait(lock);
+      {
+        obs::sample_idle_scope idle;
+        while (!stop_ && queue_.empty()) cv_.wait(lock);
+      }
       if (queue_.empty()) return;  // stopping, and the FIFO is drained
       req = pop_front();
     }

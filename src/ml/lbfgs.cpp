@@ -4,6 +4,8 @@
 #include <cmath>
 #include <deque>
 
+#include "common/error.h"
+
 namespace flashr::ml {
 
 namespace {
@@ -20,16 +22,30 @@ double inf_norm(const std::vector<double>& a) {
   return m;
 }
 
-}  // namespace
+/// Evaluate `xs` into `grads` and return their losses.
+std::vector<double> evaluate(const batch_objective_fn& f,
+                             const std::vector<std::vector<double>>& xs,
+                             std::vector<std::vector<double>>& grads) {
+  grads.resize(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) grads[i].resize(xs[i].size());
+  std::vector<double> losses = f(xs, grads);
+  FLASHR_CHECK(losses.size() == xs.size(),
+               "lbfgs: the objective must return one loss per point");
+  return losses;
+}
 
-lbfgs_result lbfgs_minimize(objective_fn f, std::vector<double> x0,
-                            const lbfgs_options& opts) {
+/// The L-BFGS loop behind both forms: line-search batches double from one
+/// trial up to `max_width` trials.
+lbfgs_result minimize(const batch_objective_fn& f, std::vector<double> x0,
+                      const lbfgs_options& opts, int max_width) {
   const std::size_t n = x0.size();
   lbfgs_result res;
   res.x = std::move(x0);
 
-  std::vector<double> g(n), g_new(n), x_new(n), direction(n);
-  double loss = f(res.x, g);
+  std::vector<std::vector<double>> trials{res.x}, grads;
+  double loss = evaluate(f, trials, grads)[0];
+  std::vector<double> g = std::move(grads[0]);
+  std::vector<double> direction(n), steps;
   res.loss_history.push_back(loss);
 
   // (s, y, rho) history for the two-loop recursion.
@@ -73,22 +89,43 @@ lbfgs_result lbfgs_minimize(objective_fn f, std::vector<double> x0,
       rho_hist.clear();
     }
 
-    // Backtracking Armijo line search.
+    // Backtracking Armijo line search down the ladder 1, b, b^2, ...,
+    // max_line_steps trials in batches of 1, 2, 4, ...: the first trial in
+    // ladder order that passes wins, as in a one-at-a-time search.
     double step = 1.0;
     double new_loss = loss;
     bool accepted = false;
-    for (int ls = 0; ls < opts.max_line_steps; ++ls) {
-      for (std::size_t j = 0; j < n; ++j)
-        x_new[j] = res.x[j] + step * direction[j];
-      new_loss = f(x_new, g_new);
-      if (std::isfinite(new_loss) &&
-          new_loss <= loss + opts.armijo_c * step * dir_deriv) {
-        accepted = true;
-        break;
+    std::size_t pick = 0;
+    int tried = 0;
+    for (int width = 1; tried < opts.max_line_steps;
+         width = std::min(2 * width, max_width)) {
+      const auto k = static_cast<std::size_t>(
+          std::min(width, opts.max_line_steps - tried));
+      trials.resize(k);
+      steps.resize(k);
+      for (std::size_t t = 0; t < k; ++t) {
+        trials[t].resize(n);
+        for (std::size_t j = 0; j < n; ++j)
+          trials[t][j] = res.x[j] + step * direction[j];
+        steps[t] = step;
+        step *= opts.backtrack;
       }
-      step *= opts.backtrack;
+      const std::vector<double> losses = evaluate(f, trials, grads);
+      tried += static_cast<int>(k);
+      for (std::size_t t = 0; t < k; ++t) {
+        if (std::isfinite(losses[t]) &&
+            losses[t] <= loss + opts.armijo_c * steps[t] * dir_deriv) {
+          accepted = true;
+          pick = t;
+          new_loss = losses[t];
+          break;
+        }
+      }
+      if (accepted) break;
     }
     if (!accepted) break;  // line search failed: give up at current point
+    const std::vector<double>& x_new = trials[pick];
+    const std::vector<double>& g_new = grads[pick];
 
     // Update curvature history.
     std::vector<double> s(n), y(n);
@@ -120,6 +157,24 @@ lbfgs_result lbfgs_minimize(objective_fn f, std::vector<double> x0,
     }
   }
   return res;
+}
+
+}  // namespace
+
+lbfgs_result lbfgs_minimize(objective_fn f, std::vector<double> x0,
+                            const lbfgs_options& opts) {
+  const batch_objective_fn one_point =
+      [&f](const std::vector<std::vector<double>>& xs,
+           std::vector<std::vector<double>>& grads) {
+        return std::vector<double>{f(xs.at(0), grads.at(0))};
+      };
+  return minimize(one_point, std::move(x0), opts, /*max_width=*/1);
+}
+
+lbfgs_result lbfgs_minimize_batch(batch_objective_fn f, std::vector<double> x0,
+                                  const lbfgs_options& opts) {
+  return minimize(f, std::move(x0), opts,
+                  std::max(opts.max_line_steps, 1));
 }
 
 }  // namespace flashr::ml

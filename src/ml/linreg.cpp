@@ -4,34 +4,39 @@
 
 #include "blas/blas.h"
 #include "common/error.h"
+#include "ml/design.h"
 
 namespace flashr::ml {
-
-namespace {
-
-dense_matrix with_intercept(const dense_matrix& X, bool add) {
-  if (!add) return X;
-  return cbind({X, dense_matrix::constant(X.nrow(), 1, 1.0)});
-}
-
-}  // namespace
 
 linreg_model linear_regression(const dense_matrix& X, const dense_matrix& y,
                                const linreg_options& opts) {
   FLASHR_CHECK_SHAPE(y.ncol() == 1 && y.nrow() == X.nrow(),
                      "linreg: y must be n x 1");
-  const dense_matrix Xi = with_intercept(X, opts.add_intercept);
+  const design d(X, opts.add_intercept);
   const dense_matrix yf = y.cast(scalar_type::f64);
-  const std::size_t p = Xi.ncol();
+  const std::size_t p = d.ncol();
 
-  dense_matrix gram = crossprod(Xi);
-  dense_matrix xty = crossprod(Xi, yf);
+  design::crossprod_sinks gram = d.crossprod(d.x());
+  design::crossprod_sinks xty = d.crossprod(yf);
   dense_matrix ysum = sum(yf);
   dense_matrix ysq = sum(square(yf));
-  materialize_all({gram, xty, ysum, ysq});  // one pass over X and y
+  materialize_all({gram.x_r, gram.ones_r, xty.x_r, xty.ones_r, ysum,
+                   ysq});  // one pass over X and y
 
-  smat G = gram.to_smat();
-  smat b = xty.to_smat();
+  // The sinks hold all columns of the Gramian but the intercept's. That one
+  // mirrors the last row, t(X) %*% 1 folding the same rows as t(1) %*% X,
+  // and ends in t(1) %*% 1, the row count.
+  const smat gx = gram.to_smat();
+  smat G0(p, p);
+  for (std::size_t j = 0; j < gx.ncol(); ++j)
+    for (std::size_t i = 0; i < p; ++i) G0(i, j) = gx(i, j);
+  if (opts.add_intercept) {
+    for (std::size_t i = 0; i + 1 < p; ++i) G0(i, p - 1) = gx(p - 1, i);
+    G0(p - 1, p - 1) = static_cast<double>(X.nrow());
+  }
+  const smat xty0 = xty.to_smat();
+  smat G = G0;
+  smat b = xty0;
   for (std::size_t j = 0; j < p; ++j) {
     // Do not penalize the intercept.
     if (!opts.add_intercept || j + 1 < p) G(j, j) += opts.l2;
@@ -44,9 +49,7 @@ linreg_model linear_regression(const dense_matrix& X, const dense_matrix& y,
   m.has_intercept = opts.add_intercept;
 
   // R^2 from the one-pass moments: SSE = y'y - 2 w'X'y + w'Gw, with the
-  // ORIGINAL (unridged) G. Recover it by re-reading the materialized sink.
-  smat G0 = gram.to_smat();
-  smat xty0 = xty.to_smat();
+  // ORIGINAL (unridged) G.
   const double n = static_cast<double>(X.nrow());
   double wXy = 0, wGw = 0;
   for (std::size_t i = 0; i < p; ++i) {
@@ -63,10 +66,7 @@ linreg_model linear_regression(const dense_matrix& X, const dense_matrix& y,
 }
 
 dense_matrix linreg_predict(const dense_matrix& X, const linreg_model& m) {
-  const dense_matrix Xi = with_intercept(X, m.has_intercept);
-  FLASHR_CHECK_SHAPE(Xi.ncol() == m.w.nrow(),
-                     "linreg_predict: dimension mismatch");
-  return matmul(Xi, dense_matrix::from_smat(m.w));
+  return design(X, m.has_intercept).times(m.w);
 }
 
 svd_result svd(const dense_matrix& X, std::size_t ncomp) {

@@ -1,8 +1,10 @@
-// Logistic regression with LBFGS (§4.1). Each objective evaluation is a
-// single DAG execution (one pass over X) that produces both the gradient
-// sink t(X) %*% (sigmoid(Xw) - y) / n and the log-loss sink — the same
-// structure as the paper's Figure 2 example, with LBFGS replacing plain
-// gradient descent as in the evaluation. Converges when
+// Logistic regression with LBFGS (§4.1). Each batch of line-search trial
+// points (ml/lbfgs.h) is a single DAG execution (one pass over X) that
+// produces, for every point w, both the gradient sink
+// t(X) %*% (sigmoid(Xw) - y) / n and the log-loss sink — the same structure
+// as the paper's Figure 2 example, with LBFGS replacing plain gradient
+// descent as in the evaluation. The intercept is fitted without building
+// cbind(X, 1) (ml/design.h). Converges when
 // logloss_{i-1} - logloss_i < 1e-6 (§4.1).
 #pragma once
 

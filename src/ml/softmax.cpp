@@ -3,18 +3,10 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "ml/design.h"
 #include "ml/lbfgs.h"
 
 namespace flashr::ml {
-
-namespace {
-
-dense_matrix with_intercept(const dense_matrix& X, bool add) {
-  if (!add) return X;
-  return cbind({X, dense_matrix::constant(X.nrow(), 1, 1.0)});
-}
-
-}  // namespace
 
 softmax_model softmax_regression(const dense_matrix& X, const dense_matrix& y,
                                  std::size_t num_classes,
@@ -22,11 +14,11 @@ softmax_model softmax_regression(const dense_matrix& X, const dense_matrix& y,
   FLASHR_CHECK(num_classes >= 2, "softmax: need at least two classes");
   FLASHR_CHECK_SHAPE(y.ncol() == 1 && y.nrow() == X.nrow(),
                      "softmax: y must be n x 1");
-  const dense_matrix Xi = with_intercept(X, opts.add_intercept);
+  const design d(X, opts.add_intercept);
   const dense_matrix yf = y.cast(scalar_type::f64);
-  const std::size_t p = Xi.ncol();
+  const std::size_t p = d.ncol();
   const std::size_t k = num_classes;
-  const double n = static_cast<double>(Xi.nrow());
+  const double n = static_cast<double>(X.nrow());
 
   // One-hot indicator of y, built lazily once and reused every iteration.
   std::vector<dense_matrix> ind;
@@ -40,7 +32,7 @@ softmax_model softmax_regression(const dense_matrix& X, const dense_matrix& y,
                        std::vector<double>& grad) -> double {
     smat w(p, k);
     std::copy(wv.begin(), wv.end(), w.data());
-    dense_matrix scores = matmul(Xi, dense_matrix::from_smat(w));  // n x k
+    dense_matrix scores = d.times(w);        // n x k
     dense_matrix m = agg_row(scores, agg_id::max_v);
     dense_matrix e = exp(scores - m);
     dense_matrix z = row_sums(e);            // n x 1
@@ -48,10 +40,10 @@ softmax_model softmax_regression(const dense_matrix& X, const dense_matrix& y,
     // loss = sum(log z + m - score_y) / n; score_y via the one-hot mask.
     dense_matrix score_y = row_sums(scores * onehot);
     dense_matrix loss_sink = sum(log(z) + m - score_y);
-    dense_matrix grad_sink = crossprod(Xi, prob - onehot);  // p x k
-    materialize_all({loss_sink, grad_sink});  // ONE pass over X
+    design::crossprod_sinks grad_sink = d.crossprod(prob - onehot);
+    materialize_all({loss_sink, grad_sink.x_r, grad_sink.ones_r});  // ONE pass
 
-    smat g = grad_sink.to_smat();
+    smat g = grad_sink.to_smat();  // p x k
     double loss = loss_sink.scalar() / n;
     for (std::size_t c = 0; c < k; ++c)
       for (std::size_t j = 0; j < p; ++j) {
@@ -83,10 +75,7 @@ softmax_model softmax_regression(const dense_matrix& X, const dense_matrix& y,
 }
 
 dense_matrix softmax_predict(const dense_matrix& X, const softmax_model& m) {
-  const dense_matrix Xi = with_intercept(X, m.has_intercept);
-  FLASHR_CHECK_SHAPE(Xi.ncol() == m.w.nrow(),
-                     "softmax_predict: dimension mismatch");
-  return which_max_row(matmul(Xi, dense_matrix::from_smat(m.w)));
+  return which_max_row(design(X, m.has_intercept).times(m.w));
 }
 
 }  // namespace flashr::ml

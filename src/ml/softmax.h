@@ -2,7 +2,8 @@
 // extension of §4.1's logistic regression, exercising the engine's wide-sink
 // path: each objective evaluation is ONE pass over X producing the scalar
 // loss and the full p x k gradient t(X) %*% (softmax(XW) - onehot(y)) as
-// sinks of a single DAG.
+// sinks of a single DAG. The intercept is fitted without building
+// cbind(X, 1) (ml/design.h).
 #pragma once
 
 #include <vector>

@@ -94,6 +94,7 @@ std::string prof_record_json(const char* label) {
     out += ",\"cpu\":" + std::to_string(n.cpu);
     out += ",\"io_wait\":" + std::to_string(n.io_wait);
     out += ",\"lock_wait\":" + std::to_string(n.lock_wait);
+    out += ",\"idle\":" + std::to_string(n.idle);
     out += '}';
   }
   out += "],\"stacks\":[";

@@ -1,9 +1,9 @@
 // Append-only profile-history store (flashr-prof-v1 records).
 //
 // One record = the sampling profiler's aggregates at a moment in time:
-// per-(pass, node) sample counts split cpu / io_wait / lock_wait, plus the
-// folded stacks, plus enough metadata (rate, period, drop count) to scale
-// counts into seconds. Records land in obs_prof_dir as
+// per-(pass, node) sample counts split cpu / io_wait / lock_wait / idle,
+// plus the folded stacks, plus enough metadata (rate, period, drop count)
+// to scale counts into seconds. Records land in obs_prof_dir as
 // prof-<zero-padded realtime ns>.json — lexicographic order is
 // chronological order across runs — written temp + fsync + rename and
 // retention-bounded to obs_prof_keep like incident bundles.

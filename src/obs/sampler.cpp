@@ -135,9 +135,9 @@ struct sampler_state {
   /// Folded aggregates keyed by (state, track, raw pcs) packed into a
   /// string — parsed back never; the value carries the display fields.
   std::unordered_map<std::string, stack_agg> stacks GUARDED_BY(samp_mtx);
-  /// (pass, node) -> [cpu, io_wait, lock_wait] sample counts.
+  /// (pass, node) -> sample counts indexed by sample_state.
   std::map<std::pair<std::uint32_t, std::int32_t>,
-           std::array<std::uint64_t, 3>> nodes GUARDED_BY(samp_mtx);
+           std::array<std::uint64_t, kSampleStates>> nodes GUARDED_BY(samp_mtx);
   std::deque<recent_ent> recent GUARDED_BY(samp_mtx);
   std::unordered_map<std::uintptr_t, std::string> symcache GUARDED_BY(samp_mtx);
   std::thread collector;
@@ -325,7 +325,7 @@ void fold_locked(sampler_state& s, const char* track, const samp_rec& r) {
           s.recent.front().ts + kRecentRetainNs < r.ts))
     s.recent.pop_front();
   auto& n = s.nodes[{r.pass, r.node}];
-  n[r.state < 3 ? r.state : 0] += r.weight;
+  n[r.state < kSampleStates ? r.state : 0] += r.weight;
   s.samples_total.fetch_add(r.weight, std::memory_order_relaxed);
 }
 
@@ -584,6 +584,7 @@ std::vector<node_samples> sampler_pass_samples(std::uint32_t pass,
     ns.cpu = counts[0];
     ns.io_wait = counts[1];
     ns.lock_wait = counts[2];
+    ns.idle = counts[3];
     out.push_back(ns);
   }
   return out;

@@ -16,8 +16,9 @@
 // Off-CPU attribution: the executor and I/O layers wrap their existing
 // read-wait / throttle / lock-wait span sites in sample_wait_scope, so a
 // sample taken while a thread sits in one of those windows is keyed
-// io_wait or lock_wait instead of cpu. Every profile therefore splits into
-// on-CPU / I/O-wait / lock-wait with no post-hoc log joining.
+// io_wait or lock_wait instead of cpu, and a thread parked with no work
+// (sample_idle_scope) is keyed idle. Every profile therefore splits into
+// on-CPU / I/O-wait / lock-wait / idle with no post-hoc log joining.
 //
 // Export paths (all symbolization — dladdr + demangle — happens here, far
 // from the signal handler):
@@ -35,6 +36,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,18 +55,22 @@ inline bool sampler_on() {
 
 /// What a sample taken "now" on this thread means. cpu is the default;
 /// the wait states are entered via sample_wait_scope around the blocking
-/// windows the trace layer already marks with spans.
+/// windows the trace layer already marks with spans, and idle via
+/// sample_idle_scope around a thread's wait for work.
 enum class sample_state : std::uint8_t {
   cpu = 0,
   io_wait = 1,
   lock_wait = 2,
+  idle = 3,
 };
+inline constexpr std::size_t kSampleStates = 4;
 
 inline constexpr const char* sample_state_name(sample_state s) {
   switch (s) {
     case sample_state::cpu: return "cpu";
     case sample_state::io_wait: return "io_wait";
     case sample_state::lock_wait: return "lock_wait";
+    case sample_state::idle: return "idle";
   }
   return "?";
 }
@@ -153,6 +159,29 @@ class sample_wait_scope {
   bool armed_ = false;
 };
 
+/// Mark this thread as parked with no work (a pool worker waiting for a
+/// job, the watchdog between polls, an I/O thread on an empty FIFO) for
+/// the scope's lifetime. Unlike sample_wait_scope it arms even while the
+/// sampler is off: a thread may park before the sampler starts and stay
+/// parked through the whole profile. Two relaxed stores, next to a wait.
+class sample_idle_scope {
+ public:
+  sample_idle_scope() {
+    auto& c = detail::t_sample_ctx;
+    prev_ = c.state.load(std::memory_order_relaxed);
+    c.state.store(static_cast<std::uint8_t>(sample_state::idle),
+                  std::memory_order_relaxed);
+  }
+  ~sample_idle_scope() {
+    detail::t_sample_ctx.state.store(prev_, std::memory_order_relaxed);
+  }
+  sample_idle_scope(const sample_idle_scope&) = delete;
+  sample_idle_scope& operator=(const sample_idle_scope&) = delete;
+
+ private:
+  std::uint8_t prev_ = 0;
+};
+
 /// Attach the calling thread to the sampler: allocate its sample ring,
 /// record its stack bounds, and arm its per-thread timer if the sampler is
 /// running. Idempotent; re-attaching just updates the track name. Called
@@ -196,6 +225,7 @@ struct node_samples {
   std::uint64_t cpu = 0;        ///< on-CPU samples
   std::uint64_t io_wait = 0;
   std::uint64_t lock_wait = 0;
+  std::uint64_t idle = 0;
 };
 
 /// Drain pending rings and return every aggregate for `pass` (all passes

@@ -6,6 +6,7 @@
 
 #include "common/config.h"
 #include "common/error.h"
+#include "obs/sampler.h"
 #include "obs/trace.h"
 
 namespace flashr {
@@ -41,7 +42,10 @@ void thread_pool::worker_loop(int idx) {
     const std::function<void(int)>* job = nullptr;
     {
       mutex_lock lock(job_mtx_);
-      while (!stop_ && job_seq_ == seen_seq) cv_start_.wait(lock);
+      {
+        obs::sample_idle_scope idle;
+        while (!stop_ && job_seq_ == seen_seq) cv_start_.wait(lock);
+      }
       if (stop_) return;
       seen_seq = job_seq_;
       job = job_;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 
 #include "common/config.h"
@@ -189,7 +190,9 @@ TEST(Lbfgs, MinimizesQuadratic) {
 }
 
 TEST(Lbfgs, MinimizesRosenbrock) {
-  auto f = [](const std::vector<double>& x, std::vector<double>& g) {
+  int evals = 0;
+  auto f = [&evals](const std::vector<double>& x, std::vector<double>& g) {
+    ++evals;
     const double a = x[0], b = x[1];
     g[0] = -2 * (1 - a) - 400 * a * (b - a * a);
     g[1] = 200 * (b - a * a);
@@ -202,6 +205,88 @@ TEST(Lbfgs, MinimizesRosenbrock) {
   lbfgs_result r = lbfgs_minimize(f, {-1.2, 1.0}, o);
   EXPECT_NEAR(r.x[0], 1.0, 1e-4);
   EXPECT_NEAR(r.x[1], 1.0, 1e-4);
+  // The single-point form evaluates one trial per call: 1 + 674 accepted
+  // steps + 27 rejected trials.
+  EXPECT_EQ(r.iterations, 674);
+  EXPECT_EQ(evals, 702);
+}
+
+// f(x) = sum_i s_i (x_i - 1)^2 with s = 1, 10, 100, 1000. From x = 0 the
+// first direction is steepest descent, whose unit step overshoots the
+// stiffest coordinate about 2000-fold: the first search accepts only its
+// 11th trial, step 2^-10, after backtracking ten times.
+double badly_scaled(const std::vector<double>& x, std::vector<double>& g) {
+  double loss = 0, s = 1;
+  for (std::size_t i = 0; i < x.size(); ++i, s *= 10) {
+    const double d = x[i] - 1.0;
+    loss += s * d * d;
+    g[i] = 2 * s * d;
+  }
+  return loss;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The batch form evaluates each search's ladder in batches of 1, 2, 4, ...
+// trials and accepts the first passing trial in ladder order, so it visits
+// exactly the single-point form's iterates.
+TEST(Lbfgs, BatchedLineSearchVisitsTheSameIterates) {
+  lbfgs_options o;
+  o.max_iters = 40;
+  o.loss_tol = 0;
+  o.grad_tol = 1e-10;
+  const std::vector<double> x0(4, 0.0);
+
+  int single_calls = 0;
+  const lbfgs_result one = lbfgs_minimize(
+      [&](const std::vector<double>& x, std::vector<double>& g) {
+        ++single_calls;
+        return badly_scaled(x, g);
+      },
+      x0, o);
+
+  std::vector<std::size_t> widths;
+  const lbfgs_result batched = lbfgs_minimize_batch(
+      [&](const std::vector<std::vector<double>>& xs,
+          std::vector<std::vector<double>>& grads) {
+        widths.push_back(xs.size());
+        std::vector<double> losses;
+        for (std::size_t i = 0; i < xs.size(); ++i)
+          losses.push_back(badly_scaled(xs[i], grads[i]));
+        return losses;
+      },
+      x0, o);
+
+  // The first search backtracked ten times: x_1 = 2^-10 * -g(x_0).
+  lbfgs_options first = o;
+  first.max_iters = 1;
+  const lbfgs_result x1 = lbfgs_minimize(badly_scaled, x0, first);
+  ASSERT_EQ(x1.iterations, 1);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(x1.x[i], std::ldexp(2.0 * std::pow(10.0, i), -10)) << i;
+
+  EXPECT_EQ(batched.iterations, one.iterations);
+  EXPECT_EQ(batched.converged, one.converged);
+  EXPECT_TRUE(same_bits(batched.x, one.x));
+  EXPECT_TRUE(same_bits(batched.loss_history, one.loss_history));
+
+  // The initial point, then the first search's 11 trials in batches of
+  // 1 + 2 + 4 + 8, which evaluate 4 points past the accepted one. Of the
+  // 20 later searches, one accepts its second trial (batches 1 + 2, one
+  // extra point) and the rest their first. The single-point form makes one
+  // call per point it needs: 1 + 11 + 2 + 19 = 33.
+  ASSERT_GE(widths.size(), 5u);
+  EXPECT_EQ(std::vector<std::size_t>(widths.begin(), widths.begin() + 5),
+            (std::vector<std::size_t>{1, 1, 2, 4, 8}));
+  std::size_t points = 0;
+  for (std::size_t w : widths) points += w;
+  EXPECT_EQ(one.iterations, 21);
+  EXPECT_EQ(single_calls, 33);
+  EXPECT_EQ(widths.size(), 26u);
+  EXPECT_EQ(points, 38u);
 }
 
 TEST(Lbfgs, LossHistoryMonotone) {

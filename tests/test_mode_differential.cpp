@@ -5,6 +5,8 @@
 // per-op differential suite in test_engine.cpp.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/config.h"
 #include "core/dense_matrix.h"
 #include "matrix/datasets.h"
@@ -88,9 +90,21 @@ TEST_F(ModeDiffTest, LogisticIdenticalAcrossModes) {
   o.loss_tol = 0;
   auto ref = under_mode(exec_mode::cache_fuse,
                         [&] { return logistic_regression(X, y, o); });
+  // Bit for bit (DESIGN.md §6, invariants 1 and 5): every sink folds its
+  // rows in the same order whatever the mode materializes.
   for (exec_mode m : {exec_mode::eager, exec_mode::mem_fuse}) {
     auto got = under_mode(m, [&] { return logistic_regression(X, y, o); });
-    EXPECT_LT(got.w.max_abs_diff(ref.w), 1e-8) << exec_mode_name(m);
+    EXPECT_EQ(got.iterations, ref.iterations) << exec_mode_name(m);
+    ASSERT_EQ(got.w.size(), ref.w.size());
+    EXPECT_EQ(std::memcmp(got.w.data(), ref.w.data(),
+                          ref.w.size() * sizeof(double)),
+              0)
+        << exec_mode_name(m);
+    ASSERT_EQ(got.loss_history.size(), ref.loss_history.size());
+    EXPECT_EQ(std::memcmp(got.loss_history.data(), ref.loss_history.data(),
+                          ref.loss_history.size() * sizeof(double)),
+              0)
+        << exec_mode_name(m);
   }
 }
 

@@ -212,6 +212,36 @@ TEST(Sampler, WaitScopeSplitsOffCpu) {
   sampler_reset();
 }
 
+// A thread parked with no work is idle, not cpu. The watchdog waits on its
+// condition variable through every pass that sets no deadline and no stall
+// bound, and it parked before the sampler started, so none of its samples
+// may read cpu; io-0 parks the same way on an empty request FIFO.
+TEST(Sampler, ParkedThreadsSampleIdle) {
+  sampler_reset();
+  init(sampler_options());
+  const dense_matrix x = conv_store(
+      dense_matrix::runif(64 * 1024, 4, 0.0, 1.0, 3), storage::ext_mem);
+  EXPECT_GT(sum(x).scalar(), 0.0);  // the first pass starts the watchdog
+  obs::sampler_start(997);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_GT(sum(x * 2.0).scalar(), 0.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  obs::sampler_stop();
+
+  std::uint64_t watchdog_idle = 0, io_idle = 0;
+  for (const std::string& line : folded_lines(obs::folded_stacks())) {
+    EXPECT_NE(line.rfind("watchdog;cpu;", 0), 0u) << line;
+    const std::uint64_t n =
+        std::strtoull(line.c_str() + line.rfind(' ') + 1, nullptr, 10);
+    if (line.rfind("watchdog;idle;", 0) == 0) watchdog_idle += n;
+    if (line.rfind("io-0;idle;", 0) == 0) io_idle += n;
+  }
+  EXPECT_GT(watchdog_idle, 0u);
+  EXPECT_GT(io_idle, 0u);
+  sampler_reset();
+}
+
 TEST(Sampler, WriteFoldedRoundTrip) {
   sampler_reset();
   obs::sampler_start(997);

@@ -20,7 +20,7 @@ With --attribute, the two files are instead flashr-prof-v1 profile-history
 records (obs/prof_store.cpp, served at /debug/profiles/<name>): sample
 counts are converted to time via each record's sample period, and the
 report names which DAG node and which stack account for the regression —
-per-node cpu/io_wait/lock_wait deltas and per-stack self-time deltas,
+per-node cpu/io_wait/lock_wait/idle deltas and per-stack self-time deltas,
 flagged past --threshold (with a --min-samples noise floor, default 5).
 
 Usage: bench_compare.py BASELINE.json CANDIDATE.json
@@ -117,7 +117,7 @@ def compare(base: dict, cand: dict, threshold: float,
     return report, regressions
 
 
-STATES = ("cpu", "io_wait", "lock_wait")
+STATES = ("cpu", "io_wait", "lock_wait", "idle")
 
 
 def load_prof(doc: dict, name: str) -> tuple[int, dict, dict]:

@@ -12,8 +12,8 @@ Checks, in order:
   2. the first frame is a known track (``main``, ``worker-N``, ``io-N``,
      ``watchdog``, ``incident``, ``sampler-collect``, or the ``thread``
      fallback for unnamed threads);
-  3. the second frame is a sample state: ``cpu``, ``io_wait`` or
-     ``lock_wait``;
+  3. the second frame is a sample state: ``cpu``, ``io_wait``,
+     ``lock_wait`` or ``idle``;
   4. every further frame is non-empty, contains no whitespace, and is
      either a symbol or an unresolved ``0x...`` address;
   5. no duplicate (identical) stack lines — the collector folds, so a
@@ -42,7 +42,7 @@ import os
 import re
 import sys
 
-KNOWN_STATES = ("cpu", "io_wait", "lock_wait")
+KNOWN_STATES = ("cpu", "io_wait", "lock_wait", "idle")
 TRACK_RE = re.compile(
     r"^(main|thread|watchdog|incident|sampler-collect"
     r"|worker-\d+|io-\d+)$")
