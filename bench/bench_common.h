@@ -136,12 +136,16 @@ class bench_json {
     return kv(key, std::string(v));
   }
 
-  std::string path() const {
-    std::string dir;
-    if (const char* env = std::getenv("FLASHR_BENCH_JSON_DIR")) dir = env;
-    if (!dir.empty() && dir.back() != '/') dir += '/';
-    return dir + "BENCH_" + name_ + ".json";
+  /// Where the documents land: $FLASHR_BENCH_JSON_DIR with a trailing
+  /// '/', or "" for the working directory.
+  static std::string dir() {
+    std::string d;
+    if (const char* env = std::getenv("FLASHR_BENCH_JSON_DIR")) d = env;
+    if (!d.empty() && d.back() != '/') d += '/';
+    return d;
   }
+
+  std::string path() const { return dir() + "BENCH_" + name_ + ".json"; }
 
   /// Serialize all records; returns false (and prints a warning) on I/O
   /// failure so benches keep their printed output authoritative. Every

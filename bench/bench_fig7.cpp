@@ -15,11 +15,13 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "baseline/rowstream.h"
+#include "obs/metrics.h"
 #include "obs/profile.h"
 
 using namespace flashr;
@@ -55,6 +57,22 @@ double run_rowstream(const bench_algo& algo, const baseline::rs_matrix& X,
       rs_gmm(X, kGmmK, kGmmIters, init);
     }
   });
+}
+
+/// Write the metrics registry's Prometheus exposition next to
+/// BENCH_fig7.json. tools/check_prom.py validates the file, and checks that
+/// counters never decrease from an earlier file to a later one.
+void write_prom(const char* name) {
+  const std::string path = bench_json::dir() + name;
+  const std::string body = obs::metrics_registry::global().to_prometheus();
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return;
+  }
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
+  std::printf("wrote %s\n", path.c_str());
 }
 
 /// Passes the engine has admitted so far; a run's delta is its pass count.
@@ -200,21 +218,23 @@ int main() {
         .kv("em_passes", static_cast<unsigned long long>(em_passes))
         .kv("rowstream_seconds", t_rs);
   }
+  write_prom("fig7_metrics_1.prom");
   print_table({"FlashR-IM", "FlashR-EM", "rowstream"}, rows, "%10.2f");
   std::printf("\nExpected shape (paper): FlashR-EM <= ~2x FlashR-IM; "
               "per-op engine 3-20x slower than FlashR-IM.\n");
   explain_analyze_utilization(em.criteo.X, out);
   out.write();
+  write_prom("fig7_metrics_2.prom");
 
-  // CI sets FLASHR_HTTP_HOLD=<seconds> to keep the process (and therefore the
-  // FLASHR_HTTP stats server) alive after the figure finishes, so /metrics
-  // can be scraped deterministically.  SIGTERM breaks the hold but still
-  // returns through main so atexit handlers (trace flush) run.
-  if (const char* hold = std::getenv("FLASHR_HTTP_HOLD")) {
+  // FLASHR_BENCH_HOLD=<seconds> keeps the process alive after the figure
+  // finishes, so CI's incident smoke can still signal a running bench.
+  // SIGTERM breaks the hold but still returns through main so atexit
+  // handlers (trace flush) run.
+  if (const char* hold = std::getenv("FLASHR_BENCH_HOLD")) {
     const int deci = std::atoi(hold) * 10;
     std::signal(SIGTERM, on_hold_signal);
     std::signal(SIGINT, on_hold_signal);
-    std::printf("holding for scrape (FLASHR_HTTP_HOLD=%s)\n", hold);
+    std::printf("holding (FLASHR_BENCH_HOLD=%s)\n", hold);
     std::fflush(stdout);
     for (int i = 0; i < deci && g_hold_stop == 0; ++i)
       std::this_thread::sleep_for(std::chrono::milliseconds(100));

@@ -14,7 +14,6 @@
 #include "obs/prof_store.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
 
 namespace flashr {
@@ -70,8 +69,6 @@ void options::validate() const {
                "obs_ring_events must be a power of two >= 16");
   FLASHR_CHECK(obs_profile_history >= 1,
                "obs_profile_history must be >= 1");
-  FLASHR_CHECK(obs_http_port >= -1 && obs_http_port <= 65535,
-               "obs_http_port must be -1 (off) or a port number");
   FLASHR_CHECK(obs_flight_secs >= 1, "obs_flight_secs must be >= 1");
   FLASHR_CHECK(incident_max_bundles >= 1,
                "incident_max_bundles must be >= 1");
@@ -136,11 +133,6 @@ void init(const options& opts) {
       env != nullptr && *env != '\0') {
     g_options.obs_prof_dir = env;
   }
-  // FLASHR_HTTP=<port> starts the stats server (0 = ephemeral port).
-  if (const char* env = std::getenv("FLASHR_HTTP");
-      env != nullptr && *env != '\0') {
-    g_options.obs_http_port = std::atoi(env);
-  }
   // FLASHR_FLIGHT=0 disables the always-on flight recorder; any other value
   // (or unset) leaves it on.
   if (const char* env = std::getenv("FLASHR_FLIGHT");
@@ -165,8 +157,9 @@ void init(const options& opts) {
   obs::set_flight_enabled(g_options.obs_flight);
   obs::set_metrics_enabled(g_options.obs_metrics);
   obs::set_profile_enabled(g_options.obs_profile);
-  // Sampler counters register even while off so /metrics always exports
-  // flashr_sampler_*; the sampler itself starts only when a rate is set.
+  // Sampler counters register even while off so to_prometheus() always
+  // exports flashr_sampler_*; the sampler itself starts only when a rate is
+  // set.
   obs::sampler_register_metrics();
   if (g_options.obs_sample_hz > 0) {
     obs::sampler_start(g_options.obs_sample_hz);
@@ -184,10 +177,6 @@ void init(const options& opts) {
     obs::prof_store_arm(g_options.obs_prof_dir, g_options.obs_prof_keep);
   else
     obs::prof_store_disarm();
-  if (g_options.obs_http_port >= 0)
-    obs::stats_server::global().start(g_options.obs_http_port);
-  else
-    obs::stats_server::global().stop();
   if (g_options.obs_trace && !g_options.obs_trace_path.empty()) {
     static const bool registered = [] {
       std::atexit(write_trace_at_exit);
@@ -198,7 +187,7 @@ void init(const options& opts) {
   g_initialized = true;
   // Incident subsystem last, after g_initialized: the monitor thread reads
   // conf(), which must not re-enter init(). Counters register even while
-  // disarmed so /metrics always exports flashr_incident_*.
+  // disarmed so to_prometheus() always exports flashr_incident_*.
   obs::incident_register_metrics();
   if (!g_options.incident_dir.empty())
     obs::incident_arm(g_options.incident_dir);
@@ -218,8 +207,6 @@ const options& conf() {
   if (!g_initialized) init(options());
   return g_options;
 }
-
-bool initialized() { return g_initialized; }
 
 options& mutable_conf() {
   if (!g_initialized) init(options());

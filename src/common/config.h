@@ -169,19 +169,13 @@ struct options {
   /// When non-empty, write the trace here automatically at process exit.
   /// FLASHR_TRACE=<path> (any value other than "0"/"1") sets this too.
   std::string obs_trace_path;
-  /// Collect per-node pass profiles (obs/profile.h) for explain_analyze(),
-  /// the pass-history ring and the stats server's /passes endpoint. Also
+  /// Collect per-node pass profiles (obs/profile.h) for explain_analyze()
+  /// and the pass-history ring (obs::profile_history_json()). Also
   /// enabled by a non-empty, non-"0" FLASHR_PROFILE environment variable at
   /// init(); off costs one relaxed load per materialization.
   bool obs_profile = false;
   /// Pass profiles kept in the bounded history ring (most recent N).
   std::size_t obs_profile_history = 64;
-  /// When >= 0, init() serves /metrics (Prometheus text format), /healthz,
-  /// /passes and /explain/last on 127.0.0.1:<port> from a background thread
-  /// (obs/stats_server.h). 0 binds an ephemeral port (read it back via
-  /// obs::stats_server::global().port()). Also set by FLASHR_HTTP=<port>.
-  /// -1 (default) = no server.
-  int obs_http_port = -1;
   /// Keep the always-on flight recorder retaining the last seconds of spans
   /// and instants per thread in small fixed rings (obs/trace.h), independent
   /// of obs_trace, so incident bundles and crash dumps always have a tail to
@@ -204,7 +198,7 @@ struct options {
   /// collapsed format) here at process exit. FLASHR_SAMPLE=<path> sets
   /// this too.
   std::string obs_sample_path;
-  /// Export histograms on /metrics as native Prometheus `histogram`
+  /// Export histograms from to_prometheus() as native Prometheus `histogram`
   /// families with cumulative _bucket{le="..."} samples (power-of-two
   /// boundaries) instead of the default `summary` quantiles.
   bool obs_prom_buckets = false;
@@ -239,12 +233,6 @@ void shutdown();
 
 /// Current configuration; initializes with defaults on first use.
 const options& conf();
-
-/// Whether init() has run (and shutdown() has not). Lets monitoring paths
-/// (e.g. the stats server's /healthz route) read a consistent "not running"
-/// answer without triggering lazy engine initialization — the serve thread
-/// must never call init(), which (re)starts the stats server itself.
-bool initialized();
 
 /// Mutable access for test/bench knobs that are safe to flip between DAG
 /// executions (mode, throttle, pcache size).

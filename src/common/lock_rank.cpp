@@ -6,7 +6,7 @@
 //
 // The per-thread stacks live in a fixed global registry of atomic records
 // rather than plain thread_locals, so incident diagnostics can snapshot
-// EVERY thread's held ranks (held_ranks_all_threads, /debug/stacks, crash
+// EVERY thread's held ranks (held_ranks_all_threads, stacks_json(), crash
 // dumps) without any locking. A thread claims a registry slot on first use
 // (CAS on the tid field) and releases it at thread exit; the owning thread
 // is the only writer of its record, so its own reads/writes are plain
@@ -15,7 +15,7 @@
 // completion contexts). Cross-thread snapshot reads are relaxed too: a
 // concurrently mutating stack may read momentarily inconsistent, which is
 // acceptable for diagnostics. Depth 16 is 4x the deepest chain the engine
-// can form (watchdog -> prefetch window is 2; the stats path peaks at 3).
+// can form (watchdog -> prefetch window is 2).
 
 #include "common/thread_safety.h"
 

@@ -165,15 +165,10 @@ inline constexpr rank_t prof_store{760, "prof_store", false};
 // tick, and export paths that hold nothing else; the SIGPROF handler
 // itself never touches it (per-thread rings are lock-free SPSC).
 inline constexpr rank_t sampler{770, "sampler", false};
-// Innermost: conf() lazily runs config init, which may start/stop the HTTP
-// stats server — so the server's own lock can be acquired under whatever
-// the first conf() caller happens to hold (pass accumulators, the prefetch
-// window, the profiler). It protects only the server's listener state and
-// is never held across another ranked acquisition.
-inline constexpr rank_t stats_server{800, "stats_server", false};
-// Innermost, same reasoning as stats_server: conf() lazy init may arm the
+// Innermost by necessity: conf() lazily runs config init, which may arm the
 // incident monitor, so this lock is acquired under whatever the first
-// conf() caller holds. It guards only arm/disarm bookkeeping (bundle dir,
+// conf() caller holds (pass accumulators, the prefetch window, the
+// profiler). It guards only arm/disarm bookkeeping (bundle dir,
 // monitor thread handle, trigger-pipe fd) for a few copies/stores and is
 // never held across a ranked acquisition — the monitor thread composes
 // bundles (governor health, I/O service snapshots, metrics, profile

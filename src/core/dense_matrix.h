@@ -108,9 +108,7 @@ class dense_matrix {
   /// profiling on and return the estimated plan next to the measured
   /// actuals (kernel/I/O-wait time, partitions, rows, bytes, Pcache chunks
   /// per node, keyed by the same DFS ids explain() prints). The dot variant
-  /// returns the plan graph annotated with the measured totals. Results of
-  /// the last run stay available via obs::last_explain_analyze_*() and the
-  /// stats server's /explain/last.
+  /// returns the plan graph annotated with the measured totals.
   std::string explain_analyze(storage st = storage::in_mem) const;
   std::string explain_analyze_dot(storage st = storage::in_mem) const;
 

@@ -340,7 +340,7 @@ struct pass_ctl {
   std::uint64_t admission_wait_ns = 0;
 };
 
-/// Ids for error payloads and /passes correlation.
+/// Ids for error payloads and the active-pass table.
 std::atomic<std::uint64_t> g_pass_id{0};
 
 /// The conf()-derived prefetch depth (the formula of build_pipelines,
@@ -593,9 +593,9 @@ std::atomic<std::uint64_t> g_zero_copy_total{0};
 mutex g_stats_mutex LOCK_RANK(pass_stats);
 pass_stats g_last_stats GUARDED_BY(g_stats_mutex);
 
-/// Live materializations (incident bundles, /debug/stacks). The table owns
-/// COPIES of the interesting pass_ctl fields, updated at registration and
-/// at every degrade step, so readers never touch a running pass's own state.
+/// Live materializations (incident bundles). The table owns COPIES of the
+/// interesting pass_ctl fields, updated at registration and at every degrade
+/// step, so readers never touch a running pass's own state.
 struct active_pass {
   std::uint64_t pass_id = 0;
   std::uint64_t start_ns = 0;
@@ -1553,7 +1553,7 @@ resource_governor::footprint estimate_footprint(const dag_info& dag,
   return fp;
 }
 
-/// RAII /healthz accounting for a pass running in a degraded configuration.
+/// RAII health() accounting for a pass running in a degraded configuration.
 struct degraded_scope {
   explicit degraded_scope(bool on) : on_(on) {
     if (on_) resource_governor::global().note_degraded_begin();

@@ -85,7 +85,7 @@ struct pass_stats {
 /// parity test (tests/test_incident.cpp) all expand this list; the
 /// static_assert below pins the struct layout so adding a field without
 /// extending the list fails to compile instead of silently missing from
-/// /passes and incident bundles.
+/// incident bundles.
 #define FLASHR_PASS_STATS_FIELDS(X) \
   X(passes)                         \
   X(sequential_passes)              \
@@ -114,9 +114,8 @@ static_assert(sizeof(pass_stats) ==
 /// never a mix.
 pass_stats last_pass_stats();
 
-/// Materializations currently in flight, for incident bundles and the
-/// /debug/stacks route: a JSON array of
-/// {"pass_id","start_ns","elapsed_ns","deadline_ms","mode","degrade",
+/// Materializations currently in flight, for incident bundles: a JSON array
+/// of {"pass_id","start_ns","elapsed_ns","deadline_ms","mode","degrade",
 ///  "admission_waits"} — degrade is the ladder path taken SO FAR, so a
 /// bundle cut mid-pass shows how far the pass had already fallen back.
 std::string active_passes_json();

@@ -173,13 +173,8 @@ resource_governor::reservation resource_governor::admit(
 
 resource_governor::health_snapshot resource_governor::health() const {
   health_snapshot h;
-  // Guarded conf() access: this runs on the stats server's serve thread,
-  // which must never trigger lazy engine init (init() restarts the stats
-  // server — a self-join). Before init() the budgets read as unlimited.
-  if (initialized()) {
-    h.mem_budget_bytes = conf().mem_budget_bytes;
-    h.max_inflight_io = conf().max_inflight_io;
-  }
+  h.mem_budget_bytes = conf().mem_budget_bytes;
+  h.max_inflight_io = conf().max_inflight_io;
   {
     mutex_lock lock(gov_mtx_);
     h.reserved_bytes = reserved_bytes_;

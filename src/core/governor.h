@@ -99,8 +99,9 @@ class resource_governor {
   reservation admit(std::uint64_t pass_id, const footprint& fp,
                     std::uint64_t deadline_ns, std::uint64_t deadline_ms);
 
-  /// Point-in-time health for /healthz: not ok while passes are queued for
-  /// budget, running degraded, or tripped by the watchdog.
+  /// Point-in-time health: not ok while passes are queued for budget,
+  /// running degraded, or tripped by the watchdog. Incident bundles embed
+  /// it as their governor section.
   struct health_snapshot {
     bool ok = true;
     std::size_t reserved_bytes = 0;
@@ -117,7 +118,7 @@ class resource_governor {
   };
   health_snapshot health() const;
 
-  /// Degraded/tripped pass accounting (drives /healthz). Begin/end pairs
+  /// Degraded/tripped pass accounting (drives health()). Begin/end pairs
   /// are called by exec around a degraded pass and by the watchdog around a
   /// tripped watch's remaining lifetime.
   void note_degraded_begin() {

@@ -1,10 +1,8 @@
 #include "obs/incident.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -25,6 +23,7 @@
 #include "core/exec.h"
 #include "core/governor.h"
 #include "io/async_io.h"
+#include "obs/artifact_dir.h"
 #include "obs/crash_handler.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -86,28 +85,12 @@ std::uint64_t mono_ns() noexcept {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-std::uint64_t wall_ns() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_REALTIME, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
 // ---- small JSON helpers --------------------------------------------------
 
 /// Quoted JSON string for a C-string name; a null name (a record torn by a
 /// concurrent writer) prints as "".
 void json_str(std::string& out, const char* s) {
   json::quote(out, s != nullptr ? s : "");
-}
-
-bool has_prefix(const std::string& s, const char* p) {
-  return s.rfind(p, 0) == 0;
-}
-
-bool has_suffix(const std::string& s, const char* p) {
-  const std::size_t n = std::strlen(p);
-  return s.size() >= n && s.compare(s.size() - n, n, p) == 0;
 }
 
 // ---- bundle sections -----------------------------------------------------
@@ -212,31 +195,12 @@ void make_bundle_name(char* buf, std::size_t cap, std::uint64_t ts,
                 incident_kind_name(kind));
 }
 
-/// Delete the oldest incident-*.json beyond conf().incident_max_bundles.
-/// Crash dumps (crash-*.bin) are never pruned — there is at most one per
-/// process life, and it is the file you least want a retention policy
-/// to eat.
-void prune_bundles(const std::string& dir) {
-  const int keep = conf().incident_max_bundles;
-  std::vector<std::string> names;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return;
-  while (dirent* de = ::readdir(d)) {
-    std::string name = de->d_name;
-    if (has_prefix(name, "incident-") && has_suffix(name, ".json"))
-      names.push_back(std::move(name));
-  }
-  ::closedir(d);
-  if (names.size() <= static_cast<std::size_t>(keep)) return;
-  std::sort(names.begin(), names.end());  // oldest first
-  const std::size_t excess = names.size() - static_cast<std::size_t>(keep);
-  for (std::size_t i = 0; i < excess; ++i)
-    ::unlink((dir + "/" + names[i]).c_str());
-}
-
-/// Write one bundle into `dir` (temp + fsync + atomic rename). Returns the
-/// bundle filename or "" on failure. Never throws — the monitor must
-/// survive anything the composition path does.
+/// Write one bundle into `dir`, then prune the directory's bundles to
+/// conf().incident_max_bundles. Crash dumps (crash-*.bin) are never pruned:
+/// there is at most one per process life, and it is the file you least
+/// want a retention policy to eat. Returns the bundle filename or "" on
+/// failure. Never throws — the monitor must survive anything the
+/// composition path does.
 std::string write_bundle_to(const std::string& dir, incident_kind kind,
                             const char* detail,
                             std::uint64_t trigger_ns) noexcept {
@@ -257,37 +221,12 @@ std::string write_bundle_to(const std::string& dir, incident_kind kind,
 
   char name[64];
   make_bundle_name(name, sizeof(name), trigger_ns, kind);
-  const std::string tmp = dir + "/.incident.tmp";
-  const std::string full = dir + "/" + name;
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) {
-    FLASHR_WARN("incident: cannot write %s (errno %d)", tmp.c_str(), errno);
-    return "";
-  }
-  std::size_t off = 0;
-  bool ok = true;
-  while (off < body.size()) {
-    const ssize_t n = ::write(fd, body.data() + off, body.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (ok) ::fsync(fd);
-  ::close(fd);
-  if (!ok || ::rename(tmp.c_str(), full.c_str()) != 0) {
-    FLASHR_WARN("incident: failed to place bundle %s (errno %d)", name,
-                errno);
-    ::unlink(tmp.c_str());
-    return "";
-  }
+  if (!artifact_write(dir, name, body)) return "";
   if (counter* c = g_ctr_bundles.load(std::memory_order_acquire)) c->add(1);
   FLASHR_WARN("incident: wrote bundle %s (%s)", name,
               incident_kind_name(kind));
-  prune_bundles(dir);
+  artifact_prune(dir, "incident-", ".json",
+                 static_cast<std::size_t>(conf().incident_max_bundles));
   return name;
 }
 
@@ -401,14 +340,7 @@ void incident_request(incident_kind kind, const char* detail) noexcept {
 void incident_register_metrics() { ensure_counters(); }
 
 bool incident_arm(const std::string& dir) {
-  ::mkdir(dir.c_str(), 0755);  // best-effort; the opendir below is the check
-  if (DIR* d = ::opendir(dir.c_str())) {
-    ::closedir(d);
-  } else {
-    FLASHR_WARN("incident: cannot open bundle dir %s (errno %d)", dir.c_str(),
-                errno);
-    return false;
-  }
+  if (!artifact_dir_open(dir)) return false;
   incident_disarm();  // re-arm switches directories
   ensure_counters();
   crash_arm(dir);
@@ -462,13 +394,6 @@ void incident_disarm() {
   }
   if (t.joinable()) t.join();
   crash_disarm();
-}
-
-bool incident_armed() { return g_armed.load(std::memory_order_acquire); }
-
-std::string incident_dir() {
-  mutex_lock lock(g_mtx);
-  return g_dir;
 }
 
 std::string flight_json(std::uint64_t since_ns) {
@@ -611,7 +536,7 @@ std::string incident_bundle_json(incident_kind kind, const char* detail,
   json_str(out, detail == nullptr ? "" : detail);
   out += ",\"ts_ns\":" + std::to_string(trigger_ns) + "}";
   out += ",\"time\":{\"mono_ns\":" + std::to_string(now) +
-         ",\"real_ns\":" + std::to_string(wall_ns()) + "}";
+         ",\"real_ns\":" + std::to_string(realtime_ns()) + "}";
   out += ",\"build\":" + build_json();
   out += ",\"config\":" + config_json();
 
@@ -678,85 +603,6 @@ std::string incident_write_bundle(incident_kind kind, const char* detail) {
   }
   if (dir.empty()) return "";
   return write_bundle_to(dir, kind, detail, now_ns());
-}
-
-std::string incidents_list_json() {
-  std::string dir;
-  {
-    mutex_lock lock(g_mtx);
-    dir = g_dir;
-  }
-  std::string out = "{\"dir\":";
-  json::quote(out, dir);
-  out += ",\"bundles\":[";
-  if (!dir.empty()) {
-    struct entry {
-      std::string name;
-      std::uint64_t bytes;
-    };
-    std::vector<entry> entries;
-    if (DIR* d = ::opendir(dir.c_str())) {
-      while (dirent* de = ::readdir(d)) {
-        std::string name = de->d_name;
-        const bool bundle =
-            has_prefix(name, "incident-") && has_suffix(name, ".json");
-        const bool crash =
-            has_prefix(name, "crash-") && has_suffix(name, ".bin");
-        if (!bundle && !crash) continue;
-        struct stat st {};
-        std::uint64_t bytes = 0;
-        if (::stat((dir + "/" + name).c_str(), &st) == 0)
-          bytes = static_cast<std::uint64_t>(st.st_size);
-        entries.push_back({std::move(name), bytes});
-      }
-      ::closedir(d);
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const entry& a, const entry& b) { return a.name > b.name; });
-    bool first = true;
-    for (const entry& e : entries) {
-      if (!first) out += ',';
-      first = false;
-      out += "{\"name\":";
-      json::quote(out, e.name);
-      out += ",\"bytes\":" + std::to_string(e.bytes) + "}";
-    }
-  }
-  out += "]}";
-  return out;
-}
-
-std::string incident_fetch(const std::string& name) {
-  if (name.empty() || name.find('/') != std::string::npos ||
-      name.find("..") != std::string::npos)
-    return "";
-  std::string dir;
-  {
-    mutex_lock lock(g_mtx);
-    dir = g_dir;
-  }
-  if (dir.empty()) return "";
-  const std::string path = dir + "/" + name;
-  if (has_suffix(name, ".bin")) {
-    // Crash dumps are raw binary; serve the offline reassembly instead.
-    try {
-      return reassemble_crash_dump(path);
-    } catch (const std::exception&) {
-      return "";
-    }
-  }
-  std::string body;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return "";
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    body.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return body;
 }
 
 }  // namespace flashr::obs

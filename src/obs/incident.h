@@ -3,15 +3,16 @@
 //
 // Anything that indicates the engine is in trouble — a watchdog trip, a
 // governor overload/timeout escalation, an invariant or lock-rank abort, an
-// I/O retry budget exhausted, a checksum mismatch, or an operator poking
-// SIGUSR2 / POST /debug/incident — files a *trigger*. Triggers are consumed
-// by a monitor thread that composes one self-contained JSON bundle (schema
+// I/O retry budget exhausted, a checksum mismatch, or an operator sending
+// SIGUSR2 — files a *trigger*. Triggers are consumed by a monitor thread
+// that composes one self-contained JSON bundle (schema
 // "flashr-incident-v1") with everything a post-mortem needs: the trigger,
 // the flight-recorder tail, per-thread held lock ranks, the active-pass
 // table with degrade paths, governor health, I/O service introspection, a
 // metrics snapshot, config knobs, the log tail and build info. Bundles land
-// in the armed directory (FLASHR_INCIDENT_DIR / incident_dir) via
-// write-to-temp + atomic rename, pruned to incident_max_bundles.
+// in the armed directory (FLASHR_INCIDENT_DIR / incident_dir) through
+// obs/artifact_dir.h (unique temp file + atomic rename), pruned to
+// incident_max_bundles. Post-mortem readers list and read that directory.
 //
 // incident_request() is LOCK-FREE AND ASYNC-SIGNAL-SAFE by construction
 // (fixed trigger slots claimed by CAS + a self-pipe wakeup): the interesting
@@ -38,7 +39,7 @@ namespace flashr::obs {
 /// What filed the incident; names (incident_kind_name) appear in bundle
 /// filenames and in the bundle's "trigger" section.
 enum class incident_kind : int {
-  manual = 0,       ///< SIGUSR2 or POST /debug/incident
+  manual = 0,       ///< SIGUSR2 or incident_write_bundle()
   watchdog_trip,    ///< pass_watchdog deadline/stall trip (core/governor.cpp)
   governor_overload,///< overload_error thrown at admission
   governor_timeout, ///< timeout_error thrown at admission wait
@@ -71,28 +72,24 @@ bool incident_arm(const std::string& dir);
 /// are drained into bundles before the monitor exits.
 void incident_disarm();
 
-bool incident_armed();
-
 /// Register the flashr_incident_* counters (requests/bundles/dropped) with
 /// the metrics registry; idempotent. config init() calls this
-/// unconditionally so /metrics exports them even while disarmed.
+/// unconditionally so to_prometheus() exports them even while disarmed.
 void incident_register_metrics();
 
-/// The armed bundle directory ("" when disarmed).
-std::string incident_dir();
-
 /// Compose one incident bundle JSON right now, on the calling thread (the
-/// monitor calls this; tests and /debug/incident?sync use it directly).
+/// monitor calls this; incident_write_bundle() and tests use it directly).
 std::string incident_bundle_json(incident_kind kind, const char* detail,
                                  std::uint64_t trigger_ns);
 
-/// Write a bundle for `kind` to the armed directory (temp + atomic rename,
-/// prune to incident_max_bundles). Returns the bundle filename, or "" when
-/// disarmed or the write failed. Ordinary blocking code — not for use on
-/// trigger paths; file a trigger with incident_request() instead.
+/// Write a bundle for `kind` to the armed directory (unique temp file +
+/// atomic rename, prune to incident_max_bundles). Returns the bundle
+/// filename, or "" when disarmed or the write failed. Ordinary blocking
+/// code — not for use on trigger paths; file a trigger with
+/// incident_request() instead.
 std::string incident_write_bundle(incident_kind kind, const char* detail);
 
-// ---- live introspection for the stats server ------------------------------
+// ---- sections a bundle embeds, also callable on their own -----------------
 
 /// Flight-recorder tail as JSON: {"window_ns":..,"threads":[{tid,name,
 /// dropped,events:[{ts_ns,name,ph,arg}]}]}. Spans are re-paired the same way
@@ -103,13 +100,5 @@ std::string flight_json(std::uint64_t since_ns);
 /// Per-thread held lock ranks plus each thread's innermost open flight span:
 /// {"threads":[{tid,name,ranks:[{value,name}],span:...}]}.
 std::string stacks_json();
-
-/// Bundles currently in the armed directory, newest first:
-/// {"dir":...,"bundles":[{"name":...,"bytes":...}]}.
-std::string incidents_list_json();
-
-/// Body of one bundle (or reassembled crash dump) by filename. Rejects
-/// names containing '/' (no traversal). Returns "" when missing/disarmed.
-std::string incident_fetch(const std::string& name);
 
 }  // namespace flashr::obs

@@ -221,11 +221,7 @@ void append_prom_scalar(std::string& out, const std::string& raw_name,
 }  // namespace
 
 std::string metrics_registry::to_prometheus() const {
-  // Never trigger lazy config init from a scrape: the stats server calls
-  // this from its own serving thread, and init() restarts that server —
-  // a self-join. An uninitialized config means the default (summary)
-  // exposition anyway.
-  const bool native_buckets = initialized() && conf().obs_prom_buckets;
+  const bool native_buckets = conf().obs_prom_buckets;
   std::string out;
   std::vector<std::pair<std::string, std::function<std::uint64_t()>>> probes;
   {

@@ -127,12 +127,12 @@ class metrics_registry {
   /// atomics are read relaxed).
   std::string to_json() const;
 
-  /// Prometheus text exposition format 0.0.4 (the stats server's /metrics
-  /// body). Instrument names are sanitized ([a-zA-Z0-9_:], "flashr_"
-  /// prefix); counters map to `counter`, gauges and probes to `gauge`
-  /// (probes mirror externally-reset state, so they must not promise
-  /// monotonicity), histograms to `summary` with p50/p95/p99 quantiles
-  /// plus _sum/_count.
+  /// Prometheus text exposition format 0.0.4, ready to write to a file for
+  /// a scraper or tools/check_prom.py. Instrument names are sanitized
+  /// ([a-zA-Z0-9_:], "flashr_" prefix); counters map to `counter`, gauges
+  /// and probes to `gauge` (probes mirror externally-reset state, so they
+  /// must not promise monotonicity), histograms to `summary` with
+  /// p50/p95/p99 quantiles plus _sum/_count.
   std::string to_prometheus() const;
 
   /// Zero every owned counter/gauge/histogram. Probes are views of external

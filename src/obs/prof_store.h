@@ -5,14 +5,15 @@
 // plus the folded stacks, plus enough metadata (rate, period, drop count)
 // to scale counts into seconds. Records land in obs_prof_dir as
 // prof-<zero-padded realtime ns>.json — lexicographic order is
-// chronological order across runs — written temp + fsync + rename and
-// retention-bounded to obs_prof_keep like incident bundles.
+// chronological order across runs — written and retention-bounded to
+// obs_prof_keep by obs/artifact_dir.h, like incident bundles. Processes
+// may share one directory: each record goes through its own temp file.
 //
 // The point is regression *attribution*: tools/bench_compare.py
 // --attribute diffs two records and names which DAG node and which stack
 // regressed, not just which benchmark. When armed (obs_prof_dir /
 // FLASHR_PROF_DIR), one record is appended automatically at process exit;
-// the stats server serves the store at /debug/profiles.
+// the records are plain files, read from the directory.
 #pragma once
 
 #include <string>
@@ -37,12 +38,5 @@ std::string prof_record_json(const char* label);
 /// Compose and write one record into the armed directory. Returns the
 /// record filename, or "" when disarmed or on write failure.
 std::string prof_store_append(const char* label);
-
-/// {"dir":..., "records":[{"name":...,"bytes":...}, ...]} — newest last.
-std::string prof_store_list_json();
-
-/// Read one record by filename into `body`. Rejects anything but a plain
-/// prof-*.json basename (no '/', no ".."), mirroring incident_fetch.
-bool prof_store_fetch(const std::string& name, std::string* body);
 
 }  // namespace flashr::obs

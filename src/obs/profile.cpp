@@ -35,13 +35,11 @@ struct profile_state {
   std::unordered_map<const matrix_store*, armed_node> armed GUARDED_BY(prof_mtx);
   std::uint64_t pass_seq GUARDED_BY(prof_mtx) = 0;
   std::deque<pass_profile> history GUARDED_BY(prof_mtx);
-  std::string last_json GUARDED_BY(prof_mtx);
-  std::string last_dot GUARDED_BY(prof_mtx);
 };
 
 profile_state& state() {
-  static profile_state* s = new profile_state();  // leaked: the stats-server
-  return *s;                                      // thread may outlive exit
+  static profile_state* s = new profile_state();  // leaked: a bundle composed
+  return *s;                                      // at exit may still read it
 }
 
 void append(std::string& out, const char* fmt, ...)
@@ -177,8 +175,6 @@ void profile_clear() {
   s.armed.clear();
   s.history.clear();
   s.pass_seq = 0;
-  s.last_json.clear();
-  s.last_dot.clear();
 }
 
 namespace {
@@ -262,11 +258,6 @@ void run_analysis(const std::vector<matrix_store::ptr>& targets, storage st,
     for (int c : n.children) append(dot_out, "  n%d -> n%d;\n", c, n.id);
   }
   dot_out += "}\n";
-
-  profile_state& s = state();
-  mutex_lock lock(s.prof_mtx);
-  s.last_json = json_out;
-  s.last_dot = dot_out;
 }
 
 }  // namespace
@@ -285,18 +276,6 @@ std::string explain_analyze_dot(const std::vector<matrix_store::ptr>& targets,
   std::string dot;
   run_analysis(targets, st, json, dot);
   return dot;
-}
-
-std::string last_explain_analyze_json() {
-  profile_state& s = state();
-  mutex_lock lock(s.prof_mtx);
-  return s.last_json;
-}
-
-std::string last_explain_analyze_dot() {
-  profile_state& s = state();
-  mutex_lock lock(s.prof_mtx);
-  return s.last_dot;
 }
 
 }  // namespace flashr::obs

@@ -28,7 +28,6 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -629,37 +628,6 @@ std::string folded_recent(std::uint64_t window_ns) {
   std::map<std::string, std::uint64_t> merged;
   for (const auto& [agg, count] : counts)
     merged[folded_frames_locked(s, *agg)] += count;
-  return render_folded(merged);
-}
-
-std::string folded_profile_window(int seconds) {
-  if (seconds <= 0) return folded_stacks();
-  // The stats server's accept loop is serial; keep a profile request from
-  // starving /metrics forever.
-  seconds = std::min(seconds, 30);
-  auto& s = S();
-  const bool temporary = !sampler_on();
-  if (temporary) sampler_start(97);
-  std::unordered_map<std::string, std::uint64_t> base;
-  {
-    mutex_lock lock(s.samp_mtx);
-    drain_all_locked(s);
-    base.reserve(s.stacks.size());
-    for (const auto& [key, agg] : s.stacks) base.emplace(key, agg.count);
-  }
-  std::this_thread::sleep_for(std::chrono::seconds(seconds));
-  std::map<std::string, std::uint64_t> merged;
-  {
-    mutex_lock lock(s.samp_mtx);
-    drain_all_locked(s);
-    for (const auto& [key, agg] : s.stacks) {
-      std::uint64_t prior = 0;
-      if (auto it = base.find(key); it != base.end()) prior = it->second;
-      if (agg.count <= prior) continue;
-      merged[folded_frames_locked(s, agg)] += agg.count - prior;
-    }
-  }
-  if (temporary) sampler_stop();
   return render_folded(merged);
 }
 

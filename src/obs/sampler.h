@@ -23,8 +23,8 @@
 // Export paths (all symbolization — dladdr + demangle — happens here, far
 // from the signal handler):
 //   * folded stacks, flamegraph.pl collapsed format:
-//     "track;state;outer;...;inner count" via write_folded() and the stats
-//     server's /debug/pprof/profile?seconds=N endpoint;
+//     "track;state;outer;...;inner count" via folded_stacks() and
+//     write_folded() (FLASHR_SAMPLE=<path> writes them at exit);
 //   * per-(pass, node) sample counts, joined into explain_analyze() by the
 //     executor (node_profile.samples / sampled_ns);
 //   * flashr-prof-v1 history records via obs/prof_store.h, diffed by
@@ -241,12 +241,6 @@ std::string folded_stacks();
 /// Folded stacks observed within the trailing `window_ns` (incident
 /// bundles grab ~5s of this at trigger time).
 std::string folded_recent(std::uint64_t window_ns);
-
-/// Collect for ~`seconds` and return the delta as folded stacks (the
-/// /debug/pprof/profile endpoint). seconds <= 0: instant snapshot of all
-/// aggregates. If the sampler is off, it is started at 97 Hz for the
-/// window and stopped again.
-std::string folded_profile_window(int seconds);
 
 /// What write_folded() flushed.
 struct folded_summary {

@@ -16,7 +16,7 @@
 //  * admission never over-commits the budget, even under concurrency, and
 //    queued passes honour the pass deadline;
 //  * every degradation step is observable: last_pass_stats(), the governor
-//    metrics, explain_analyze(), and /healthz.
+//    metrics, explain_analyze(), and health().
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,7 +35,6 @@
 #include "io/fault.h"
 #include "mem/buffer_pool.h"
 #include "obs/metrics.h"
-#include "obs/stats_server.h"
 
 namespace flashr {
 namespace {
@@ -326,9 +325,10 @@ TEST_F(GovernorTest, FailFastRejectsContendedAdmissionImmediately) {
   hog.release();
 }
 
-// While a pass is genuinely queued for budget, /healthz flips to 503 with a
-// JSON reason; it recovers to 200 once the queue drains. The queued pass
-// completes with exact results and records its admission wait.
+// While a pass is genuinely queued for budget, health() reports not ok with
+// a reason (a load balancer would answer 503); it recovers once the queue
+// drains. The queued pass completes with exact results and records its
+// admission wait.
 TEST_F(GovernorTest, HealthzReports503WhileAPassIsQueued) {
   init_with();
   dense_matrix x = make_em_input();
@@ -350,16 +350,18 @@ TEST_F(GovernorTest, HealthzReports503WhileAPassIsQueued) {
     done.store(true, std::memory_order_release);
   });
 
-  // Wait for the pass to reach the queue, then observe the 503.
+  // Wait for the pass to reach the queue, then observe the unhealthy state.
   const std::uint64_t t0 = now_ns();
   while (gov.health().queued_passes == 0 &&
          now_ns() - t0 < 5ull * 1000000000ull)
     std::this_thread::yield();
-  ASSERT_GT(gov.health().queued_passes, 0u) << "pass never queued";
-  const std::string resp = obs::stats_server::http_response("/healthz");
-  EXPECT_NE(resp.find("503 Service Unavailable"), std::string::npos);
-  EXPECT_NE(resp.find("\"ok\": false"), std::string::npos);
-  EXPECT_NE(resp.find("queued"), std::string::npos);
+  const exec::resource_governor::health_snapshot queued = gov.health();
+  ASSERT_GT(queued.queued_passes, 0u) << "pass never queued";
+  EXPECT_FALSE(queued.ok);
+  EXPECT_NE(queued.reason.find("queued"), std::string::npos) << queued.reason;
+  const std::string json = queued.to_json();
+  EXPECT_NE(json.find("\"ok\": false"), std::string::npos) << json;
+  EXPECT_NE(json.find("queued"), std::string::npos) << json;
 
   hog.release();
   runner.join();
@@ -371,9 +373,10 @@ TEST_F(GovernorTest, HealthzReports503WhileAPassIsQueued) {
   const exec::pass_stats ps = exec::last_pass_stats();
   EXPECT_GE(ps.admission_waits, 1u);
   EXPECT_GT(ps.admission_wait_ns, 0u);
-  EXPECT_TRUE(gov.health().ok);
-  EXPECT_NE(obs::stats_server::http_response("/healthz").find("200 OK"),
-            std::string::npos);
+  const exec::resource_governor::health_snapshot drained = gov.health();
+  EXPECT_TRUE(drained.ok);
+  EXPECT_TRUE(drained.reason.empty()) << drained.reason;
+  EXPECT_NE(drained.to_json().find("\"ok\": true"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -567,7 +570,7 @@ TEST_F(GovernorTest, ConcurrentAdmissionNeverOvercommitsTheBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability: schedules, metrics, explain_analyze, /healthz
+// Observability: schedules, metrics, explain_analyze, health()
 // ---------------------------------------------------------------------------
 
 // The stall schedule is a pure function of (seed, site, per-site index):
@@ -613,28 +616,31 @@ TEST_F(GovernorTest, DegradationIsVisibleInExplainAnalyzeAndMetrics) {
   EXPECT_NE(prom.find("governor_active_passes"), std::string::npos);
 }
 
-// /healthz degraded/tripped accounting: the begin/end pairs drive the 503
-// and its reason directly.
+// Degraded/tripped accounting: the begin/end pairs drive health().ok and
+// its reason directly.
 TEST_F(GovernorTest, HealthzReflectsDegradedAndTrippedAccounting) {
   init_with();
   auto& gov = exec::resource_governor::global();
   ASSERT_TRUE(gov.health().ok);
 
   gov.note_degraded_begin();
-  std::string resp = obs::stats_server::http_response("/healthz");
-  EXPECT_NE(resp.find("503"), std::string::npos);
-  EXPECT_NE(resp.find("degraded"), std::string::npos);
+  exec::resource_governor::health_snapshot h = gov.health();
+  EXPECT_FALSE(h.ok);
+  EXPECT_NE(h.reason.find("degraded"), std::string::npos) << h.reason;
+  EXPECT_NE(h.to_json().find("\"ok\": false"), std::string::npos);
   gov.note_degraded_end();
 
   gov.note_tripped_begin();
-  resp = obs::stats_server::http_response("/healthz");
-  EXPECT_NE(resp.find("503"), std::string::npos);
-  EXPECT_NE(resp.find("tripped"), std::string::npos);
+  h = gov.health();
+  EXPECT_FALSE(h.ok);
+  EXPECT_NE(h.reason.find("tripped"), std::string::npos) << h.reason;
+  EXPECT_NE(h.to_json().find("tripped"), std::string::npos);
   gov.note_tripped_end();
 
-  resp = obs::stats_server::http_response("/healthz");
-  EXPECT_NE(resp.find("200 OK"), std::string::npos);
-  EXPECT_NE(resp.find("\"ok\": true"), std::string::npos);
+  h = gov.health();
+  EXPECT_TRUE(h.ok);
+  EXPECT_TRUE(h.reason.empty()) << h.reason;
+  EXPECT_NE(h.to_json().find("\"ok\": true"), std::string::npos);
 }
 
 }  // namespace

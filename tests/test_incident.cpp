@@ -2,19 +2,21 @@
 // black-box post-mortem path must survive every exit the engine has.
 //
 //  * pass_stats::to_json() parity — the X-macro expansion guarantees every
-//    struct field is a JSON key, so /passes and incident bundles can never
-//    silently lag the struct again (zero_copy_chunks, degrade_steps and
-//    degrade_path once did).
+//    struct field is a JSON key, so incident bundles can never silently lag
+//    the struct again (zero_copy_chunks, degrade_steps and degrade_path
+//    once did).
 //  * A manual trigger, a SIGUSR2, and a watchdog trip (all three exec
 //    modes) each produce a bundle with every required section.
 //  * Abort paths (lock-rank inversion, invariant-validator failure) and a
 //    real SIGSEGV in a forked child each leave a raw crash-*.bin dump that
 //    reassemble_crash_dump() turns into a complete JSON post-mortem — the
 //    same files tools/check_incident.py validates in CI.
-//  * The live views (/debug/flight, /debug/stacks, /debug/incidents) return
-//    well-formed JSON and the fetch path refuses traversal.
+//  * flight_json() and stacks_json() agree with the bundle, and retention
+//    prunes exactly the oldest bundles: never a crash dump, never a
+//    profile record sharing the directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +43,7 @@
 #include "obs/crash_handler.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
+#include "obs/prof_store.h"
 
 namespace flashr {
 namespace {
@@ -49,6 +52,7 @@ std::uint64_t metric(const char* name) {
   return obs::metrics_registry::global().value(name);
 }
 
+/// Names in `dir` that start with `prefix`, in name order.
 std::vector<std::string> dir_entries(const std::string& dir,
                                      const std::string& prefix) {
   std::vector<std::string> out;
@@ -59,6 +63,7 @@ std::vector<std::string> dir_entries(const std::string& dir,
     if (name.rfind(prefix, 0) == 0) out.push_back(name);
   }
   ::closedir(d);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -121,7 +126,7 @@ dense_matrix small_em_input() {
 // key count is pinned so a field added to the struct without extending the
 // X-macro (which the static_assert in exec.h already rejects) — or a key
 // typo in a future rewrite — fails here instead of silently dropping data
-// from /passes and incident bundles.
+// from incident bundles.
 TEST(PassStatsJson, FieldKeyParity) {
   exec::pass_stats s;
   // Distinct, recognisable values per field, in declaration order.
@@ -187,14 +192,12 @@ TEST(IncidentBundle, ManualBundleHasEverySection) {
   EXPECT_NE(body.find("flashr-incident-v1"), std::string::npos);
   EXPECT_NE(body.find("unit test"), std::string::npos);
 
-  // The live views agree with what the bundle embeds.
+  // The sections, called on their own, agree with what the bundle embeds.
   EXPECT_NE(obs::flight_json(0).find("\"threads\""), std::string::npos);
   EXPECT_NE(obs::stacks_json().find("\"ranks\""), std::string::npos);
-  const std::string list = obs::incidents_list_json();
-  EXPECT_NE(list.find(name), std::string::npos) << list;
-  EXPECT_FALSE(obs::incident_fetch(name).empty());
-  EXPECT_TRUE(obs::incident_fetch("../../../etc/passwd").empty());
-  EXPECT_TRUE(obs::incident_fetch("nope/../" + name).empty());
+  // The directory holds this one bundle, complete.
+  EXPECT_EQ(dir_entries(dir, "incident-"), std::vector<std::string>{name});
+  EXPECT_TRUE(body.ends_with("}\n"));
 
   obs::incident_disarm();
 }
@@ -259,12 +262,63 @@ TEST(IncidentBundle, BundleCountStaysBounded) {
   mutable_conf().incident_max_bundles = 3;
   const std::string dir = fresh_dir("prune");
   ASSERT_TRUE(obs::incident_arm(dir));
-  for (int i = 0; i < 6; ++i)
-    ASSERT_FALSE(
-        obs::incident_write_bundle(obs::incident_kind::manual, "prune")
-            .empty());
-  EXPECT_LE(dir_entries(dir, "incident-").size(), 3u);
+  std::vector<std::string> names;
+  for (int i = 0; i < 6; ++i) {
+    names.push_back(
+        obs::incident_write_bundle(obs::incident_kind::manual, "prune"));
+    ASSERT_FALSE(names.back().empty());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(dir_entries(dir, "incident-"),
+            std::vector<std::string>(names.end() - 3, names.end()));
   obs::incident_disarm();
+}
+
+// Both stores may share one directory. Each prunes only its own family of
+// names, newest kept by name, and neither touches a crash dump or leaves a
+// temp file behind.
+TEST(ArtifactDir, PruneSparesOtherFamilies) {
+  small_init();
+  mutable_conf().incident_max_bundles = 3;
+  const std::string dir = fresh_dir("shared");
+  ASSERT_TRUE(obs::incident_arm(dir));
+  obs::prof_store_arm(dir, /*keep=*/3);
+  const std::string crash = "crash-1-sig11.bin";
+  {
+    std::ofstream out(dir + "/" + crash);
+    out << "not pruned";
+  }
+
+  std::vector<std::string> bundles;
+  std::vector<std::string> records;
+  for (int i = 0; i < 5; ++i) {
+    bundles.push_back(
+        obs::incident_write_bundle(obs::incident_kind::manual, "shared"));
+    records.push_back(obs::prof_store_append("shared"));
+    ASSERT_FALSE(bundles.back().empty());
+    ASSERT_FALSE(records.back().empty());
+  }
+  obs::prof_store_disarm();
+  obs::incident_disarm();
+
+  std::sort(bundles.begin(), bundles.end());
+  std::sort(records.begin(), records.end());
+  std::vector<std::string> want(bundles.end() - 3, bundles.end());
+  want.insert(want.end(), records.end() - 3, records.end());
+  want.push_back(crash);
+  std::sort(want.begin(), want.end());
+  // Hidden names are temp files. The only one that may remain is the file
+  // the crash handler pre-opens at arm time (obs/crash_handler.cpp).
+  std::vector<std::string> visible;
+  for (const std::string& name : dir_entries(dir, "")) {
+    if (name == "." || name == "..") continue;
+    if (name[0] == '.') {
+      EXPECT_EQ(name, ".crash.tmp") << "temp file left behind";
+      continue;
+    }
+    visible.push_back(name);
+  }
+  EXPECT_EQ(visible, want);
 }
 
 // ---------------------------------------------------------------------------
@@ -371,8 +425,6 @@ TEST(CrashDump, SigsegvInForkedChildReassembles) {
   EXPECT_NE(json.find("\"signal\":11"), std::string::npos) << json;
   EXPECT_NE(json.find("\"complete\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"flight\""), std::string::npos);
-  // The fetch path serves the reassembled view of .bin dumps too.
-  EXPECT_FALSE(obs::incident_fetch(dumps.front()).empty());
   obs::incident_disarm();
 }
 

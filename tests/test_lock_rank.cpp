@@ -19,7 +19,7 @@
 #include "core/dense_matrix.h"
 #include "core/governor.h"
 #include "io/async_io.h"
-#include "obs/stats_server.h"
+#include "obs/metrics.h"
 
 namespace flashr {
 namespace {
@@ -208,14 +208,14 @@ TEST_F(LockRankEngineTest, CleanPassInEveryMode) {
 TEST_F(LockRankEngineTest, ConcurrentGovernorAndScrape) {
   // The deepest rank chains in the tree meet here: the engine pass nests
   // pass locks -> governor -> prefetch window -> async queue -> pool ->
-  // metrics/trace, while the scraper walks http -> metrics -> governor
-  // probes. With the checker on, any undeclared edge aborts.
+  // metrics/trace, while the scraper walks metrics -> governor probes.
+  // With the checker on, any undeclared edge aborts.
   invariant_scope on;
   std::atomic<bool> stop{false};
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::string resp = obs::stats_server::http_response("/metrics");
-      ASSERT_FALSE(resp.empty());
+      const std::string prom = obs::metrics_registry::global().to_prometheus();
+      ASSERT_FALSE(prom.empty());
     }
   });
   for (int i = 0; i < 3; ++i) run_pass();

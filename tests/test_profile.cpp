@@ -1,15 +1,9 @@
-// EXPLAIN ANALYZE + stats-server tests (src/obs/profile.*, stats_server.*):
-// per-node pass profiling attribution (kernel-time coverage of the pass wall
-// time in every exec mode, plan-id agreement with explain(), bounded history
-// ring), Prometheus text exposition, the embedded HTTP endpoint (routing,
-// a real-socket client, concurrent scrape during materialization), log-level
-// parsing, and trace counter events.
+// EXPLAIN ANALYZE tests (src/obs/profile.*): per-node pass profiling
+// attribution (kernel-time coverage of the pass wall time in every exec
+// mode, plan-id agreement with explain(), bounded history ring), Prometheus
+// text exposition, concurrent reads of the obs snapshots during
+// materialization, log-level parsing, and trace counter events.
 #include <gtest/gtest.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -23,10 +17,10 @@
 #include "common/log.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
+#include "core/governor.h"
 #include "mem/buffer_pool.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
 
 namespace flashr {
@@ -174,10 +168,6 @@ TEST(ProfileAnalyze, NodeIdsMatchExplain) {
   EXPECT_NE(dot.find("digraph flashr_explain_analyze"), std::string::npos);
   EXPECT_NE(dot.find("kernel "), std::string::npos);
   EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
-
-  // Both runs were kept as "last".
-  EXPECT_FALSE(obs::last_explain_analyze_json().empty());
-  EXPECT_EQ(obs::last_explain_analyze_dot(), dot);
 }
 
 // EM inputs must show up as I/O wait + bytes on the EM leaf.
@@ -339,97 +329,12 @@ TEST(Prometheus, ExpositionFormat) {
 }
 
 // ---------------------------------------------------------------------------
-// Stats server
+// Concurrent readers
 // ---------------------------------------------------------------------------
 
-std::string http_get(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string req = "GET " + path + " HTTP/1.0\r\nHost: t\r\n\r\n";
-  (void)::send(fd, req.data(), req.size(), 0);
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-    out.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
-  return out;
-}
-
-TEST(StatsServer, HttpResponseRoutes) {
-  // Engine probes register lazily on first use; in a fresh process the
-  // registry can be empty, so seed one instrument to make the exposition
-  // non-trivial.
-  obs::metrics_registry::global().get_counter("srv.route-test").add(1);
-
-  // /healthz now carries governor health: 200 + JSON while the engine is
-  // unloaded (503 under overload is covered by the governor tests).
-  const std::string health = obs::stats_server::http_response("/healthz");
-  EXPECT_EQ(health.rfind("HTTP/1.0 200 OK", 0), 0u);
-  EXPECT_NE(health.find("Content-Type: application/json"), std::string::npos);
-  EXPECT_NE(health.find("\"ok\": true"), std::string::npos);
-
-  const std::string metrics = obs::stats_server::http_response("/metrics");
-  EXPECT_EQ(metrics.rfind("HTTP/1.0 200 OK", 0), 0u);
-  EXPECT_NE(
-      metrics.find("Content-Type: text/plain; version=0.0.4; charset=utf-8"),
-      std::string::npos);
-  EXPECT_NE(metrics.find("# HELP "), std::string::npos);
-
-  const std::string passes = obs::stats_server::http_response("/passes");
-  EXPECT_EQ(passes.rfind("HTTP/1.0 200 OK", 0), 0u);
-  EXPECT_NE(passes.find("Content-Type: application/json"), std::string::npos);
-
-  const std::string last = obs::stats_server::http_response("/explain/last");
-  EXPECT_EQ(last.rfind("HTTP/1.0 200 OK", 0), 0u);
-  EXPECT_NE(last.find("Content-Type: application/json"), std::string::npos);
-
-  const std::string missing = obs::stats_server::http_response("/nope");
-  EXPECT_EQ(missing.rfind("HTTP/1.0 404 Not Found", 0), 0u);
-}
-
-TEST(StatsServer, ServesOverRealSocket) {
-  obs::metrics_registry::global().get_counter("srv.socket-test").add(1);
-  auto& s = obs::stats_server::global();
-  ASSERT_TRUE(s.start(0));  // 0 = ephemeral port
-  const int port = s.port();
-  ASSERT_GT(port, 0);
-  EXPECT_TRUE(s.running());
-  EXPECT_TRUE(s.start(0)) << "idempotent re-start";
-  EXPECT_EQ(s.port(), port);
-
-  const std::string health = http_get(port, "/healthz");
-  EXPECT_NE(health.find("200 OK"), std::string::npos);
-  EXPECT_NE(health.find("\"ok\": true"), std::string::npos);
-
-  // route() splits the query off the path; /metrics ignores whatever is left.
-  const std::string metrics = http_get(port, "/metrics?ignored=1");
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("# TYPE "), std::string::npos);
-
-  EXPECT_NE(http_get(port, "/nope").find("404"), std::string::npos);
-
-  s.stop();
-  EXPECT_FALSE(s.running());
-  EXPECT_EQ(s.port(), 0);
-  s.stop();  // idempotent
-
-  ASSERT_TRUE(s.start(0)) << "restart after stop";
-  EXPECT_NE(http_get(s.port(), "/healthz").find("200 OK"), std::string::npos);
-  s.stop();
-}
-
-// TSan gate: scraping every endpoint while materializations (with profiling
-// on) run must be race-free.
+// TSan gate: reading every obs snapshot while materializations (with
+// profiling on) run must be race-free. In production the incident monitor
+// and the crash handler's staging read these while passes run.
 TEST(StatsServer, ConcurrentScrapeDuringMaterialize) {
   options o = profile_options();
   o.obs_profile = true;
@@ -437,18 +342,15 @@ TEST(StatsServer, ConcurrentScrapeDuringMaterialize) {
   init(o);
   obs::profile_clear();
 
-  auto& s = obs::stats_server::global();
-  ASSERT_TRUE(s.start(0));
-  const int port = s.port();
-  ASSERT_GT(port, 0);
-
   std::atomic<bool> stop{false};
   std::atomic<int> scrapes{0};
-  std::thread scraper([&stop, &scrapes, port] {
+  std::thread reader([&stop, &scrapes] {
+    const auto& reg = obs::metrics_registry::global();
     while (!stop.load(std::memory_order_relaxed)) {
-      if (!http_get(port, "/metrics").empty()) ++scrapes;
-      (void)http_get(port, "/passes");
-      (void)http_get(port, "/explain/last");
+      if (!reg.to_prometheus().empty()) ++scrapes;
+      (void)reg.to_json();
+      (void)obs::profile_history_json();
+      (void)exec::resource_governor::global().health().to_json();
     }
   });
 
@@ -460,8 +362,7 @@ TEST(StatsServer, ConcurrentScrapeDuringMaterialize) {
   (void)heavy_chain(20000).explain_analyze();
 
   stop.store(true);
-  scraper.join();
-  s.stop();
+  reader.join();
   EXPECT_GT(scrapes.load(), 0);
 }
 

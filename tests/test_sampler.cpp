@@ -1,18 +1,19 @@
-// Sampling-profiler tests (src/obs/sampler.*, prof_store.*, the new stats
-// server routes and the native Prometheus histogram export): zero-cost-off
-// gating, folded-stack shape, wait-state attribution, the explain_analyze
-// sampled-self-time join (coverage of measured kernel time on one thread),
-// timer overruns of a pending signal counted as samples, flashr-prof-v1
-// store round trip with traversal rejection, and concurrent live-socket
-// scrapes of /debug/pprof/profile while passes run (TSan gate).
+// Sampling-profiler tests (src/obs/sampler.*, prof_store.* and the native
+// Prometheus histogram export): zero-cost-off gating, folded-stack shape,
+// wait-state attribution, the explain_analyze sampled-self-time join
+// (coverage of measured kernel time on one thread), timer overruns of a
+// pending signal counted as samples, the flashr-prof-v1 store's round trip,
+// retention and concurrent writers, and concurrent reads of the sampler's
+// exports while passes run (TSan gate).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
+#include <dirent.h>
 #include <pthread.h>
-#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -28,11 +29,11 @@
 #include "common/timer.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
+#include "core/governor.h"
 #include "obs/metrics.h"
 #include "obs/prof_store.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
-#include "obs/stats_server.h"
 
 namespace flashr {
 namespace {
@@ -97,6 +98,31 @@ void expect_well_formed(const std::string& line) {
   const std::string head = line.substr(0, sp);
   EXPECT_NE(head.find(';'), std::string::npos)
       << "no track;state separator: " << line;
+}
+
+/// Names in `dir` other than "." and "..", sorted.
+std::vector<std::string> list_dir(const std::string& dir) {
+  std::vector<std::string> names;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* de = ::readdir(d)) {
+      const std::string name = de->d_name;
+      if (name != "." && name != "..") names.push_back(name);
+    }
+    ::closedir(d);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::string slurp(const std::string& path) {
+  std::string text;
+  if (std::FILE* f = std::fopen(path.c_str(), "r")) {
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+    std::fclose(f);
+  }
+  return text;
 }
 
 std::uint64_t find_u64(const std::string& json, const std::string& key,
@@ -379,38 +405,26 @@ TEST(ProfStore, RecordRoundTripAndPrune) {
 
   obs::prof_store_arm(dir, /*keep=*/3);
   ASSERT_TRUE(obs::prof_store_armed());
-  std::string last;
+  std::vector<std::string> names;
   for (int i = 0; i < 5; ++i) {
-    last = obs::prof_store_append("test");
-    ASSERT_FALSE(last.empty());
+    names.push_back(obs::prof_store_append("test"));
+    ASSERT_FALSE(names.back().empty());
   }
+  const std::string last = names.back();
   EXPECT_EQ(last.rfind("prof-", 0), 0u) << last;
 
-  // Retention: only the newest `keep` records remain listed.
-  const std::string list = obs::prof_store_list_json();
-  std::size_t count = 0;
-  for (std::size_t pos = list.find("\"name\""); pos != std::string::npos;
-       pos = list.find("\"name\"", pos + 1))
-    ++count;
-  EXPECT_EQ(count, 3u) << list;
-  EXPECT_NE(list.find(last), std::string::npos) << list;
+  // Retention: exactly the newest `keep` records remain, and no temp file.
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(list_dir(dir), std::vector<std::string>(names.end() - 3,
+                                                    names.end()));
 
-  std::string body;
-  ASSERT_TRUE(obs::prof_store_fetch(last, &body));
+  const std::string body = slurp(dir + "/" + last);
   EXPECT_NE(body.find("\"schema\":\"flashr-prof-v1\""), std::string::npos);
   EXPECT_NE(body.find("\"label\":\"test\""), std::string::npos);
   EXPECT_NE(body.find("\"nodes\":"), std::string::npos);
   EXPECT_NE(body.find("\"stacks\":"), std::string::npos);
   EXPECT_NE(body.find("\"node\":3"), std::string::npos)
       << "node aggregate lost in the record:\n" << body;
-
-  // Traversal and shape rejection.
-  EXPECT_FALSE(obs::prof_store_fetch("../" + last, &body));
-  EXPECT_FALSE(obs::prof_store_fetch("..", &body));
-  EXPECT_FALSE(obs::prof_store_fetch("/etc/passwd", &body));
-  EXPECT_FALSE(obs::prof_store_fetch("not-a-record.json", &body));
-  EXPECT_FALSE(obs::prof_store_fetch("prof-but-not-json.txt", &body));
-  EXPECT_FALSE(obs::prof_store_fetch("", &body));
 
   obs::prof_store_disarm();
   EXPECT_FALSE(obs::prof_store_armed());
@@ -419,84 +433,71 @@ TEST(ProfStore, RecordRoundTripAndPrune) {
   sampler_reset();
 }
 
+// Processes sharing one store directory keep every record: each append
+// writes through its own temp file, so no writer renames or truncates
+// another's half-written record. (FLASHR_PROF_DIR=<dir> under `ctest -j`
+// appends a record at every test process's exit.) The children fork before
+// this process starts any engine thread: no pass has run, and the sampler
+// and the incident monitor are off.
+TEST(ProfStore, ConcurrentWritersKeepEveryRecord) {
+  sampler_reset();
+  constexpr int kChildren = 4;
+  constexpr int kRecords = 20;
+  const std::string dir =
+      "/tmp/flashr_test_prof_writers_" + std::to_string(::getpid());
+  std::system(("rm -rf " + dir).c_str());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+
+  // Start barrier: each child blocks reading the pipe until the parent
+  // closes it, so all four append at once.
+  int go[2];
+  ASSERT_EQ(::pipe(go), 0);
+  std::vector<pid_t> children;
+  for (int c = 0; c < kChildren; ++c) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::close(go[1]);
+      char b;
+      (void)!::read(go[0], &b, 1);
+      obs::prof_store_arm(dir, /*keep=*/1000);
+      int lost = 0;
+      for (int i = 0; i < kRecords; ++i)
+        if (obs::prof_store_append("writer").empty()) ++lost;
+      ::_exit(lost == 0 ? 0 : 1);  // _exit: no at-exit record
+    }
+    children.push_back(pid);
+  }
+  ::close(go[0]);
+  ::close(go[1]);
+  for (const pid_t pid : children) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "a child's append failed (wait status " << status << ")";
+  }
+
+  const std::vector<std::string> names = list_dir(dir);
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(kChildren * kRecords));
+  for (const std::string& name : names) {
+    ASSERT_TRUE(name.starts_with("prof-") && name.ends_with(".json"))
+        << "stray file " << name;
+    const std::string body = slurp(dir + "/" + name);
+    EXPECT_EQ(body.rfind("{\"schema\":\"flashr-prof-v1\"", 0), 0u) << name;
+    EXPECT_TRUE(body.ends_with("}\n")) << name << ":\n" << body;
+    EXPECT_EQ(std::count(body.begin(), body.end(), '\n'), 1) << name;
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+
 // ---------------------------------------------------------------------------
-// Stats server routes
+// Concurrent readers
 // ---------------------------------------------------------------------------
 
-TEST(StatsServerSampler, ProfileEndpointRouting) {
-  sampler_reset();
-  // seconds=0: non-blocking snapshot, valid with the sampler off.
-  const std::string prof =
-      obs::stats_server::http_response("/debug/pprof/profile?seconds=0");
-  EXPECT_EQ(prof.rfind("HTTP/1.0 200 OK", 0), 0u) << prof;
-  EXPECT_NE(prof.find("Content-Type: text/plain"), std::string::npos);
-
-  // A malformed window is rejected up front — it must never fall back to
-  // the blocking default and stall the serial accept loop.
-  for (const char* q : {"seconds=x", "seconds=-1", "frobnicate=1"}) {
-    const std::string bad = obs::stats_server::http_response(
-        std::string("/debug/pprof/profile?") + q);
-    EXPECT_EQ(bad.rfind("HTTP/1.0 400 Bad Request", 0), 0u) << q << "\n" << bad;
-  }
-
-  const std::string list = obs::stats_server::http_response("/debug/profiles");
-  EXPECT_EQ(list.rfind("HTTP/1.0 200 OK", 0), 0u);
-  EXPECT_NE(list.find("Content-Type: application/json"), std::string::npos);
-  EXPECT_NE(list.find("\"records\""), std::string::npos) << list;
-
-  // Fetch: missing records and traversal attempts are both plain 404s.
-  for (const char* path : {"/debug/profiles/prof-00000000000000000000.json",
-                           "/debug/profiles/../../etc/passwd",
-                           "/debug/profiles/..",
-                           "/debug/profiles/not-a-record.json"}) {
-    const std::string r = obs::stats_server::http_response(path);
-    EXPECT_EQ(r.rfind("HTTP/1.0 404 Not Found", 0), 0u) << path << "\n" << r;
-  }
-}
-
-TEST(StatsServerSampler, ProfileEndpointCollectsWindow) {
-  sampler_reset();
-  // Sampler off: the endpoint starts it for the window, samples this
-  // process, and stops it again.
-  std::atomic<bool> stop{false};
-  std::thread burner([&stop] {
-    while (!stop.load(std::memory_order_relaxed)) spin_ms(10);
-  });
-  const std::string body = obs::folded_profile_window(1);
-  stop.store(true);
-  burner.join();
-  EXPECT_FALSE(obs::sampler_on()) << "window did not stop the sampler";
-  const std::vector<std::string> lines = folded_lines(body);
-  ASSERT_FALSE(lines.empty()) << "1s window over a busy process was empty";
-  for (const std::string& line : lines) expect_well_formed(line);
-  sampler_reset();
-}
-
-std::string http_get(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string req = "GET " + path + " HTTP/1.0\r\nHost: t\r\n\r\n";
-  (void)::send(fd, req.data(), req.size(), 0);
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-    out.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
-  return out;
-}
-
-// TSan gate: scraping the sampler endpoints while sampled materializations
-// run must be race-free.
+// TSan gate: reading the sampler's exports and the other obs snapshots
+// while sampled materializations run must be race-free. In production the
+// incident monitor and the crash handler's staging read these while
+// passes run.
 TEST(StatsServerSampler, ConcurrentScrapeWhileSampling) {
   sampler_reset();
   options o = sampler_options();
@@ -506,21 +507,17 @@ TEST(StatsServerSampler, ConcurrentScrapeWhileSampling) {
   init(o);
   obs::profile_clear();
 
-  auto& s = obs::stats_server::global();
-  ASSERT_TRUE(s.start(0));
-  const int port = s.port();
-  ASSERT_GT(port, 0);
-
   std::atomic<bool> stop{false};
   std::atomic<int> scrapes{0};
-  std::thread scraper([&stop, &scrapes, port] {
+  std::thread reader([&stop, &scrapes] {
+    const auto& reg = obs::metrics_registry::global();
     while (!stop.load(std::memory_order_relaxed)) {
-      // seconds=0 keeps the scrape non-blocking; the serial accept loop
-      // would otherwise stall every other route behind the window.
-      if (!http_get(port, "/debug/pprof/profile?seconds=0").empty())
-        ++scrapes;
-      (void)http_get(port, "/debug/profiles");
-      (void)http_get(port, "/metrics");
+      (void)obs::folded_stacks();
+      if (!obs::prof_record_json("reader").empty()) ++scrapes;
+      (void)reg.to_prometheus();
+      (void)reg.to_json();
+      (void)obs::profile_history_json();
+      (void)exec::resource_governor::global().health().to_json();
     }
   });
 
@@ -530,8 +527,7 @@ TEST(StatsServerSampler, ConcurrentScrapeWhileSampling) {
   }
 
   stop.store(true);
-  scraper.join();
-  s.stop();
+  reader.join();
   EXPECT_GT(scrapes.load(), 0);
   init(sampler_options());
   sampler_reset();

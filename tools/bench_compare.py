@@ -17,7 +17,7 @@ Exit 1 when any regression is flagged, unless --advisory (CI uses advisory
 mode: the report lands in the log but noise never blocks a merge).
 
 With --attribute, the two files are instead flashr-prof-v1 profile-history
-records (obs/prof_store.cpp, served at /debug/profiles/<name>): sample
+records (obs/prof_store.cpp, prof-*.json files in FLASHR_PROF_DIR): sample
 counts are converted to time via each record's sample period, and the
 report names which DAG node and which stack account for the regression —
 per-node cpu/io_wait/lock_wait/idle deltas and per-stack self-time deltas,

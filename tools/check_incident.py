@@ -386,7 +386,7 @@ def validate_file(path: str, table: dict[str, int], allow_truncated: bool,
 
 def self_test(design: str) -> int:
     table = load_rank_table(design)
-    if table.get("incident") != 900 or "stats_server" not in table:
+    if table.get("incident") != 900 or table.get("sampler") != 770:
         print(f"check_incident: SELF-TEST FAIL: rank table looks wrong: "
               f"{table}")
         return 1

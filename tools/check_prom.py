@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Validate Prometheus text exposition (format 0.0.4) from the stats server.
+"""Validate Prometheus text exposition (format 0.0.4) written to a file.
+
+The input is ``metrics_registry::global().to_prometheus()`` saved to disk
+(bench_fig7 writes fig7_metrics_1.prom and fig7_metrics_2.prom next to
+BENCH_fig7.json), or any other scrape of the same format.
 
 Checks:
   1. every line is a comment, blank, or a ``name{labels}? value`` sample;
@@ -14,10 +18,10 @@ Checks:
      counts never decrease as ``le`` grows, the series is closed by
      ``le="+Inf"``, and the +Inf count equals ``_count``;
   6. with a second file: counters (and any --monotone names) must not
-     decrease between the first and second scrape.
+     decrease between the first and second file.
 
 Exit 0 with a one-line summary on success; exit 1 with the first failure.
-CI scrapes /metrics twice during a traced bench run and feeds both here.
+CI runs it over both files of a traced bench_fig7 run.
 
 Usage: check_prom.py SCRAPE1 [SCRAPE2] [--require NAME ...]
                      [--monotone NAME ...] [--self-test]
@@ -296,9 +300,9 @@ def self_test() -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("scrape", nargs="?", help="/metrics scrape to validate")
+    ap.add_argument("scrape", nargs="?", help="exposition file to validate")
     ap.add_argument("scrape2", nargs="?",
-                    help="later scrape; counters must be monotone across")
+                    help="later file; counters must be monotone across")
     ap.add_argument("--require", action="append", default=[],
                     help="metric family that must be present (repeatable)")
     ap.add_argument("--monotone", action="append", default=[],
