@@ -558,10 +558,6 @@ class pass_runner {
   std::vector<std::uint8_t> prof_leaf_;
   std::vector<std::atomic<std::uint64_t>> prof_acc_;
   std::uint64_t prof_t0_ = 0;
-  /// Sampling-profiler pass token (obs/sampler.h); 0 when the sampler was
-  /// off at pass start. Workers tag their samples with it so
-  /// record_profile() can join exactly this pass's samples.
-  std::uint32_t samp_pass_ = 0;
   /// Partition sources feeding the pipelines. Declared BEFORE pipelines_ so
   /// the pipelines (whose refill lambdas capture them) are destroyed first.
   std::optional<part_scheduler> part_sched_;
@@ -633,40 +629,10 @@ void active_pass_note_wait(std::uint64_t pass_id) {
     if (p.pass_id == pass_id) ++p.admission_waits;
 }
 
-/// Per-GenOp-kind kernel-time histograms, resolved once so the hot path
-/// costs an array index instead of a registry lookup.
-obs::histogram& kernel_hist(node_kind k) {
-  static constexpr int kKinds =
-      static_cast<int>(node_kind::s_count_groups) + 1;
-  static obs::histogram* const* hists = [] {
-    static obs::histogram* a[kKinds];
-    for (int i = 0; i < kKinds; ++i)
-      a[i] = &obs::metrics_registry::global().get_histogram(
-          std::string("kernel.") +
-          node_kind_name(static_cast<node_kind>(i)) + ".ns");
-    return a;
-  }();
-  return *hists[static_cast<int>(k)];
-}
-
 obs::histogram& partition_service_hist() {
   static obs::histogram& h = obs::metrics_registry::global().get_histogram(
       "pass.partition_service_us");
   return h;
-}
-
-obs::counter& zero_copy_counter() {
-  static obs::counter& c =
-      obs::metrics_registry::global().get_counter("exec.zero_copy_chunks");
-  return c;
-}
-
-/// A worker's zero-copy chunk evaluations (aliases that replaced a
-/// kernel), counted once when it leaves the pass.
-void count_zero_copy(std::uint64_t n) {
-  if (n == 0) return;
-  g_zero_copy_total.fetch_add(n, std::memory_order_relaxed);
-  if (obs::metrics_on()) zero_copy_counter().add(n);
 }
 
 /// Expose every pass_stats field through the metrics registry as probes:
@@ -824,30 +790,6 @@ void pass_runner::record_profile() {
     p.io_wait_ns += n.io_wait_ns;
     p.nodes.push_back(n);
   }
-  // Join the sampling profiler's view of the same pass: per-node on-CPU
-  // sample counts (scaled to ns by the sample period) next to the measured
-  // kernel_ns, plus the pass-level cpu/io-wait/lock-wait split. The counts
-  // already carry each signal's timer overruns, so a thread descheduled
-  // through several periods still contributes all of them. Slots that
-  // alias the same plan id fold into the first slot carrying that id.
-  if (samp_pass_ != 0) {
-    std::uint64_t period_ns = 0;
-    const std::vector<obs::node_samples> samp =
-        obs::sampler_pass_samples(samp_pass_, &period_ns);
-    p.sample_period_ns = period_ns;
-    for (const obs::node_samples& e : samp) {
-      p.samples_cpu += e.cpu;
-      p.samples_io_wait += e.io_wait;
-      p.samples_lock_wait += e.lock_wait;
-      if (e.node < 0) continue;
-      for (obs::node_profile& n : p.nodes) {
-        if (n.id != e.node) continue;
-        n.samples += e.cpu;
-        n.sampled_ns += e.cpu * period_ns;
-        break;
-      }
-    }
-  }
   obs::profile_record(std::move(p));
 }
 
@@ -931,8 +873,8 @@ void pass_runner::pipeline_worker(thread_ctx& ctx) {
       const std::uint64_t w0 = prof_ ? now_ns() : 0;
       bool got;
       {
-        // Blocked in pop() == waiting for prefetched reads: samples landing
-        // here are the profile's I/O-wait share.
+        // Blocked in pop() == waiting for prefetched reads: the sampler
+        // keys samples landing here io_wait.
         obs::sample_wait_scope io_scope(obs::sample_state::io_wait);
         got = pl.pop(s);
       }
@@ -966,7 +908,6 @@ void pass_runner::pipeline_worker(thread_ctx& ctx) {
 void pass_runner::run() {
   OBS_SPAN_ARG("pass", dag_.order.size());
   if (prof_) prof_t0_ = now_ns();
-  if (prof_ && obs::sampler_on()) samp_pass_ = obs::sampler_new_pass();
   thread_pool& pool = thread_pool::global();
   build_pipelines();
   ++g_stats_acc.passes;
@@ -1000,8 +941,6 @@ void pass_runner::run() {
   }
 
   pool.run_all([&](int thread_idx) {
-    // Samples taken anywhere in this worker's pass carry the pass token.
-    obs::sample_pass_scope sample_pass(samp_pass_);
     thread_ctx ctx;
     ctx.thread_idx = thread_idx;
     const std::size_t num_ids = dag_.nodes.size();
@@ -1035,7 +974,8 @@ void pass_runner::run() {
       for (std::size_t i = 0; i < ctx.prof.size(); ++i)
         if (ctx.prof[i] != 0)
           prof_acc_[i].fetch_add(ctx.prof[i], std::memory_order_relaxed);
-    count_zero_copy(ctx.zero_copy);
+    if (ctx.zero_copy != 0)
+      g_zero_copy_total.fetch_add(ctx.zero_copy, std::memory_order_relaxed);
     // ctx destruction returns every worker-held pool buffer (chunk bufs,
     // the free list, EM read buffers, staged outputs) whether the pass
     // succeeded or not.
@@ -1187,7 +1127,6 @@ chunk_buf& pass_runner::ensure(thread_ctx& ctx, int id) {
       const std::size_t bytes = ctx.chunk_rows * g->ncol() * g->elem_size();
       cb.owned = ctx.free_bufs.take(bytes);
       ++ctx.live_owned;
-      obs::sample_node_scope sample_scope(prof_ ? prof_plan_id_[idx] : -1);
       const std::uint64_t g0 = prof_ ? now_ns() : 0;
       g->generate(ctx.part_row0 + ctx.chunk_row0, ctx.chunk_rows,
                   cb.owned.data(), ctx.chunk_rows);
@@ -1264,11 +1203,7 @@ void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
   // always-on flight recorder its two clock reads and ring writes cost a
   // transcendental chain 6% of its wall time with 128-row chunks.
   obs::span_hot kernel_span(node_kind_name(op.kind), rows);
-  // Samples landing in the kernel (or its allocation) attribute to this
-  // node's plan id; nested ensure() calls already closed their own scopes.
-  obs::sample_node_scope sample_scope(
-      prof_ ? prof_plan_id_[static_cast<std::size_t>(id)] : -1);
-  const std::uint64_t k0 = (obs::metrics_on() || prof_) ? now_ns() : 0;
+  const std::uint64_t k0 = prof_ ? now_ns() : 0;
 
   out.owned = ctx.free_bufs.take(rows * cols * v->elem_size());
   ++ctx.live_owned;
@@ -1339,16 +1274,12 @@ void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
       FLASHR_ASSERT(false, "sink evaluated as aligned node");
   }
 
-  if (k0 != 0) {
-    const std::uint64_t dt = now_ns() - k0;
-    if (obs::metrics_on()) kernel_hist(op.kind).record(dt);
-    if (prof_) {
-      prof_add(ctx, id, pf_kernel, dt);
-      prof_add(ctx, id, pf_rows, rows);
-      prof_add(ctx, id, pf_bytes, rows * cols * v->elem_size());
-      prof_add(ctx, id, pf_chunks, 1);
-      if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
-    }
+  if (prof_) {
+    prof_add(ctx, id, pf_kernel, now_ns() - k0);
+    prof_add(ctx, id, pf_rows, rows);
+    prof_add(ctx, id, pf_bytes, rows * cols * v->elem_size());
+    prof_add(ctx, id, pf_chunks, 1);
+    if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
   }
   out.v = kern::view{o, ostride};
   for (int k = 0; k < n.num_children; ++k) unref(ctx, ch[k]);
@@ -1361,8 +1292,6 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
     const int id = dag_.tall_ids[i];
     const matrix_store& v = store_of(id);
-    obs::sample_node_scope sample_scope(
-        prof_ ? prof_plan_id_[static_cast<std::size_t>(id)] : -1);
     chunk_buf& cb = ensure(ctx, id);
     const std::size_t esz = v.elem_size();
     // The output move is data plumbing, not compute: it lands on the node's
@@ -1385,10 +1314,6 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
   // Sinks: accumulate into this thread's partials.
   for (std::size_t s = 0; s < sinks_.size(); ++s) {
     const int id = dag_.sink_ids[s];
-    // The sink's accumulate kernel samples attribute to the sink slot;
-    // child evaluation inside ensure() re-scopes to the child's node.
-    obs::sample_node_scope sample_scope(
-        prof_ ? prof_plan_id_[static_cast<std::size_t>(id)] : -1);
     const genop& op = sinks_[s].node->op();
     const int* ch = dag_.children_of(id);
     char* acc = ctx.sink_acc[s].data();

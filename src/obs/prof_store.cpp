@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 #include "common/json.h"
 #include "common/thread_safety.h"
@@ -26,8 +25,6 @@ void append_at_exit() {
 }  // namespace
 
 std::string prof_record_json(const char* label) {
-  std::uint64_t period_ns = 0;
-  const std::vector<node_samples> nodes = sampler_pass_samples(0, &period_ns);
   const std::string folded = folded_stacks();
   const sampler_counters c = sampler_stats();
 
@@ -35,24 +32,11 @@ std::string prof_record_json(const char* label) {
   json::quote(out, label != nullptr ? label : "");
   out += ",\"ts_ns\":" + std::to_string(realtime_ns());
   out += ",\"sample_hz\":" + std::to_string(c.hz);
-  out += ",\"period_ns\":" + std::to_string(period_ns);
+  out += ",\"period_ns\":" + std::to_string(c.period_ns);
   out += ",\"samples\":" + std::to_string(c.samples);
   out += ",\"dropped\":" + std::to_string(c.dropped);
-  out += ",\"nodes\":[";
+  out += ",\"stacks\":[";
   bool first = true;
-  for (const node_samples& n : nodes) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"pass\":" + std::to_string(n.pass);
-    out += ",\"node\":" + std::to_string(n.node);
-    out += ",\"cpu\":" + std::to_string(n.cpu);
-    out += ",\"io_wait\":" + std::to_string(n.io_wait);
-    out += ",\"lock_wait\":" + std::to_string(n.lock_wait);
-    out += ",\"idle\":" + std::to_string(n.idle);
-    out += '}';
-  }
-  out += "],\"stacks\":[";
-  first = true;
   std::size_t pos = 0;
   while (pos < folded.size()) {
     std::size_t eol = folded.find('\n', pos);

@@ -1,17 +1,18 @@
 // Append-only profile-history store (flashr-prof-v1 records).
 //
-// One record = the sampling profiler's aggregates at a moment in time:
-// per-(pass, node) sample counts split cpu / io_wait / lock_wait / idle,
-// plus the folded stacks, plus enough metadata (rate, period, drop count)
-// to scale counts into seconds. Records land in obs_prof_dir as
-// prof-<zero-padded realtime ns>.json — lexicographic order is
-// chronological order across runs — written and retention-bounded to
-// obs_prof_keep by obs/artifact_dir.h, like incident bundles. Processes
-// may share one directory: each record goes through its own temp file.
+// One record = the sampling profiler's folded stacks at a moment in time,
+// each split by wait state (cpu / io_wait / lock_wait / idle), plus enough
+// metadata (rate, period, drop count) to scale counts into seconds.
+// Records land in obs_prof_dir as prof-<zero-padded realtime ns>.json —
+// lexicographic order is chronological order across runs — written and
+// retention-bounded to obs_prof_keep by obs/artifact_dir.h, like incident
+// bundles. Processes may share one directory: each record goes through its
+// own temp file.
 //
 // The point is regression *attribution*: tools/bench_compare.py
-// --attribute diffs two records and names which DAG node and which stack
-// regressed, not just which benchmark. When armed (obs_prof_dir /
+// --attribute diffs two records and names which stack regressed, not just
+// which benchmark. A DAG node's time is the pass profile's measured
+// kernel_ns (obs/profile.h), not a sample count. When armed (obs_prof_dir /
 // FLASHR_PROF_DIR), one record is appended automatically at process exit;
 // the records are plain files, read from the directory.
 #pragma once

@@ -64,11 +64,6 @@ void append_node(std::string& out, const node_profile& n) {
          ", \"bytes\": %" PRIu64 ", \"chunks\": %" PRIu64,
          n.group, n.est_bytes, n.kernel_ns, n.copy_ns, n.io_wait_ns,
          n.partitions, n.rows, n.bytes, n.chunks);
-  // Sampler join fields only when the pass was sampled, so consumers of
-  // the pre-sampler shape see unchanged nodes.
-  if (n.samples > 0 || n.sampled_ns > 0)
-    append(out, ", \"samples\": %" PRIu64 ", \"sampled_ns\": %" PRIu64,
-           n.samples, n.sampled_ns);
   out += '}';
 }
 
@@ -80,12 +75,6 @@ std::string pass_profile::to_json() const {
          "{\"seq\": %" PRIu64 ", \"mode\": \"%s\", \"chunk_rows\": %zu, "
          "\"threads\": %d, \"wall_ns\": %" PRIu64 ", \"io_wait_ns\": %" PRIu64,
          seq, mode, chunk_rows, threads, wall_ns, io_wait_ns);
-  // Sampler join fields only when the pass was sampled (see append_node).
-  if (sample_period_ns > 0)
-    append(out,
-           ", \"sample_period_ns\": %" PRIu64 ", \"samples_cpu\": %" PRIu64
-           ", \"samples_io_wait\": %" PRIu64 ", \"samples_lock_wait\": %" PRIu64,
-           sample_period_ns, samples_cpu, samples_io_wait, samples_lock_wait);
   out += ", \"degrade\": [";
   for (std::size_t i = 0; i < degrade.size(); ++i) {
     if (i > 0) out += ", ";
@@ -183,7 +172,12 @@ namespace {
 /// materialization and build both renderings.
 void run_analysis(const std::vector<matrix_store::ptr>& targets, storage st,
                   std::string& json_out, std::string& dot_out) {
-  const bool was_on = profile_on();
+  // Restore the caller's setting on every exit: a pass that throws
+  // (overload, timeout, I/O) must not leave profiling on for the process.
+  struct restore_profiling {
+    bool was_on = profile_on();
+    ~restore_profiling() { set_profile_enabled(was_on); }
+  } restore;
   set_profile_enabled(true);
   const std::uint64_t seq0 = profile_pass_seq();
   // The plan must be captured before materialization collapses the DAG.
@@ -192,7 +186,6 @@ void run_analysis(const std::vector<matrix_store::ptr>& targets, storage st,
   const std::uint64_t t0 = now_ns();
   exec::materialize(targets, st);
   const std::uint64_t wall_ns = now_ns() - t0;
-  set_profile_enabled(was_on);
 
   std::vector<pass_profile> passes;
   for (pass_profile& p : profile_history())
@@ -221,8 +214,6 @@ void run_analysis(const std::vector<matrix_store::ptr>& targets, storage st,
       t.rows += n.rows;
       t.bytes += n.bytes;
       t.chunks += n.chunks;
-      t.samples += n.samples;
-      t.sampled_ns += n.sampled_ns;
     }
   }
 

@@ -13,9 +13,11 @@
 // materialize with profiling on, then emit plan + per-pass actuals +
 // per-node totals.
 //
+// This is the one place that decides what a DAG node's time is: the
+// sampling profiler (obs/sampler.h) names stacks, not nodes.
+//
 // Disabled (the default), the whole layer costs one relaxed load per
-// materialization plus one per instrumented site that is not already gated
-// by obs::metrics_on().
+// materialization; each instrumented exec site then tests a per-pass bool.
 #pragma once
 
 #include <atomic>
@@ -56,12 +58,6 @@ struct node_profile {
   std::uint64_t rows = 0;         ///< rows produced/consumed
   std::uint64_t bytes = 0;        ///< bytes produced (or read, for leaves)
   std::uint64_t chunks = 0;       ///< Pcache chunk evaluations
-  /// Sampling-profiler join (obs/sampler.h), present when the sampler ran
-  /// during the pass: on-CPU samples attributed to this node and their
-  /// time-equivalent (samples x sample period) — the measured kernel_ns
-  /// carries a sampled self-time cross-check.
-  std::uint64_t samples = 0;
-  std::uint64_t sampled_ns = 0;
 };
 
 /// One materialization pass, merged across workers.
@@ -77,11 +73,6 @@ struct pass_profile {
   /// empty when the pass ran at full configuration.
   std::vector<std::string> degrade;
   std::vector<node_profile> nodes;
-  /// Sampling-profiler join: 0 when the sampler was off for this pass.
-  std::uint64_t sample_period_ns = 0;
-  std::uint64_t samples_cpu = 0;
-  std::uint64_t samples_io_wait = 0;
-  std::uint64_t samples_lock_wait = 0;
 
   std::string to_json() const;
 };
@@ -127,7 +118,8 @@ void profile_clear();
 /// Materialize `targets` with profiling enabled and return
 /// {"plan": ..., "wall_ns": ..., "passes": [...], "totals": [...]}: the
 /// estimated plan next to measured per-node actuals, keyed by the same DFS
-/// node ids. Profiling is restored to its previous setting afterwards.
+/// node ids. Profiling is restored to its previous setting afterwards, also
+/// when the materialization throws.
 std::string explain_analyze_json(const std::vector<matrix_store::ptr>& targets,
                                  storage st = storage::in_mem);
 

@@ -13,9 +13,8 @@
 //     (timer_create + SIGEV_THREAD_ID), slot reuse so repeated thread-pool
 //     rebuilds across a long test run cannot exhaust the registry.
 //   * collector thread: drains every ring ~20x/s under the sampler mutex
-//     (rank 770) and folds records into (stack, state)- and
-//     (pass, node, state)-keyed aggregates plus a bounded trailing window
-//     for incident bundles.
+//     (rank 770) and folds records into (stack, state)-keyed aggregates
+//     plus a bounded trailing window for incident bundles.
 //   * export (normal context): symbolization (dladdr + __cxa_demangle,
 //     cached per pc) happens only here, far from any signal.
 #include "obs/sampler.h"
@@ -28,7 +27,6 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -41,6 +39,7 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/log.h"
 #include "common/thread_safety.h"
@@ -77,8 +76,6 @@ constexpr std::size_t kRecentMaxEntries = 1 << 16;
 /// One sample as written by the signal handler.
 struct samp_rec {
   std::uint64_t ts = 0;       ///< CLOCK_MONOTONIC ns
-  std::uint32_t pass = 0;     ///< sampler_new_pass() token; 0 = none
-  std::int32_t node = -1;     ///< executor plan-node id; -1 = none
   /// Timer periods this signal stands for: 1 + the expirations the kernel
   /// merged into it while it was pending (a descheduled or masked thread).
   std::uint32_t weight = 1;
@@ -134,9 +131,6 @@ struct sampler_state {
   /// Folded aggregates keyed by (state, track, raw pcs) packed into a
   /// string — parsed back never; the value carries the display fields.
   std::unordered_map<std::string, stack_agg> stacks GUARDED_BY(samp_mtx);
-  /// (pass, node) -> sample counts indexed by sample_state.
-  std::map<std::pair<std::uint32_t, std::int32_t>,
-           std::array<std::uint64_t, kSampleStates>> nodes GUARDED_BY(samp_mtx);
   std::deque<recent_ent> recent GUARDED_BY(samp_mtx);
   std::unordered_map<std::uintptr_t, std::string> symcache GUARDED_BY(samp_mtx);
   std::thread collector;
@@ -145,7 +139,6 @@ struct sampler_state {
   std::atomic<std::uint64_t> period_ns{0};
   std::atomic<std::uint64_t> samples_total{0};
   std::atomic<std::uint64_t> dropped_total{0};
-  std::atomic<std::uint32_t> pass_seq{0};
 };
 
 /// Leaked singleton: TLS detach guards run at arbitrary thread-exit times,
@@ -234,8 +227,6 @@ void samp_on_signal(int, siginfo_t* info, void* ucv) noexcept {
         ::clock_gettime(CLOCK_MONOTONIC, &ts);
         r.ts = static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
                static_cast<std::uint64_t>(ts.tv_nsec);
-        r.pass = detail::t_sample_ctx.pass.load(std::memory_order_relaxed);
-        r.node = detail::t_sample_ctx.node.load(std::memory_order_relaxed);
         r.state = detail::t_sample_ctx.state.load(std::memory_order_relaxed);
         const int overrun =
             info != nullptr && info->si_code == SI_TIMER ? info->si_overrun : 0;
@@ -299,8 +290,8 @@ bool arm_timer_locked(samp_thread& st, int hz) {
 }
 
 /// Fold one drained record into the aggregates with its weight, so the
-/// folded counts, the per-node counts and the total all count timer
-/// periods rather than delivered signals (sampler mutex held).
+/// folded counts and the total both count timer periods rather than
+/// delivered signals (sampler mutex held).
 void fold_locked(sampler_state& s, const char* track, const samp_rec& r) {
   std::string key;
   key.reserve(2 + sizeof(((samp_thread*)nullptr)->track) +
@@ -323,8 +314,6 @@ void fold_locked(sampler_state& s, const char* track, const samp_rec& r) {
          (s.recent.size() > kRecentMaxEntries ||
           s.recent.front().ts + kRecentRetainNs < r.ts))
     s.recent.pop_front();
-  auto& n = s.nodes[{r.pass, r.node}];
-  n[r.state < kSampleStates ? r.state : 0] += r.weight;
   s.samples_total.fetch_add(r.weight, std::memory_order_relaxed);
 }
 
@@ -545,7 +534,6 @@ void sampler_clear() {
     }
   }
   s.stacks.clear();
-  s.nodes.clear();
   s.recent.clear();  // holds pointers into stacks — cleared together
   s.samples_total.store(0, std::memory_order_relaxed);
   s.dropped_total.store(0, std::memory_order_relaxed);
@@ -557,36 +545,8 @@ sampler_counters sampler_stats() {
   c.samples = s.samples_total.load(std::memory_order_relaxed);
   c.dropped = s.dropped_total.load(std::memory_order_relaxed);
   c.hz = detail::g_sample_hz.load(std::memory_order_relaxed);
+  c.period_ns = s.period_ns.load(std::memory_order_relaxed);
   return c;
-}
-
-std::uint32_t sampler_new_pass() {
-  auto& s = S();
-  std::uint32_t p = s.pass_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (p == 0) p = s.pass_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-  return p;
-}
-
-std::vector<node_samples> sampler_pass_samples(std::uint32_t pass,
-                                               std::uint64_t* period_ns) {
-  auto& s = S();
-  mutex_lock lock(s.samp_mtx);
-  drain_all_locked(s);  // include samples taken milliseconds ago
-  if (period_ns != nullptr)
-    *period_ns = s.period_ns.load(std::memory_order_relaxed);
-  std::vector<node_samples> out;
-  for (const auto& [key, counts] : s.nodes) {
-    if (pass != 0 && key.first != pass) continue;
-    node_samples ns;
-    ns.pass = key.first;
-    ns.node = key.second;
-    ns.cpu = counts[0];
-    ns.io_wait = counts[1];
-    ns.lock_wait = counts[2];
-    ns.idle = counts[3];
-    out.push_back(ns);
-  }
-  return out;
 }
 
 /// Render folded aggregates. Distinct pc sets can symbolize to the same

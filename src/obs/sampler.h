@@ -7,11 +7,10 @@
 // SIGEV_THREAD_ID) that delivers SIGPROF at obs_sample_hz. The signal
 // handler — async-signal-safe under the analyzer's FLASHR_SIGNAL_SAFE
 // rules — walks the frame-pointer chain and records the raw pcs plus the
-// interrupted thread's sampling context (current pass id, DAG plan-node
-// id, and wait state, all thread-local relaxed atomics maintained by the
-// RAII scopes below) into a per-thread lock-free SPSC ring. A collector
-// thread drains the rings every ~50 ms and folds samples into
-// (stack, state)- and (pass, node, state)-keyed aggregates.
+// interrupted thread's wait state (a thread-local relaxed atomic
+// maintained by the RAII scopes below) into a per-thread lock-free SPSC
+// ring. A collector thread drains the rings every ~50 ms and folds samples
+// into (stack, state)-keyed aggregates.
 //
 // Off-CPU attribution: the executor and I/O layers wrap their existing
 // read-wait / throttle / lock-wait span sites in sample_wait_scope, so a
@@ -20,26 +19,28 @@
 // (sample_idle_scope) is keyed idle. Every profile therefore splits into
 // on-CPU / I/O-wait / lock-wait / idle with no post-hoc log joining.
 //
+// Samples carry no DAG node or pass: a node's time is the pass profile's
+// measured kernel_ns (obs/profile.h). The sampler names stacks.
+//
 // Export paths (all symbolization — dladdr + demangle — happens here, far
 // from the signal handler):
 //   * folded stacks, flamegraph.pl collapsed format:
 //     "track;state;outer;...;inner count" via folded_stacks() and
 //     write_folded() (FLASHR_SAMPLE=<path> writes them at exit);
-//   * per-(pass, node) sample counts, joined into explain_analyze() by the
-//     executor (node_profile.samples / sampled_ns);
-//   * flashr-prof-v1 history records via obs/prof_store.h, diffed by
-//     tools/bench_compare.py --attribute.
+//   * the trailing window of folded stacks in incident bundles
+//     (folded_recent());
+//   * flashr-prof-v1 history records via obs/prof_store.h, diffed stack by
+//     stack by tools/bench_compare.py --attribute.
 //
 // Cost when off: obs_sample_hz=0 (the default) arms no timers and every
-// scope below is a single relaxed load — pinned by the microops overhead
-// test like the flight recorder's.
+// wait scope below is a single relaxed load — pinned by the microops
+// overhead test like the flight recorder's.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace flashr::obs {
 
@@ -63,7 +64,6 @@ enum class sample_state : std::uint8_t {
   lock_wait = 2,
   idle = 3,
 };
-inline constexpr std::size_t kSampleStates = 4;
 
 inline constexpr const char* sample_state_name(sample_state s) {
   switch (s) {
@@ -77,63 +77,13 @@ inline constexpr const char* sample_state_name(sample_state s) {
 
 namespace detail {
 /// Per-thread sampling context read by the SIGPROF handler. The handler
-/// interrupts the same thread that writes these, so program order makes
-/// plain relaxed atomics sufficient (no cross-thread visibility needed).
+/// interrupts the same thread that writes it, so program order makes a
+/// plain relaxed atomic sufficient (no cross-thread visibility needed).
 struct sample_tls_ctx {
-  std::atomic<std::uint32_t> pass{0};  ///< sampler_new_pass() token; 0=none
-  std::atomic<std::int32_t> node{-1};  ///< executor plan-node id; -1=none
   std::atomic<std::uint8_t> state{0};  ///< sample_state
 };
 extern thread_local sample_tls_ctx t_sample_ctx;
 }  // namespace detail
-
-/// Tag samples on this thread with an executor plan-node id for the
-/// scope's lifetime (restores the previous id — kernels can nest within
-/// sink accumulation). node < 0 or sampler off: no-op beyond one load.
-class sample_node_scope {
- public:
-  explicit sample_node_scope(int node) {
-    if (!sampler_on() || node < 0) return;
-    auto& c = detail::t_sample_ctx;
-    prev_ = c.node.load(std::memory_order_relaxed);
-    c.node.store(node, std::memory_order_relaxed);
-    armed_ = true;
-  }
-  ~sample_node_scope() {
-    if (armed_)
-      detail::t_sample_ctx.node.store(prev_, std::memory_order_relaxed);
-  }
-  sample_node_scope(const sample_node_scope&) = delete;
-  sample_node_scope& operator=(const sample_node_scope&) = delete;
-
- private:
-  std::int32_t prev_ = -1;
-  bool armed_ = false;
-};
-
-/// Tag samples on this thread with a pass token (from sampler_new_pass())
-/// for the scope's lifetime. The executor opens one per worker per pass so
-/// record_profile() can pull exactly this pass's samples.
-class sample_pass_scope {
- public:
-  explicit sample_pass_scope(std::uint32_t pass) {
-    if (!sampler_on() || pass == 0) return;
-    auto& c = detail::t_sample_ctx;
-    prev_ = c.pass.load(std::memory_order_relaxed);
-    c.pass.store(pass, std::memory_order_relaxed);
-    armed_ = true;
-  }
-  ~sample_pass_scope() {
-    if (armed_)
-      detail::t_sample_ctx.pass.store(prev_, std::memory_order_relaxed);
-  }
-  sample_pass_scope(const sample_pass_scope&) = delete;
-  sample_pass_scope& operator=(const sample_pass_scope&) = delete;
-
- private:
-  std::uint32_t prev_ = 0;
-  bool armed_ = false;
-};
 
 /// Mark this thread as blocked (io_wait / lock_wait) for the scope's
 /// lifetime; samples landing inside are attributed off-CPU. Placed at the
@@ -211,28 +161,11 @@ struct sampler_counters {
   std::uint64_t samples = 0;
   std::uint64_t dropped = 0;  ///< ring-full drops (newest-dropped)
   std::uint32_t hz = 0;       ///< current rate, 0 when stopped
+  /// ns per sample at the last rate started (kept after stop); 0 if the
+  /// sampler never ran.
+  std::uint64_t period_ns = 0;
 };
 sampler_counters sampler_stats();
-
-/// Mint a pass token for tagging samples (wraps, never returns 0).
-std::uint32_t sampler_new_pass();
-
-/// Per-(pass, node) aggregate for the explain_analyze() join, in samples
-/// counted as sampler_counters::samples counts them.
-struct node_samples {
-  std::uint32_t pass = 0;
-  std::int32_t node = -1;       ///< executor plan id; -1 = unattributed
-  std::uint64_t cpu = 0;        ///< on-CPU samples
-  std::uint64_t io_wait = 0;
-  std::uint64_t lock_wait = 0;
-  std::uint64_t idle = 0;
-};
-
-/// Drain pending rings and return every aggregate for `pass` (all passes
-/// when pass == 0). Fills `period_ns` (ns per sample at the rate samples
-/// were taken) when non-null; 0 if the sampler never ran.
-std::vector<node_samples> sampler_pass_samples(std::uint32_t pass,
-                                               std::uint64_t* period_ns);
 
 /// All folded stacks collected so far, flamegraph.pl collapsed format:
 /// one "track;state;outer;...;inner count" line each, symbolized here.

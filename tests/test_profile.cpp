@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/error.h"
 #include "common/log.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
@@ -232,6 +233,21 @@ TEST(ProfileAnalyze, IdentityCastAliasesResidentLeaves) {
   convert(em, "EM -> EM");
   obs::set_profile_enabled(false);
   obs::profile_clear();
+}
+
+// A failed analysis leaves profiling as it found it: a pass that throws
+// (here the governor rejects it) must not leave every later pass paying for
+// the profile.
+TEST(ProfileAnalyze, FailedAnalysisRestoresProfiling) {
+  init(profile_options());
+  ASSERT_FALSE(obs::profile_on());
+  const dense_matrix x = dense_matrix::runif(20000, 4, 0, 1, 13);
+  mutable_conf().mem_budget_bytes = 1;
+  EXPECT_THROW((void)sum(x * 2.0).explain_analyze(), overload_error);
+  EXPECT_THROW((void)sum(x * 2.0).explain_analyze_dot(), overload_error);
+  EXPECT_FALSE(obs::profile_on());
+  mutable_conf().mem_budget_bytes = 0;
+  obs::set_profile_enabled(false);
 }
 
 TEST(ProfileHistory, RingIsBoundedAndOrdered) {
