@@ -54,8 +54,6 @@ struct options {
   /// Target bytes per matrix for one Pcache partition; determines how many
   /// rows of an I/O partition are materialized at a time under cache_fuse.
   std::size_t pcache_bytes = 64 * 1024;
-  /// Size of the fixed memory chunks backing in-memory matrices (§3.2.1).
-  std::size_t mem_chunk_bytes = std::size_t{4} << 20;
   /// Directory holding SAFS backing files.
   std::string em_dir = "/tmp/flashr_em";
   /// Number of backing files an EM matrix is striped over ("SSD array").
@@ -69,20 +67,17 @@ struct options {
   double io_throttle_mbps = 0.0;
   /// Execution mode for DAG materialization.
   exec_mode mode = exec_mode::cache_fuse;
-  /// Simulated NUMA nodes for placement accounting (1 = UMA).
-  int numa_nodes = 1;
   /// Matrices with at most this many rows are evaluated eagerly with serial
   /// kernels instead of joining a DAG (cluster centers, sink results, ...).
   std::size_t small_nrow_threshold = 4096;
   /// I/O partitions handed to a worker per dispatch at the start of a pass
   /// (§3.3: contiguous partitions read in a single asynchronous I/O).
   int dispatch_batch = 4;
-  /// Read-ahead window of the shared prefetch pipeline (core/
+  /// Read-ahead window of the pass's prefetch pipeline (core/
   /// prefetch_pipeline.h): partitions with reads in flight or completed and
   /// waiting for a worker. -1 = auto (2 * io_threads * dispatch_batch);
   /// 0 = no read-ahead (workers issue reads synchronously — the ablation
-  /// baseline of bench_pipeline). With simulated NUMA, each node gets its
-  /// own window of this depth.
+  /// baseline of bench_pipeline).
   int prefetch_depth = -1;
   /// Bounded write-behind: submit of an asynchronous partition write blocks
   /// while this many bytes of write data are queued or in flight, so a
@@ -158,9 +153,9 @@ struct options {
   /// enabled by a non-empty, non-"0" FLASHR_TRACE environment variable at
   /// init(); off costs one relaxed load per instrumentation site.
   bool obs_trace = false;
-  /// Record the extended obs histograms (read latency, partition service
-  /// time, kernel time per GenOp, window occupancy) into the metrics
-  /// registry (obs/metrics.h). Legacy io_stats/pass_stats always accumulate.
+  /// Record the extended obs histograms (read and write latency, write
+  /// throttle stalls, prefetch window occupancy) into the metrics registry
+  /// (obs/metrics.h). Legacy io_stats/pass_stats always accumulate.
   bool obs_metrics = false;
   /// Trace ring capacity per thread, in events (32 bytes each); must be a
   /// power of two. When a ring fills, the oldest events are overwritten and
@@ -188,9 +183,9 @@ struct options {
   int obs_flight_secs = 30;
   /// Continuous sampling profiler (obs/sampler.h): per-thread SIGPROF
   /// timers at this frequency capture frame-pointer stacks plus the
-  /// current pass/DAG-node context into lock-free rings; a collector
-  /// folds them into flamegraph-ready aggregates. 0 (default) = off —
-  /// every instrumentation site then costs one relaxed load. Also set by
+  /// thread's wait state into lock-free rings; a collector folds them into
+  /// flamegraph-ready aggregates. 0 (default) = off — every
+  /// instrumentation site then costs one relaxed load. Also set by
   /// FLASHR_SAMPLE (=1 for the default 97 Hz, =<hz> for a specific rate,
   /// =<path> to additionally write folded stacks there at exit).
   int obs_sample_hz = 0;
@@ -198,15 +193,11 @@ struct options {
   /// collapsed format) here at process exit. FLASHR_SAMPLE=<path> sets
   /// this too.
   std::string obs_sample_path;
-  /// Export histograms from to_prometheus() as native Prometheus `histogram`
-  /// families with cumulative _bucket{le="..."} samples (power-of-two
-  /// boundaries) instead of the default `summary` quantiles.
-  bool obs_prom_buckets = false;
   /// When non-empty, append one flashr-prof-v1 profile-history record
-  /// (sampler aggregates: per-node sample counts + folded stacks) here at
-  /// process exit, retention-bounded like incident bundles. Also set by
-  /// FLASHR_PROF_DIR. tools/bench_compare.py --attribute diffs two records
-  /// to name the DAG node and stack that regressed.
+  /// (the sampler's folded stacks) here at process exit, if the sampler
+  /// folded any samples; retention-bounded like incident bundles. Also set
+  /// by FLASHR_PROF_DIR. tools/bench_compare.py --attribute diffs two
+  /// records to name the stack that regressed.
   std::string obs_prof_dir;
   /// Profile-history records retained in obs_prof_dir; oldest pruned.
   int obs_prof_keep = 32;

@@ -25,13 +25,11 @@
 #include "matrix/em_store.h"
 #include "matrix/generated_store.h"
 #include "matrix/mem_store.h"
-#include "mem/numa.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "parallel/scheduler.h"
 #include "parallel/thread_pool.h"
 
 namespace flashr::exec {
@@ -343,8 +341,8 @@ struct pass_ctl {
 /// Ids for error payloads and the active-pass table.
 std::atomic<std::uint64_t> g_pass_id{0};
 
-/// The conf()-derived prefetch depth (the formula of build_pipelines,
-/// before any NUMA split) — the top rung of the degradation ladder.
+/// The conf()-derived prefetch depth (the formula of build_pipeline) — the
+/// top rung of the degradation ladder.
 long default_prefetch_depth() {
   return conf().prefetch_depth < 0
              ? 2 * static_cast<long>(conf().io_threads) *
@@ -483,17 +481,15 @@ class pass_runner {
   }
 
   /// Worker dispatch loop (body of the pass; runs on every pool thread):
-  /// drain the home pipeline's completed partitions, then steal from other
-  /// nodes' pipelines.
+  /// claim the pipeline's completed partitions until it runs dry.
   void pipeline_worker(thread_ctx& ctx);
   void submit_sink_partials(thread_ctx& ctx);
-  /// Build the prefetch pipelines (one, or one per NUMA node) and start
-  /// their read-ahead.
-  void build_pipelines();
-  /// Settle every pipeline and destroy them, folding their counters into
-  /// the pass statistics; after this the window buffers are back in the
-  /// pool. Safe to call on both the success and the cancellation path.
-  void teardown_pipelines() noexcept;
+  /// Build the pass's prefetch pipeline and start its read-ahead.
+  void build_pipeline();
+  /// Settle the pipeline and destroy it, folding its counters into the
+  /// pass statistics; after this the window buffers are back in the pool.
+  /// Safe to call on both the success and the cancellation path.
+  void teardown_pipeline() noexcept;
 
   // --- Per-node profiling (obs/profile.h) ---------------------------------
   /// Field layout of one profiling slot's accumulators.
@@ -558,14 +554,10 @@ class pass_runner {
   std::vector<std::uint8_t> prof_leaf_;
   std::vector<std::atomic<std::uint64_t>> prof_acc_;
   std::uint64_t prof_t0_ = 0;
-  /// Partition sources feeding the pipelines. Declared BEFORE pipelines_ so
-  /// the pipelines (whose refill lambdas capture them) are destroyed first.
-  std::optional<part_scheduler> part_sched_;
-  std::optional<numa_scheduler> numa_sched_;
-  /// Prefetch pipelines: one shared, or one per simulated NUMA node.
-  /// Built before workers start, read-only during the pass (each pipeline
-  /// is internally synchronized), destroyed by teardown_pipelines().
-  std::vector<std::unique_ptr<prefetch_pipeline>> pipelines_;
+  /// The pass's prefetch pipeline. Built before workers start, read-only
+  /// during the pass (it is internally synchronized), destroyed by
+  /// teardown_pipeline().
+  std::optional<prefetch_pipeline> pipeline_;
 };
 
 /// Accumulates pipeline/pass counters across the passes of one
@@ -627,12 +619,6 @@ void active_pass_note_wait(std::uint64_t pass_id) {
   mutex_lock lock(g_stats_mutex);
   for (active_pass& p : g_active)
     if (p.pass_id == pass_id) ++p.admission_waits;
-}
-
-obs::histogram& partition_service_hist() {
-  static obs::histogram& h = obs::metrics_registry::global().get_histogram(
-      "pass.partition_service_us");
-  return h;
 }
 
 /// Expose every pass_stats field through the metrics registry as probes:
@@ -803,105 +789,71 @@ void pass_runner::fail(std::exception_ptr e) noexcept {
     (void)node;
     chain.cancel();
   }
-  // Wake workers parked in pop(); pipelines stop refilling, in-flight reads
-  // settle in teardown_pipelines().
-  for (auto& pl : pipelines_)
-    if (pl) pl->cancel();
+  // Wake workers parked in pop(); the pipeline stops refilling, in-flight
+  // reads settle in teardown_pipeline().
+  if (pipeline_) pipeline_->cancel();
 }
 
-void pass_runner::build_pipelines() {
-  const std::size_t num_parts = dag_.space.num_parts();
-  thread_pool& pool = thread_pool::global();
-  // Cumulative ops need strictly increasing partition dispatch: under
-  // completion-order claims, every worker could end up holding a partition
-  // later than an unclaimed one and block on its carry — so cum DAGs run
-  // one sequential pipeline (reads still overlap; only claims are ordered).
-  const bool sequential = dag_.has_cum;
-  const int nodes =
-      (conf().numa_nodes > 1 && !sequential) ? conf().numa_nodes : 1;
+void pass_runner::build_pipeline() {
   // Read-ahead across the whole pass: enough in-flight partitions to keep
   // every I/O thread busy through a full dispatch batch per worker refill —
   // unless the governor's degradation ladder pinned a smaller window.
-  std::size_t depth = static_cast<std::size_t>(
+  const std::size_t depth = static_cast<std::size_t>(
       cfg_.prefetch_depth >= 0 ? cfg_.prefetch_depth
                                : default_prefetch_depth());
-  // NUMA: per-node windows share the global read-ahead budget.
-  if (nodes > 1 && depth > 0)
-    depth = std::max<std::size_t>(1, depth / static_cast<std::size_t>(nodes));
-
-  if (nodes > 1) {
-    numa_sched_.emplace(num_parts, nodes);
-    for (int n = 0; n < nodes; ++n)
-      pipelines_.push_back(std::make_unique<prefetch_pipeline>(
-          dag_.em_leaves,
-          [this, n](std::size_t& p) { return numa_sched_->fetch_local(n, p); },
-          depth, /*sequential=*/false));
-  } else {
-    part_sched_.emplace(num_parts, pool.size(), conf().dispatch_batch);
-    pipelines_.push_back(std::make_unique<prefetch_pipeline>(
-        dag_.em_leaves,
-        [this](std::size_t& p) { return part_sched_->fetch_one(p); }, depth,
-        sequential));
-  }
+  // Cumulative ops need strictly increasing partition dispatch: under
+  // completion-order claims, every worker could end up holding a partition
+  // later than an unclaimed one and block on its carry — so cum DAGs claim
+  // in partition order (reads still overlap; only claims are ordered).
+  pipeline_.emplace(dag_.em_leaves, dag_.space.num_parts(), depth,
+                    /*sequential=*/dag_.has_cum);
 }
 
-void pass_runner::teardown_pipelines() noexcept {
-  for (auto& pl : pipelines_) {
-    if (!pl) continue;
-    pl->settle();
-    const prefetch_pipeline::stats s = pl->pipeline_stats();
-    g_stats_acc.read_wait_ns += s.read_wait_ns;
-    g_stats_acc.occupancy_sum += s.occupancy_sum;
-    g_stats_acc.pops += s.pops;
-    g_stats_acc.reads_issued += s.reads_issued;
-  }
+void pass_runner::teardown_pipeline() noexcept {
+  if (!pipeline_) return;
+  pipeline_->settle();
+  const prefetch_pipeline::stats s = pipeline_->pipeline_stats();
+  g_stats_acc.read_wait_ns += s.read_wait_ns;
+  g_stats_acc.occupancy_sum += s.occupancy_sum;
+  g_stats_acc.pops += s.pops;
+  g_stats_acc.reads_issued += s.reads_issued;
   // Destruction releases completed-but-unclaimed window buffers; with all
   // reads settled nothing can still write into them.
-  pipelines_.clear();
+  pipeline_.reset();
 }
 
 void pass_runner::pipeline_worker(thread_ctx& ctx) {
-  const int nodes = static_cast<int>(pipelines_.size());
-  const int home = ctx.thread_idx % nodes;
-  // Drain the home node's pipeline first, then steal from the others
-  // (§3.3); with one pipeline this is plain shared dispatch.
-  for (int probe = 0; probe < nodes; ++probe) {
-    prefetch_pipeline& pl = *pipelines_[(home + probe) % nodes];
-    prefetch_pipeline::slot s;
-    for (;;) {
-      if (cancelled()) break;
-      const std::uint64_t w0 = prof_ ? now_ns() : 0;
-      bool got;
-      {
-        // Blocked in pop() == waiting for prefetched reads: the sampler
-        // keys samples landing here io_wait.
-        obs::sample_wait_scope io_scope(obs::sample_state::io_wait);
-        got = pl.pop(s);
-      }
-      if (!got) break;
-      if (prof_ && !s.bufs.empty()) {
-        // Attribute the blocked-in-pop() time evenly across the partition's
-        // EM leaves; bytes/rows are exact per leaf.
-        const std::uint64_t share = (now_ns() - w0) / s.bufs.size();
-        const std::size_t prows = dag_.space.rows_in_part(s.part);
-        for (const auto& [leaf, buf] : s.bufs) {
-          const int slot = dag_.id_of(leaf);
-          prof_add(ctx, slot, pf_io, share);
-          prof_add(ctx, slot, pf_parts, 1);
-          prof_add(ctx, slot, pf_rows, prows);
-          prof_add(ctx, slot, pf_bytes, buf.size());
-        }
-      }
-      ctx.em_bufs = std::move(s.bufs);
-      numa_tracker::global().record_access(
-          s.part, ctx.thread_idx % conf().numa_nodes, conf().numa_nodes);
-      ctx.part = s.part;
-      ctx.part_row0 = dag_.space.part_row_begin(s.part);
-      ctx.part_rows = dag_.space.rows_in_part(s.part);
-      process_partition(ctx);
-      ctx.em_bufs.clear();
-      submit_sink_partials(ctx);
+  prefetch_pipeline::slot s;
+  while (!cancelled()) {
+    const std::uint64_t w0 = prof_ ? now_ns() : 0;
+    bool got;
+    {
+      // Blocked in pop() == waiting for prefetched reads: the sampler keys
+      // samples landing here io_wait.
+      obs::sample_wait_scope io_scope(obs::sample_state::io_wait);
+      got = pipeline_->pop(s);
     }
+    if (!got) break;
+    if (prof_ && !s.bufs.empty()) {
+      // Attribute the blocked-in-pop() time evenly across the partition's
+      // EM leaves; bytes/rows are exact per leaf.
+      const std::uint64_t share = (now_ns() - w0) / s.bufs.size();
+      const std::size_t prows = dag_.space.rows_in_part(s.part);
+      for (const auto& [leaf, buf] : s.bufs) {
+        const int slot = dag_.id_of(leaf);
+        prof_add(ctx, slot, pf_io, share);
+        prof_add(ctx, slot, pf_parts, 1);
+        prof_add(ctx, slot, pf_rows, prows);
+        prof_add(ctx, slot, pf_bytes, buf.size());
+      }
+    }
+    ctx.em_bufs = std::move(s.bufs);
+    ctx.part = s.part;
+    ctx.part_row0 = dag_.space.part_row_begin(s.part);
+    ctx.part_rows = dag_.space.rows_in_part(s.part);
+    process_partition(ctx);
+    ctx.em_bufs.clear();
+    submit_sink_partials(ctx);
   }
 }
 
@@ -909,16 +861,15 @@ void pass_runner::run() {
   OBS_SPAN_ARG("pass", dag_.order.size());
   if (prof_) prof_t0_ = now_ns();
   thread_pool& pool = thread_pool::global();
-  build_pipelines();
+  build_pipeline();
   ++g_stats_acc.passes;
-  if (pipelines_.size() == 1 && pipelines_[0]->sequential())
-    ++g_stats_acc.sequential_passes;
+  if (pipeline_->sequential()) ++g_stats_acc.sequential_passes;
 
-  // Supervise the pass: pipelines_ is read-only from here until teardown,
-  // so the watchdog's probe can walk it lock-free; fail() is the same
+  // Supervise the pass: pipeline_ is read-only from here until teardown,
+  // so the watchdog's probe can read it lock-free; fail() is the same
   // cooperative cancellation any worker error takes, so a trip drains and
   // audits exactly like an I/O failure. The watch ends before
-  // teardown_pipelines() — settle() must wait out an injected stall anyway
+  // teardown_pipeline() — settle() must wait out an injected stall anyway
   // (zero-leak: the read still owns its buffer until the completion lands).
   std::uint64_t wtoken = 0;
   if (ctl_ != nullptr) {
@@ -927,15 +878,9 @@ void pass_runner::run() {
         ctl_->pass_id, ctl_->deadline_ns, ctl_->deadline_ms, stall_ns,
         ctl_->stall_ms,
         [this] {
-          pass_watchdog::io_progress p;
-          for (const auto& pl : pipelines_) {
-            if (!pl) continue;
-            const prefetch_pipeline::io_progress q = pl->progress();
-            p.inflight += q.inflight_reads;
-            p.last_completion_ns =
-                std::max(p.last_completion_ns, q.last_completion_ns);
-          }
-          return p;
+          const prefetch_pipeline::io_progress q = pipeline_->progress();
+          return pass_watchdog::io_progress{q.inflight_reads,
+                                            q.last_completion_ns};
         },
         [this](std::exception_ptr e) { fail(e); });
   }
@@ -963,7 +908,7 @@ void pass_runner::run() {
     } catch (const pass_cancelled&) {
       // A peer recorded the pass error; this worker unwound cooperatively.
     } catch (const pipeline_cancelled&) {
-      // Likewise: fail() cancelled the pipelines while this worker was
+      // Likewise: fail() cancelled the pipeline while this worker was
       // blocked in (or about to call) pop().
     } catch (...) {
       fail(std::current_exception());
@@ -985,14 +930,14 @@ void pass_runner::run() {
   });
 
   // All workers joined. End supervision BEFORE teardown destroys the
-  // pipelines the watchdog's probe reads; unwatch() returns only once no
+  // pipeline the watchdog's probe reads; unwatch() returns only once no
   // callback can still be running.
   if (wtoken != 0) pass_watchdog::global().unwatch(wtoken);
 
-  // Settle in-flight window reads and destroy the pipelines on BOTH paths,
+  // Settle in-flight window reads and destroy the pipeline on BOTH paths,
   // so the pool audits below see every read-ahead buffer home regardless of
   // how the pass ended.
-  teardown_pipelines();
+  teardown_pipeline();
 
   if (cancelled()) {
     // Writes submitted before the failure still hold pool buffers; wait for
@@ -1032,7 +977,6 @@ void pass_runner::run() {
 
 void pass_runner::process_partition(thread_ctx& ctx) {
   OBS_SPAN_ARG("partition", ctx.part);
-  const std::uint64_t svc0 = obs::metrics_on() ? now_ns() : 0;
   // A peer may have failed while this worker was between partitions; bail
   // before fetching carries so we never block on a cancelled cum chain.
   if (cancelled()) throw pass_cancelled{};
@@ -1087,7 +1031,6 @@ void pass_runner::process_partition(thread_ctx& ctx) {
   FLASHR_DCHECK(std::none_of(ctx.out_stage.begin(), ctx.out_stage.end(),
                              [](const pool_buffer& b) { return b.valid(); }),
                 "staged output buffer survived its partition");
-  if (svc0 != 0) partition_service_hist().record((now_ns() - svc0) / 1000);
 }
 
 void pass_runner::bind_partition_leaves(thread_ctx& ctx) {

@@ -18,10 +18,10 @@ obs::histogram& occupancy_hist() {
 }  // namespace
 
 prefetch_pipeline::prefetch_pipeline(std::vector<const em_readable*> leaves,
-                                     part_source source, std::size_t depth,
+                                     std::size_t num_parts, std::size_t depth,
                                      bool sequential)
     : leaves_(std::move(leaves)),
-      source_(std::move(source)),
+      num_parts_(num_parts),
       depth_(depth),
       sequential_(sequential),
       st_(std::make_shared<pf_state>()) {
@@ -38,13 +38,9 @@ prefetch_pipeline::~prefetch_pipeline() {
 }
 
 void prefetch_pipeline::refill(pf_state& s) {
-  while (!s.cancelled && !s.source_done && s.window.size() < depth_) {
-    std::size_t part = 0;
-    if (!source_(part)) {
-      s.source_done = true;
-      s.cv.notify_all();
-      break;
-    }
+  while (!s.cancelled && s.next_part < num_parts_ &&
+         s.window.size() < depth_) {
+    const std::size_t part = s.next_part++;
     auto fl = std::make_shared<pf_inflight>();
     fl->part = part;
     fl->remaining = leaves_.size();
@@ -148,7 +144,7 @@ bool prefetch_pipeline::pop(slot& out) {
       out.bufs = std::move(claimed->bufs);
       return true;
     }
-    if (s.window.empty() && s.source_done) {
+    if (s.window.empty() && s.next_part == num_parts_) {
       s.st.read_wait_ns += waited_ns;
       return false;
     }
@@ -176,11 +172,8 @@ bool prefetch_pipeline::pop_sync(slot& out) {
   {
     mutex_lock lock(s.win_mtx);
     if (s.cancelled) throw pipeline_cancelled{};
-    if (s.source_done) return false;
-    if (!source_(part)) {
-      s.source_done = true;
-      return false;
-    }
+    if (s.next_part == num_parts_) return false;
+    part = s.next_part++;
     s.st.reads_issued += leaves_.size();
     s.outstanding_reads += leaves_.size();
     ++s.st.pops;

@@ -2,11 +2,10 @@
 //
 // The paper's core performance claim is that SSD-backed execution approaches
 // in-memory speed because asynchronous I/O fully overlaps with compute. This
-// module is that overlap: one pipeline per pass (or per NUMA node) keeps a
-// window of `depth` partition reads in flight across the WHOLE pass, pulling
-// partition ids from a scheduler source and issuing completion-notified reads
-// for every external-memory leaf of the DAG. Workers pop *completed*
-// partitions:
+// module is that overlap: one pipeline per pass keeps a window of `depth`
+// partition reads in flight across the WHOLE pass, handing out partition ids
+// 0, 1, 2, ... from its own cursor and issuing completion-notified reads for
+// every external-memory leaf of the DAG. Workers pop *completed* partitions:
 //
 //  * completion-order mode (default): pop() returns whichever windowed
 //    partition finished first, so one slow read never stalls a worker while
@@ -34,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -51,11 +49,6 @@ struct pipeline_cancelled {};
 
 class prefetch_pipeline {
  public:
-  /// Pulls the next partition id to prefetch; returns false when the
-  /// schedule is exhausted. Called under the pipeline lock, so sources may
-  /// be plain scheduler wrappers.
-  using part_source = std::function<bool(std::size_t&)>;
-
   /// A completed partition handed to a worker: the partition id and one
   /// filled read buffer per EM leaf (empty when the DAG has no EM leaves).
   struct slot {
@@ -71,12 +64,13 @@ class prefetch_pipeline {
     std::size_t reads_issued = 0;      ///< async partition reads submitted
   };
 
-  /// `depth` is the maximum number of partitions with reads in flight or
+  /// Partitions [0, num_parts) are handed out in increasing order. `depth`
+  /// is the maximum number of partitions with reads in flight or
   /// completed-but-unclaimed; 0 selects the synchronous (no read-ahead)
-  /// path. `sequential` forces dispatch in source order. Reads for the
-  /// first `depth` partitions are issued before the constructor returns.
+  /// path. `sequential` forces claims in that order. Reads for the first
+  /// `depth` partitions are issued before the constructor returns.
   prefetch_pipeline(std::vector<const em_readable*> leaves,
-                    part_source source, std::size_t depth, bool sequential);
+                    std::size_t num_parts, std::size_t depth, bool sequential);
   /// Cancels and settles; afterwards every window buffer is back in the
   /// pool.
   ~prefetch_pipeline();
@@ -84,9 +78,9 @@ class prefetch_pipeline {
   prefetch_pipeline& operator=(const prefetch_pipeline&) = delete;
 
   /// Block until a completed partition is available and claim it. Returns
-  /// false when the source is exhausted and the window drained; throws
-  /// pipeline_cancelled after cancel(), and rethrows a partition's read
-  /// error to the claiming worker. The caller runs queued I/O requests
+  /// false when every partition was handed out and the window drained;
+  /// throws pipeline_cancelled after cancel(), and rethrows a partition's
+  /// read error to the claiming worker. The caller runs queued I/O requests
   /// itself (async_io::help_one) before it claims while more writes than
   /// `depth` wait, and before it sleeps with nothing claimable, so it must
   /// hold no ranked lock.
@@ -129,11 +123,12 @@ class prefetch_pipeline {
   struct pf_state {
     mutable mutex win_mtx LOCK_RANK(prefetch_window);
     cond_var cv;
-    /// Window in dispatch (source) order; completed slots may sit behind
+    /// Window in dispatch (partition) order; completed slots may sit behind
     /// still-reading ones in completion-order mode.
     std::deque<std::shared_ptr<pf_inflight>> window GUARDED_BY(win_mtx);
     bool cancelled GUARDED_BY(win_mtx) = false;
-    bool source_done GUARDED_BY(win_mtx) = false;
+    /// The next partition to hand out; num_parts_ once all were.
+    std::size_t next_part GUARDED_BY(win_mtx) = 0;
     /// Leaf reads submitted and not yet notified; settle() waits on this.
     std::size_t outstanding_reads GUARDED_BY(win_mtx) = 0;
     stats st GUARDED_BY(win_mtx);
@@ -142,8 +137,8 @@ class prefetch_pipeline {
     std::atomic<std::uint64_t> last_completion_ns{0};
   };
 
-  /// Issue reads until the window holds `depth_` partitions or the source
-  /// runs dry.
+  /// Issue reads until the window holds `depth_` partitions or every
+  /// partition was handed out.
   void refill(pf_state& s) REQUIRES(s.win_mtx);
   bool pop_sync(slot& out);
   /// Async-I/O completion for one leaf read of one windowed partition.
@@ -157,7 +152,7 @@ class prefetch_pipeline {
                                     std::exception_ptr err) FLASHR_NONBLOCKING;
 
   std::vector<const em_readable*> leaves_;
-  part_source source_;
+  const std::size_t num_parts_;
   const std::size_t depth_;
   const bool sequential_;
   std::shared_ptr<pf_state> st_;

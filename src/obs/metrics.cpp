@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.h"
 #include "common/json.h"
 
 namespace flashr::obs {
@@ -221,7 +220,6 @@ void append_prom_scalar(std::string& out, const std::string& raw_name,
 }  // namespace
 
 std::string metrics_registry::to_prometheus() const {
-  const bool native_buckets = conf().obs_prom_buckets;
   std::string out;
   std::vector<std::pair<std::string, std::function<std::uint64_t()>>> probes;
   {
@@ -234,37 +232,6 @@ std::string metrics_registry::to_prometheus() const {
       const std::string pname = prom_name(name);
       out += "# HELP " + pname + " flashr histogram ";
       append_help_escaped(out, name);
-      if (native_buckets) {
-        // Native histogram exposition: cumulative power-of-two buckets.
-        // Internal bucket i holds values with bit_width i, so its inclusive
-        // upper bound is 2^i - 1 — that becomes the `le` label. Only
-        // buckets up to the highest non-empty one are emitted; +Inf closes
-        // the series and must equal _count.
-        out += "\n# TYPE " + pname + " histogram\n";
-        std::uint64_t counts[histogram::kBuckets];
-        int hi = -1;
-        for (int i = 0; i < histogram::kBuckets; ++i) {
-          counts[i] = h->bucket_count(i);
-          if (counts[i] != 0) hi = i;
-        }
-        std::uint64_t cum = 0;
-        for (int i = 0; i <= hi; ++i) {
-          cum += counts[i];
-          const std::uint64_t le =
-              i >= 64 ? ~0ULL : (std::uint64_t{1} << i) - 1;
-          out += pname + "_bucket{le=\"" + u64_str(le) + "\"} " +
-                 u64_str(cum) + "\n";
-        }
-        // record() bumps the bucket and count_ with separate relaxed ops,
-        // so under concurrent recording the two can be momentarily skewed;
-        // clamp so +Inf (== _count) never drops below the last bucket.
-        std::uint64_t total = h->count();
-        if (total < cum) total = cum;
-        out += pname + "_bucket{le=\"+Inf\"} " + u64_str(total) + "\n";
-        out += pname + "_sum " + u64_str(h->sum()) + "\n";
-        out += pname + "_count " + u64_str(total) + "\n";
-        continue;
-      }
       out += "\n# TYPE " + pname + " summary\n";
       char buf[64];
       const double qs[] = {0.5, 0.95, 0.99};

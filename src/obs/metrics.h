@@ -88,13 +88,6 @@ class histogram {
   /// containing power-of-two bucket. 0 when empty.
   double percentile(double p) const;
 
-  /// Raw count of internal bucket `i` (values with bit_width i, i.e. the
-  /// inclusive range [2^(i-1), 2^i - 1]); the native Prometheus histogram
-  /// export (obs_prom_buckets) reads these.
-  std::uint64_t bucket_count(int i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-
   void reset();
 
  private:

@@ -84,6 +84,11 @@ std::string prof_store_append(const char* label) {
   mutex_lock lock(g_prof_mtx);  // rank 760 < sampler 770: composition may drain
   if (g_dir.empty()) return "";
   const std::string body = prof_record_json(label) + "\n";
+  // Composing drained the sampler's rings. A record without samples
+  // attributes nothing (bench_compare.py --attribute rejects it) and would
+  // push a useful one out of retention.
+  const sampler_counters c = sampler_stats();
+  if (c.period_ns == 0 || c.samples == 0) return "";
 
   char name[48];
   std::snprintf(name, sizeof(name), "prof-%020llu.json",

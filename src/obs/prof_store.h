@@ -13,8 +13,9 @@
 // --attribute diffs two records and names which stack regressed, not just
 // which benchmark. A DAG node's time is the pass profile's measured
 // kernel_ns (obs/profile.h), not a sample count. When armed (obs_prof_dir /
-// FLASHR_PROF_DIR), one record is appended automatically at process exit;
-// the records are plain files, read from the directory.
+// FLASHR_PROF_DIR), one record is appended automatically at process exit
+// if the sampler folded samples; the records are plain files, read from the
+// directory.
 #pragma once
 
 #include <string>
@@ -37,7 +38,8 @@ bool prof_store_armed();
 std::string prof_record_json(const char* label);
 
 /// Compose and write one record into the armed directory. Returns the
-/// record filename, or "" when disarmed or on write failure.
+/// record filename, or "" (writing nothing) when disarmed, when the
+/// sampler has folded no samples, or on write failure.
 std::string prof_store_append(const char* label);
 
 }  // namespace flashr::obs

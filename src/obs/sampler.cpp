@@ -354,14 +354,19 @@ void collector_main() {
 
 /// Best symbol for `pc`, cached (sampler mutex held). Demangled names are
 /// stripped of their argument list and return type and squeezed into one
-/// folded-format token (no spaces or semicolons).
+/// folded-format token (no spaces or semicolons). A pc in a known object
+/// but under no exported symbol (internal linkage) renders as
+/// `<object basename>+0x<offset from its load base>`: unlike the absolute
+/// address, that does not move with ASLR, so runs compare and
+/// `addr2line -e <object>` resolves it offline. Raw hex is left for pcs
+/// dladdr cannot place at all.
 const std::string& sym_locked(sampler_state& s, std::uintptr_t pc) {
   auto it = s.symcache.find(pc);
   if (it != s.symcache.end()) return it->second;
   std::string name;
   Dl_info info;
-  if (::dladdr(reinterpret_cast<void*>(pc), &info) != 0 &&
-      info.dli_sname != nullptr) {
+  const bool placed = ::dladdr(reinterpret_cast<void*>(pc), &info) != 0;
+  if (placed && info.dli_sname != nullptr) {
     int status = 0;
     char* dem =
         abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
@@ -375,14 +380,23 @@ const std::string& sym_locked(sampler_state& s, std::uintptr_t pc) {
     if (sp != std::string::npos && sp + 1 < name.size() &&
         name.find('<') > sp)
       name.erase(0, sp + 1);
-    for (char& c : name)
-      if (c == ' ' || c == ';' || c == '\t') c = '_';
     if (name.empty()) name = "?";
+  } else if (placed && info.dli_fname != nullptr &&
+             info.dli_fname[0] != '\0') {
+    const char* slash = std::strrchr(info.dli_fname, '/');
+    name = slash != nullptr ? slash + 1 : info.dli_fname;
+    char off[24];
+    std::snprintf(off, sizeof(off), "+0x%zx",
+                  static_cast<std::size_t>(
+                      pc - reinterpret_cast<std::uintptr_t>(info.dli_fbase)));
+    name += off;
   } else {
     char buf[24];
     std::snprintf(buf, sizeof(buf), "0x%zx", static_cast<std::size_t>(pc));
     name = buf;
   }
+  for (char& c : name)
+    if (c == ' ' || c == ';' || c == '\t') c = '_';
   return s.symcache.emplace(pc, std::move(name)).first->second;
 }
 

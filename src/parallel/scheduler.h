@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <vector>
 
 namespace flashr {
 
@@ -49,81 +48,11 @@ class part_scheduler {
     }
   }
 
-  /// Fetch one partition. This is the prefetch pipeline's source: the
-  /// pipeline's read-ahead window supplies the I/O coalescing that fetch()'s
-  /// contiguous ranges used to, so single-partition claims lose nothing.
-  bool fetch_one(std::size_t& part) {
-    std::size_t cur = next_.load(std::memory_order_relaxed);
-    while (cur < num_parts_) {
-      if (next_.compare_exchange_weak(cur, cur + 1,
-                                      std::memory_order_relaxed)) {
-        part = cur;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::size_t num_parts() const { return num_parts_; }
-
  private:
   const std::size_t num_parts_;
   const int num_threads_;
   const int initial_batch_;
   std::atomic<std::size_t> next_{0};
-};
-
-/// NUMA-aware variant (§3.3: "FlashR assigns partitions i of all matrices to
-/// the same NUMA node to reduce remote memory access"): partitions are split
-/// into per-node sequential queues (partition i belongs to node i % nodes);
-/// a worker drains its home node's queue first and only then steals from
-/// other nodes, so accesses stay node-local until the tail of the pass.
-class numa_scheduler {
- public:
-  numa_scheduler(std::size_t num_parts, int num_nodes)
-      : num_parts_(num_parts),
-        num_nodes_(num_nodes < 1 ? 1 : num_nodes),
-        next_(static_cast<std::size_t>(num_nodes_)) {
-    for (auto& n : next_) n.store(0);
-  }
-
-  /// Fetch the next partition from exactly `node`'s queue (no stealing).
-  /// The per-node prefetch pipelines use this as their source, so each
-  /// node's read-ahead window stays node-local; workers steal at the
-  /// pipeline level instead.
-  bool fetch_local(int node, std::size_t& part) {
-    // Node-local partition sequence: node, node + N, node + 2N, ...
-    auto& cursor = next_[static_cast<std::size_t>(node)];
-    for (;;) {
-      std::size_t c = cursor.load(std::memory_order_relaxed);
-      const std::size_t p = c * static_cast<std::size_t>(num_nodes_) +
-                            static_cast<std::size_t>(node);
-      if (p >= num_parts_) return false;
-      if (cursor.compare_exchange_weak(c, c + 1, std::memory_order_relaxed)) {
-        part = p;
-        return true;
-      }
-    }
-  }
-
-  /// Fetch the next partition for a worker homed on `home_node`. Returns
-  /// false when all queues are drained. `*stolen` reports whether the
-  /// partition came from a remote node.
-  bool fetch(int home_node, std::size_t& part, bool* stolen = nullptr) {
-    for (int probe = 0; probe < num_nodes_; ++probe) {
-      const int node = (home_node + probe) % num_nodes_;
-      if (fetch_local(node, part)) {
-        if (stolen != nullptr) *stolen = probe != 0;
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  const std::size_t num_parts_;
-  const int num_nodes_;
-  std::vector<std::atomic<std::size_t>> next_;
 };
 
 /// Static alternative used by the scheduling ablation benchmark: partition i

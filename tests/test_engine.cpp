@@ -15,7 +15,6 @@
 #include "core/exec.h"
 #include "io/safs.h"
 #include "matrix/generated_store.h"
-#include "mem/numa.h"
 
 namespace flashr {
 namespace {

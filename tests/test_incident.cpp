@@ -35,6 +35,7 @@
 #include "common/config.h"
 #include "common/error.h"
 #include "common/thread_safety.h"
+#include "common/timer.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
 #include "core/validate.h"
@@ -44,6 +45,7 @@
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/prof_store.h"
+#include "obs/sampler.h"
 
 namespace flashr {
 namespace {
@@ -280,6 +282,13 @@ TEST(IncidentBundle, BundleCountStaysBounded) {
 TEST(ArtifactDir, PruneSparesOtherFamilies) {
   small_init();
   mutable_conf().incident_max_bundles = 3;
+  // The profile store writes a record only once the sampler folded samples.
+  obs::sampler_start(997);
+  const std::uint64_t t0 = now_ns();
+  volatile double sink = 1.0;
+  while (now_ns() - t0 < 100000000ull) sink = sink * 1.0000001 + 1e-9;
+  obs::sampler_stop();
+  ASSERT_GT(obs::sampler_stats().samples, 0u);
   const std::string dir = fresh_dir("shared");
   ASSERT_TRUE(obs::incident_arm(dir));
   obs::prof_store_arm(dir, /*keep=*/3);
@@ -300,6 +309,7 @@ TEST(ArtifactDir, PruneSparesOtherFamilies) {
   }
   obs::prof_store_disarm();
   obs::incident_disarm();
+  obs::sampler_clear();
 
   std::sort(bundles.begin(), bundles.end());
   std::sort(records.begin(), records.end());

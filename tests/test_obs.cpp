@@ -426,7 +426,6 @@ TEST(ObsMetrics, ProbesMatchLegacyPassAndIoStats) {
 
   // Extended obs histograms recorded (obs_metrics was on).
   EXPECT_GT(reg.get_histogram("io.read_us").count(), 0u);
-  EXPECT_GT(reg.get_histogram("pass.partition_service_us").count(), 0u);
 }
 
 TEST(ObsMetrics, ConcurrentLastPassStatsReaderIsSafe) {

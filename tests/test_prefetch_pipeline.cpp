@@ -411,40 +411,6 @@ TEST_F(PrefetchPipelineTest, WriteBehindStaysNearTheWindowWhileIoThreadParked) {
 }
 
 // ---------------------------------------------------------------------------
-// NUMA: per-node windows stay correct and preserve the one-pass invariant
-// ---------------------------------------------------------------------------
-
-TEST_F(PrefetchPipelineTest, PerNodeWindowsProduceExactResults) {
-  init_with(/*prefetch_depth=*/4);
-  mutable_conf().numa_nodes = 2;
-  dense_matrix x = make_em_input();
-  smat h = x.to_smat();
-
-  io_stats::global().reset();
-  fault_scope scope(scramble_plan(78));
-  smat got = conv_store(x * 3.0 - 1.0, storage::ext_mem).to_smat();
-  for (std::size_t j = 0; j < kCols; ++j)
-    for (std::size_t i = 0; i < kN; ++i)
-      ASSERT_NEAR(got(i, j), h(i, j) * 3.0 - 1.0, 1e-12);
-
-  // Two per-node windows must still read each partition exactly once per
-  // pass (one pass computes, the to_smat read-back adds one more).
-  EXPECT_EQ(exec::last_pass_stats().reads_issued, kParts);
-
-  // A cum DAG under NUMA collapses to the single sequential window.
-  smat cum = cum_col(x, bop_id::add).to_smat();
-  EXPECT_EQ(exec::last_pass_stats().sequential_passes,
-            exec::last_pass_stats().passes);
-  for (std::size_t j = 0; j < kCols; ++j) {
-    double run = 0.0;
-    for (std::size_t i = 0; i < kN; ++i) {
-      run += h(i, j);
-      ASSERT_NEAR(cum(i, j), run, 1e-9) << i << "," << j;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Pcache chunking honours the DAG's element size
 // ---------------------------------------------------------------------------
 

@@ -12,7 +12,6 @@
 #include "core/dense_matrix.h"
 #include "core/exec.h"
 #include "io/safs.h"
-#include "mem/numa.h"
 #include "ml/stats.h"
 
 namespace flashr {
@@ -190,22 +189,6 @@ TEST_F(PropertyTest, EagerModeReadsOncePerOperation) {
   mutable_conf().mode = exec_mode::cache_fuse;
   EXPECT_EQ(io_stats::global().read_ops.load(), 4u * 8u);
   EXPECT_EQ(io_stats::global().write_ops.load(), 3u * 8u);
-}
-
-TEST_F(PropertyTest, NumaPlacementIsFullyLocal) {
-  // Invariant: the executor assigns partition i of every matrix to the same
-  // node, so with workers following the mapping, locality is 100%.
-  mutable_conf().numa_nodes = 4;
-  numa_tracker::global().reset();
-  dense_matrix X = conv_store(dense_matrix::rnorm(64 * 16, 3, 0, 1, 4),
-                              storage::in_mem);
-  sum(X * 2.0).scalar();
-  mutable_conf().numa_nodes = 1;
-  // The tracker records accesses; the policy keeps every access local
-  // because thread home nodes cycle with partition ids the same way.
-  EXPECT_GT(numa_tracker::global().local_accesses() +
-                numa_tracker::global().remote_accesses(),
-            0u);
 }
 
 TEST_F(PropertyTest, PcacheRowsArePowerOfTwoAndBounded) {

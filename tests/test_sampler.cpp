@@ -1,13 +1,15 @@
-// Sampling-profiler tests (src/obs/sampler.*, prof_store.* and the native
+// Sampling-profiler tests (src/obs/sampler.*, prof_store.* and the
 // Prometheus histogram export): zero-cost-off gating, folded-stack shape,
-// wait-state attribution, sampled on-CPU time covering explain_analyze's
-// measured kernel time on one thread, timer overruns of a pending signal
-// counted as samples, the flashr-prof-v1 store's round trip, retention and
-// concurrent writers, and concurrent reads of the sampler's exports while
-// passes run (TSan gate).
+// module+offset names for unexported frames, wait-state attribution,
+// sampled on-CPU time covering explain_analyze's measured kernel time on
+// one thread, timer overruns of a pending signal counted as samples, the
+// flashr-prof-v1 store's round trip, retention, concurrent writers and
+// silence without samples, and concurrent reads of the sampler's exports
+// while passes run (TSan gate).
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <dlfcn.h>
 #include <pthread.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -72,6 +75,23 @@ void spin_ms(std::uint64_t ms) {
   while (now_ns() - t0 < ms * 1000000ull) {
     for (int i = 0; i < 4096; ++i) sink = sink * 1.0000001 + 1e-9;
   }
+}
+
+/// The return address spin_stamped() was called with: the pc the frame walk
+/// records for spin_in_unexported_caller()'s frame.
+std::uintptr_t g_stamped_ret = 0;
+
+[[gnu::noinline]] void spin_stamped(std::uint64_t ms) {
+  g_stamped_ret =
+      reinterpret_cast<std::uintptr_t>(__builtin_return_address(0));
+  spin_ms(ms);
+}
+
+/// Internal linkage and never inlined: a frame of the test binary that no
+/// exported symbol covers.
+[[gnu::noinline]] void spin_in_unexported_caller(std::uint64_t ms) {
+  spin_stamped(ms);
+  asm volatile("" ::: "memory");  // not a tail call: keep this frame
 }
 
 /// Split folded text into non-empty lines.
@@ -185,6 +205,31 @@ TEST(Sampler, CollectsWellFormedFoldedStacks) {
   }
   EXPECT_TRUE(saw_main_cpu)
       << "main thread spun on-CPU but no main;cpu stack:\n" << folded;
+  sampler_reset();
+}
+
+// A frame under no exported symbol is named by its object and its offset
+// from the object's load base, which ASLR does not move, instead of its
+// absolute address.
+TEST(Sampler, UnexportedFramesRenderAsModuleOffset) {
+  sampler_reset();
+  obs::sampler_start(997);
+  spin_in_unexported_caller(300);
+  obs::sampler_stop();
+
+  Dl_info info;
+  ASSERT_NE(::dladdr(reinterpret_cast<void*>(g_stamped_ret), &info), 0);
+  ASSERT_EQ(info.dli_sname, nullptr)
+      << "spin_in_unexported_caller is exported as " << info.dli_sname;
+  char want[256];
+  std::snprintf(want, sizeof(want), ";%s+0x%zx;",
+                program_invocation_short_name,
+                static_cast<std::size_t>(
+                    g_stamped_ret -
+                    reinterpret_cast<std::uintptr_t>(info.dli_fbase)));
+  const std::string folded = obs::folded_stacks();
+  EXPECT_NE(folded.find(want), std::string::npos)
+      << "no frame " << want << " in:\n" << folded;
   sampler_reset();
 }
 
@@ -398,6 +443,11 @@ TEST(ProfStore, RecordRoundTripAndPrune) {
 // and the incident monitor are off.
 TEST(ProfStore, ConcurrentWritersKeepEveryRecord) {
   sampler_reset();
+  // A record needs folded samples; the children inherit these.
+  obs::sampler_start(997);
+  spin_ms(100);
+  obs::sampler_stop();
+  ASSERT_GT(obs::sampler_stats().samples, 0u);
   constexpr int kChildren = 4;
   constexpr int kRecords = 20;
   const std::string dir =
@@ -445,6 +495,24 @@ TEST(ProfStore, ConcurrentWritersKeepEveryRecord) {
     EXPECT_EQ(std::count(body.begin(), body.end(), '\n'), 1) << name;
   }
   std::system(("rm -rf " + dir).c_str());
+  sampler_reset();
+}
+
+// With the sampler off there is nothing to attribute: the store writes no
+// record, so none pushes a useful one out of retention.
+TEST(ProfStore, NoRecordWithoutSamples) {
+  sampler_reset();
+  const std::string dir =
+      "/tmp/flashr_test_prof_empty_" + std::to_string(::getpid());
+  std::system(("rm -rf " + dir).c_str());
+  obs::prof_store_arm(dir, /*keep=*/3);
+  ASSERT_TRUE(obs::prof_store_armed());
+  EXPECT_EQ(obs::prof_store_append("no-samples"), "");
+  for (const std::string& name : list_dir(dir))
+    EXPECT_FALSE(name.starts_with("prof-")) << "record without samples: "
+                                            << name;
+  obs::prof_store_disarm();
+  std::system(("rm -rf " + dir).c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -491,10 +559,12 @@ TEST(StatsServerSampler, ConcurrentScrapeWhileSampling) {
 }
 
 // ---------------------------------------------------------------------------
-// Native Prometheus histogram buckets (obs_prom_buckets)
+// Prometheus export of the power-of-two histograms
 // ---------------------------------------------------------------------------
 
-TEST(PromBuckets, NativeHistogramExport) {
+// Histograms export as summaries: p50/p95/p99 quantiles read from the
+// buckets, plus _sum and _count.
+TEST(PromBuckets, HistogramsExportAsSummaries) {
   auto& h = obs::metrics_registry::global().get_histogram("samp.bucket_test");
   h.reset();
   h.record(0);
@@ -503,29 +573,13 @@ TEST(PromBuckets, NativeHistogramExport) {
   h.record(3);
   h.record(100);
 
-  options o = sampler_options();
-  o.obs_prom_buckets = true;
-  init(o);
   const std::string prom = obs::metrics_registry::global().to_prometheus();
-  init(sampler_options());
-
   const std::string name = "flashr_samp_bucket_test";
-  EXPECT_NE(prom.find("# TYPE " + name + " histogram"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"0\"} 1\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"1\"} 2\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"3\"} 4\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"127\"} 5\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"+Inf\"} 5\n"), std::string::npos);
+  EXPECT_NE(prom.find("# TYPE " + name + " summary"), std::string::npos);
+  EXPECT_NE(prom.find(name + "{quantile=\"0.5\"}"), std::string::npos);
   EXPECT_NE(prom.find(name + "_count 5\n"), std::string::npos);
   EXPECT_NE(prom.find(name + "_sum 106\n"), std::string::npos);
-  // No quantile series in native mode for this family.
-  EXPECT_EQ(prom.find(name + "{quantile"), std::string::npos);
-
-  // Default stays the summary exposition.
-  const std::string prom2 = obs::metrics_registry::global().to_prometheus();
-  EXPECT_NE(prom2.find("# TYPE " + name + " summary"), std::string::npos);
-  EXPECT_NE(prom2.find(name + "{quantile=\"0.5\"}"), std::string::npos);
-  EXPECT_EQ(prom2.find(name + "_bucket"), std::string::npos);
+  EXPECT_EQ(prom.find(name + "_bucket"), std::string::npos);
 }
 
 // The sampler's own health counters are exported for check_prom --require.

@@ -13,11 +13,7 @@ Checks:
      ``x_sum``/``x_count``/``x_bucket`` samples is ``x`` when x is a
      summary/histogram), each declared exactly once, with a known type;
   4. samples appear after their family's # TYPE line;
-  5. histogram families with ``_bucket`` series (the obs_prom_buckets
-     native export) are cumulative: every bucket carries an ``le`` label,
-     counts never decrease as ``le`` grows, the series is closed by
-     ``le="+Inf"``, and the +Inf count equals ``_count``;
-  6. with a second file: counters (and any --monotone names) must not
+  5. with a second file: counters (and any --monotone names) must not
      decrease between the first and second file.
 
 Exit 0 with a one-line summary on success; exit 1 with the first failure.
@@ -144,51 +140,6 @@ def parse_exposition(text: str) -> dict[str, dict]:
     return families
 
 
-LE_RE = re.compile(r'le="([^"]*)"')
-
-
-def check_buckets(families: dict[str, dict]) -> int:
-    """Histogram bucket series: cumulative, closed by +Inf == _count."""
-    checked = 0
-    for fam, info in families.items():
-        if info["type"] != "histogram":
-            continue
-        buckets = []
-        count = None
-        for key, v in info["samples"].items():
-            if key.startswith(fam + "_bucket"):
-                m = LE_RE.search(key)
-                if not m:
-                    raise PromError(f"{key}: bucket sample lacks an le label")
-                le_s = m.group(1)
-                try:
-                    le = float("inf") if le_s == "+Inf" else float(le_s)
-                except ValueError:
-                    raise PromError(f"{key}: unparseable le {le_s!r}")
-                buckets.append((le, v, key))
-            elif key == fam + "_count":
-                count = v
-        if not buckets:
-            raise PromError(f"{fam}: histogram family exposes no _bucket "
-                            f"series")
-        buckets.sort(key=lambda b: b[0])
-        prev = None
-        for le, v, key in buckets:
-            if prev is not None and v < prev:
-                raise PromError(
-                    f"{key}: bucket counts not cumulative ({prev} then {v})")
-            prev = v
-        if buckets[-1][0] != float("inf"):
-            raise PromError(f"{fam}: bucket series not closed by le=\"+Inf\"")
-        if count is None:
-            raise PromError(f"{fam}: histogram lacks a _count sample")
-        if buckets[-1][1] != count:
-            raise PromError(f"{fam}: +Inf bucket {buckets[-1][1]} != _count "
-                            f"{count}")
-        checked += 1
-    return checked
-
-
 def check_monotone(first: dict[str, dict], second: dict[str, dict],
                    extra: list[str]) -> int:
     """Counters (and `extra` names) must not decrease between scrapes."""
@@ -237,42 +188,11 @@ def self_test() -> int:
                                 'flashr_x{l="a" 1\n'),
     }
 
-    good_hist = (
-        "# HELP flashr_io_us io time\n"
-        "# TYPE flashr_io_us histogram\n"
-        'flashr_io_us_bucket{le="0"} 1\n'
-        'flashr_io_us_bucket{le="1"} 3\n'
-        'flashr_io_us_bucket{le="3"} 7\n'
-        'flashr_io_us_bucket{le="+Inf"} 9\n'
-        "flashr_io_us_sum 30\n"
-        "flashr_io_us_count 9\n"
-    )
-    bad_hist_cases = {
-        "non-cumulative buckets":
-            good_hist.replace('le="3"} 7', 'le="3"} 2'),
-        "no +Inf bucket":
-            good_hist.replace('flashr_io_us_bucket{le="+Inf"} 9\n', ''),
-        "+Inf != count":
-            good_hist.replace("flashr_io_us_count 9", "flashr_io_us_count 12"),
-        "bucket without le": good_hist.replace('{le="0"}', '{lo="0"}'),
-        "no buckets at all": ("# HELP flashr_h h\n# TYPE flashr_h histogram\n"
-                              "flashr_h_sum 1\nflashr_h_count 1\n"),
-    }
-
     fams = parse_exposition(good)
     assert fams["flashr_reads"]["type"] == "counter"
     assert fams["flashr_lat"]["type"] == "summary"
     assert len(fams["flashr_lat"]["samples"]) == 4
     assert check_monotone(fams, parse_exposition(good2), []) == 1
-    assert check_buckets(parse_exposition(good_hist)) == 1
-    assert check_buckets(fams) == 0  # summaries are not bucket-checked
-    for label, text in bad_hist_cases.items():
-        try:
-            check_buckets(parse_exposition(text))
-            print(f"check_prom: SELF-TEST FAIL: {label!r} not rejected")
-            return 1
-        except PromError:
-            pass
     try:
         check_monotone(parse_exposition(good2), fams, [])
         raise AssertionError("backwards counter not detected")
@@ -327,9 +247,6 @@ def main() -> int:
         for name in args.require:
             if name not in first:
                 raise PromError(f"required metric {name!r} not exposed")
-        nhists = check_buckets(first)
-        if second is not None:
-            nhists += check_buckets(second)
         checked = 0
         if second is not None:
             checked = check_monotone(first, second, args.monotone)
@@ -342,8 +259,6 @@ def main() -> int:
 
     nsamples = sum(len(i["samples"]) for i in first.values())
     extra = f", {checked} monotone across scrapes" if second is not None else ""
-    if nhists:
-        extra += f", {nhists} bucketed histogram(s)"
     print(f"check_prom: OK: {len(first)} families, {nsamples} samples{extra}")
     return 0
 

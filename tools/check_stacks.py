@@ -15,7 +15,8 @@ Checks, in order:
   3. the second frame is a sample state: ``cpu``, ``io_wait``,
      ``lock_wait`` or ``idle``;
   4. every further frame is non-empty, contains no whitespace, and is
-     either a symbol or an unresolved ``0x...`` address;
+     a symbol, an ``<object>+0x<offset>`` frame under no exported symbol,
+     or an unresolved ``0x...`` address;
   5. no duplicate (identical) stack lines — the collector folds, so a
      repeat means the fold key broke;
   6. each --require-frame PATTERN (fnmatch) matches at least one frame of

@@ -27,6 +27,12 @@ Rules (each with a stable ID used in messages and suppressions):
               instrumentation timestamps must all come from the same
               monotonic clock or trace/metric timelines drift apart.
 
+  unread-option
+              Every field of ``struct options`` (src/common/config.h) must
+              be read somewhere under src/, as ``.field`` or ``->field``.
+              A knob nothing reads is documented behaviour that does not
+              exist.
+
 A line can opt out with a trailing ``// lint-ok: <rule-id>`` comment.
 
 Usage:
@@ -58,6 +64,11 @@ STD_MUTEX_MEMBER_RE = re.compile(r"\bstd::(?:recursive_)?mutex\s+\w+\s*;")
 FLASHR_MUTEX_MEMBER_RE = re.compile(
     r"(?<![:\w])mutex\s+\w+\s*(?:LOCK_RANK\s*\(\s*\w+\s*\))?\s*;")
 ANNOTATION_RE = re.compile(r"\b(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES)\s*\(")
+OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+options\s*\{")
+# A data member: type, name, then an initializer or the end of the
+# declaration (a member function's name is followed by '(' instead).
+FIELD_RE = re.compile(r"^\s*[\w:]+(?:\s*<[^;=]*>)?\s+(\w+)\s*[={;]")
+MEMBER_ACCESS_RE = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)")
 
 SUPPRESS_RE = re.compile(r"//\s*lint-ok:\s*([\w-]+)")
 
@@ -66,6 +77,9 @@ MUTEX_ALLOWLIST = {"src/common/thread_safety.h"}
 
 # The engine's single clock source, plus the obs layer built on it.
 CLOCK_ALLOWLIST_PREFIXES = ("src/common/timer.h", "src/obs/")
+
+# Where struct options is declared.
+OPTIONS_HEADER = "src/common/config.h"
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -163,8 +177,47 @@ def lint_file(path: pathlib.Path, rel: str) -> list[Violation]:
     return violations
 
 
+def options_fields(text: str) -> list[tuple[int, str]]:
+    """(line number, name) of each data member of ``struct options``."""
+    fields: list[tuple[int, str]] = []
+    depth = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = strip_comments_and_strings(raw)
+        if depth == 0:
+            if OPTIONS_STRUCT_RE.search(line):
+                depth = 1
+            continue
+        if depth == 1 and "unread-option" not in SUPPRESS_RE.findall(raw):
+            m = FIELD_RE.match(line)
+            if m:
+                fields.append((lineno, m.group(1)))
+        depth += line.count("{") - line.count("}")
+    return fields
+
+
+def unread_options(header: pathlib.Path, rel: str,
+                   sources: list[pathlib.Path]) -> list[Violation]:
+    """Fields of the struct options in `header` that no source reads."""
+    try:
+        fields = options_fields(
+            header.read_text(encoding="utf-8", errors="replace"))
+    except OSError as e:
+        return [Violation(rel, 0, "io-error", str(e))]
+    read: set[str] = set()
+    for path in sources:
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for line in text.splitlines():
+            read.update(
+                MEMBER_ACCESS_RE.findall(strip_comments_and_strings(line)))
+    return [Violation(rel, lineno, "unread-option",
+                      f"options::{name} is read nowhere under src/ (no "
+                      f".{name} or ->{name}); delete it or read it")
+            for lineno, name in fields if name not in read]
+
+
 def lint_tree(root: pathlib.Path) -> list[Violation]:
     violations: list[Violation] = []
+    sources: list[pathlib.Path] = []
     for sub in ("src",):
         base = root / sub
         if not base.is_dir():
@@ -173,7 +226,18 @@ def lint_tree(root: pathlib.Path) -> list[Violation]:
             if path.suffix in SRC_EXTS and path.is_file():
                 rel = path.relative_to(root).as_posix()
                 violations.extend(lint_file(path, rel))
+                sources.append(path)
+    header = root / OPTIONS_HEADER
+    if header.is_file():
+        violations.extend(unread_options(header, OPTIONS_HEADER, sources))
     return violations
+
+
+def lint_fixture(path: pathlib.Path) -> list[Violation]:
+    """Every rule over one fixture, which stands in for a file in
+    src/core/ and, for unread-option, for the whole tree as well."""
+    rel = f"src/core/{path.name}"
+    return lint_file(path, rel) + unread_options(path, rel, [path])
 
 
 def self_test(root: pathlib.Path) -> int:
@@ -187,21 +251,21 @@ def self_test(root: pathlib.Path) -> int:
         "bad_raw_clock.cpp": "raw-clock",
         "bad_mutex_member.h": "mutex-ann",
         "bad_unannotated_mutex.h": "mutex-ann",
+        "bad_unread_option.h": "unread-option",
     }
     failures = 0
     for name, rule in expect.items():
-        got = lint_file(fixtures / name, f"src/core/{name}")
+        got = lint_fixture(fixtures / name)
         if not any(v.rule == rule for v in got):
             print(f"SELF-TEST FAIL: {name}: rule {rule} did not fire "
                   f"(got: {[str(v) for v in got]})")
             failures += 1
         else:
             print(f"self-test ok: {name} -> {rule}")
-    clean = fixtures / "clean_sample.cpp"
-    got = lint_file(clean, "src/core/clean_sample.cpp")
-    got += lint_file(fixtures / "clean_header.h", "src/core/clean_header.h")
-    got += lint_file(fixtures / "clean_pipeline_queue.h",
-                     "src/core/clean_pipeline_queue.h")
+    got: list[Violation] = []
+    for name in ("clean_sample.cpp", "clean_header.h",
+                 "clean_pipeline_queue.h", "clean_read_options.h"):
+        got += lint_fixture(fixtures / name)
     if got:
         print("SELF-TEST FAIL: clean fixtures produced violations:")
         for v in got:
