@@ -4,7 +4,9 @@
 // that the figure-level benches aggregate over.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "blas/blas.h"
@@ -139,31 +141,45 @@ void BM_kern_inner_prod_sqdiff(benchmark::State& state) {
 BENCHMARK(BM_kern_inner_prod_sqdiff)->Arg(1024)->Arg(8192);
 
 // The crossprod accumulation kernel, t(A) %*% B with B = A's first k
-// columns (as in perfbench's own tmm probe), as rows/m/k: 40 x 40 at two
-// chunk lengths, then the per-chunk shapes perfbench's workloads run —
-// logit_em's gradient folds 128-row chunks of 40 columns against k = 1,
+// columns (as in perfbench's own tmm probe), as rows/m/k/variant: 40 x 40
+// at two chunk lengths and 64 x 64, then the per-chunk shapes perfbench's
+// workloads run — logit_em's gradient folds 128-row chunks of 39 columns
+// against k = 1 and its batched line-search trials against k = 2, 4 and 8,
 // interactive's crossprod(X) 1024-row chunks of 8 columns against k = 8.
+// Each shape runs on every variant (0 baseline, 1 x86-64-v4), and a row's
+// label names the variant that ran.
 void BM_kern_tmm_acc(benchmark::State& state) {
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
   const std::size_t m = static_cast<std::size_t>(state.range(1));
   const std::size_t k = static_cast<std::size_t>(state.range(2));
-  auto a = random_vec(rows * m, 6);
+  const vmath::isa variant =
+      state.range(3) ? vmath::isa::x86_64_v4 : vmath::isa::baseline;
+  std::string label = vmath::isa_name(variant);
+  if (!vmath::isa_supported(variant)) {
+    label += " not supported here";
+    state.SkipWithError(label.c_str());
+    return;
+  }
+  // B = A's first k columns; A gets k columns where k > m.
+  auto a = random_vec(rows * std::max(m, k), 6);
   std::vector<double> acc(m * k, 0);
   const kern::view v{reinterpret_cast<const char*>(a.data()), rows};
   for (auto _ : state) {
-    kern::tmm_acc(scalar_type::f64, bop_id::mul, agg_id::sum, v, v, rows, m,
-                  k, reinterpret_cast<char*>(acc.data()));
+    kern::tmm_acc(variant, scalar_type::f64, bop_id::mul, agg_id::sum, v, v,
+                  rows, m, k, reinterpret_cast<char*>(acc.data()));
     benchmark::DoNotOptimize(acc.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows * m * k));
+  state.SetLabel(label);
 }
 BENCHMARK(BM_kern_tmm_acc)
-    ->Args({1024, 40, 40})
-    ->Args({8192, 40, 40})
-    ->Args({128, 40, 1})
-    ->Args({1024, 8, 8});
+    ->ArgsProduct({{1024}, {8}, {8}, {0, 1}})
+    ->ArgsProduct({{1024}, {40}, {40}, {0, 1}})
+    ->ArgsProduct({{8192}, {40}, {40}, {0, 1}})
+    ->ArgsProduct({{1024}, {64}, {64}, {0, 1}})
+    ->ArgsProduct({{128}, {39}, {1, 2, 4, 8}, {0, 1}});
 
 // Column sums per chunk, as rows/cols: etl_em's 39-column colSums over
 // 128-row chunks, interactive's colSums and sum over 1024-row chunks of 8.

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 namespace flashr {
@@ -30,6 +31,11 @@ class smat {
   std::size_t size() const { return data_.size(); }
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
+  /// The elements, column-major, moved out; the matrix is left empty.
+  std::vector<double> take_data() && {
+    nrow_ = ncol_ = 0;
+    return std::move(data_);
+  }
 
   double& operator()(std::size_t i, std::size_t j) {
     return data_[j * nrow_ + i];

@@ -215,12 +215,12 @@ void materialize_all(const std::vector<dense_matrix>& targets, storage st) {
 smat dense_matrix::to_smat() const {
   materialize(storage::in_mem);
   smat m = store_to_smat(store_);
-  return transposed_ ? m.t() : m;
+  if (transposed_) return m.t();
+  return m;
 }
 
 std::vector<double> dense_matrix::to_vector() const {
-  const smat m = to_smat();
-  return std::vector<double>(m.data(), m.data() + m.size());
+  return to_smat().take_data();
 }
 
 double dense_matrix::scalar() const {

@@ -554,6 +554,8 @@ class pass_runner {
   std::vector<std::uint8_t> prof_leaf_;
   std::vector<std::atomic<std::uint64_t>> prof_acc_;
   std::uint64_t prof_t0_ = 0;
+  /// Pool workers that run the pass: no more than it has partitions.
+  int workers_ = 1;
   /// The pass's prefetch pipeline. Built before workers start, read-only
   /// during the pass (it is internally synchronized), destroyed by
   /// teardown_pipeline().
@@ -751,7 +753,7 @@ void pass_runner::record_profile() {
   obs::pass_profile p;
   p.mode = exec_mode_name(conf().mode);
   p.chunk_rows = cfg_.chunk_rows;
-  p.threads = thread_pool::global().size();
+  p.threads = workers_;
   p.wall_ns = now_ns() - prof_t0_;
   // Ladder steps of the whole materialize() so far: a degraded eager pass
   // shows the mode fallback that created it, not just its own rungs.
@@ -861,6 +863,11 @@ void pass_runner::run() {
   OBS_SPAN_ARG("pass", dag_.order.size());
   if (prof_) prof_t0_ = now_ns();
   thread_pool& pool = thread_pool::global();
+  // A worker past the partition count would find nothing to claim and
+  // only join, so it does not run the pass: a one-partition pass runs on
+  // the caller alone and wakes no worker.
+  workers_ = static_cast<int>(std::clamp<std::size_t>(
+      dag_.space.num_parts(), 1, static_cast<std::size_t>(pool.size())));
   build_pipeline();
   ++g_stats_acc.passes;
   if (pipeline_->sequential()) ++g_stats_acc.sequential_passes;
@@ -885,7 +892,7 @@ void pass_runner::run() {
         [this](std::exception_ptr e) { fail(e); });
   }
 
-  pool.run_all([&](int thread_idx) {
+  const auto worker = [&](int thread_idx) {
     thread_ctx ctx;
     ctx.thread_idx = thread_idx;
     const std::size_t num_ids = dag_.nodes.size();
@@ -927,7 +934,8 @@ void pass_runner::run() {
     // Sink partials were already submitted per partition; whatever is left
     // in ctx.sink_acc is an untouched identity (or a cancelled partition's
     // partial, discarded with the pass).
-  });
+  };
+  pool.run_all(worker, workers_);
 
   // All workers joined. End supervision BEFORE teardown destroys the
   // pipeline the watchdog's probe reads; unwatch() returns only once no

@@ -11,6 +11,10 @@
 #include "common/error.h"
 #include "core/vmath.h"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
 namespace flashr::kern {
 
 namespace {
@@ -273,6 +277,132 @@ void dot_cols_side_by_side(std::index_sequence<Q...>, view a, std::size_t i0,
   }
   ((c[i0 + Q] = v[Q]), ...);
 }
+
+// ---- crossprod on x86-64-v4 -----------------------------------------------
+//
+// tmm_acc's f64 mul/sum case with C's elements in vector lanes: one 8-lane
+// accumulator holds C[i0 .. i0 + 8, j] for one column j of B. For every 8
+// rows, A's 8 column segments are transposed in registers, so that vector t
+// holds row r + t of the block; then, row by row, each accumulator adds
+// row * broadcast(B[r + t, j]). The multiply and the add are two rounded
+// instructions (this file builds with -ffp-contract=off, so the compiler
+// fuses nothing into an FMA) and every lane takes its rows in order, so
+// each C element gets the serial fold's bits.
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define FLASHR_KERN_X86 1
+#define KERN_V4 __attribute__((target("arch=x86-64-v4")))
+#define KERN_V4_INLINE KERN_V4 __attribute__((always_inline)) inline
+
+/// x[q] holds 8 rows of column q on entry and row q of the 8 columns on
+/// return: pairs interleave, then quads, then the 256-bit halves. GCC 12's
+/// unmasked unpack and shuffle intrinsics pass an uninitialized source and
+/// trip -Wmaybe-uninitialized, so these are the masked forms selecting
+/// every lane, which are the same instructions.
+KERN_V4_INLINE void transpose8x8(__m512d* x) {
+  constexpr __mmask8 all = 0xff;
+  const __m512d t0 = _mm512_mask_unpacklo_pd(x[0], all, x[0], x[1]);
+  const __m512d t1 = _mm512_mask_unpackhi_pd(x[0], all, x[0], x[1]);
+  const __m512d t2 = _mm512_mask_unpacklo_pd(x[2], all, x[2], x[3]);
+  const __m512d t3 = _mm512_mask_unpackhi_pd(x[2], all, x[2], x[3]);
+  const __m512d t4 = _mm512_mask_unpacklo_pd(x[4], all, x[4], x[5]);
+  const __m512d t5 = _mm512_mask_unpackhi_pd(x[4], all, x[4], x[5]);
+  const __m512d t6 = _mm512_mask_unpacklo_pd(x[6], all, x[6], x[7]);
+  const __m512d t7 = _mm512_mask_unpackhi_pd(x[6], all, x[6], x[7]);
+  // Lanes {0, 1, 8, 9, 4, 5, 12, 13} and {2, 3, 10, 11, 6, 7, 14, 15}.
+  const __m512i even = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
+  const __m512i odd = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
+  const __m512d u0 = _mm512_permutex2var_pd(t0, even, t2);  // rows 0, 4
+  const __m512d u1 = _mm512_permutex2var_pd(t0, odd, t2);   // rows 2, 6
+  const __m512d u2 = _mm512_permutex2var_pd(t1, even, t3);  // rows 1, 5
+  const __m512d u3 = _mm512_permutex2var_pd(t1, odd, t3);   // rows 3, 7
+  const __m512d u4 = _mm512_permutex2var_pd(t4, even, t6);
+  const __m512d u5 = _mm512_permutex2var_pd(t4, odd, t6);
+  const __m512d u6 = _mm512_permutex2var_pd(t5, even, t7);
+  const __m512d u7 = _mm512_permutex2var_pd(t5, odd, t7);
+  x[0] = _mm512_mask_shuffle_f64x2(u0, all, u0, u4, 0x44);
+  x[1] = _mm512_mask_shuffle_f64x2(u2, all, u2, u6, 0x44);
+  x[2] = _mm512_mask_shuffle_f64x2(u1, all, u1, u5, 0x44);
+  x[3] = _mm512_mask_shuffle_f64x2(u3, all, u3, u7, 0x44);
+  x[4] = _mm512_mask_shuffle_f64x2(u0, all, u0, u4, 0xee);
+  x[5] = _mm512_mask_shuffle_f64x2(u2, all, u2, u6, 0xee);
+  x[6] = _mm512_mask_shuffle_f64x2(u1, all, u1, u5, 0xee);
+  x[7] = _mm512_mask_shuffle_f64x2(u3, all, u3, u7, 0xee);
+}
+
+/// x[q] = rows [r, r + 8) of column q; rows outside `live` read as zero
+/// and are not touched in memory.
+template <std::size_t... Q>
+KERN_V4_INLINE void load_cols(std::index_sequence<Q...>,
+                              const double* const* col, std::size_t r,
+                              __mmask8 live, __m512d* x) {
+  ((x[Q] = _mm512_maskz_loadu_pd(live, col[Q] + r)), ...);
+}
+
+/// Row r's step for every accumulator: acc[J] += row * B[r, j0 + J].
+template <std::size_t... J>
+KERN_V4_INLINE void fold_row(std::index_sequence<J...>, __m512d row,
+                             const double* const* bc, std::size_t r,
+                             __m512d* acc) {
+  ((acc[J] = _mm512_add_pd(acc[J],
+                           _mm512_mul_pd(row, _mm512_set1_pd(bc[J][r])))),
+   ...);
+}
+
+/// The 8 rows of a transposed block, in order.
+template <std::size_t... T, typename Js>
+KERN_V4_INLINE void fold_rows(std::index_sequence<T...>, Js js,
+                              const __m512d* x, const double* const* bc,
+                              std::size_t r, __m512d* acc) {
+  (fold_row(js, x[T], bc, r + T, acc), ...);
+}
+
+/// C[i0 + q, j0 + J] += sum over rows of A[r, i0 + q] * B[r, j0 + J], for
+/// the lanes q in `lanes`. col[q] is column i0 + q of A (a ragged block
+/// repeats its last column in the lanes past m, where C is neither read
+/// nor written), b is column j0 of B and c points at C[i0, j0].
+template <std::size_t... J>
+KERN_V4 void crossprod_block_v4(std::index_sequence<J...> js,
+                                const double* const* col, __mmask8 lanes,
+                                const double* b, std::size_t b_stride,
+                                std::size_t rows, double* c,
+                                std::size_t c_stride) {
+  const double* bc[] = {b + J * b_stride...};
+  __m512d acc[] = {_mm512_maskz_loadu_pd(lanes, c + J * c_stride)...};
+  __m512d x[8];
+  std::size_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    load_cols(std::make_index_sequence<8>{}, col, r, 0xff, x);
+    transpose8x8(x);
+    fold_rows(std::make_index_sequence<8>{}, js, x, bc, r, acc);
+  }
+  if (r < rows) {
+    // The row tail: masked loads, so nothing past the chunk is read.
+    const std::size_t n = rows - r;
+    load_cols(std::make_index_sequence<8>{}, col, r,
+              static_cast<__mmask8>((1u << n) - 1), x);
+    transpose8x8(x);
+    for (std::size_t t = 0; t < n; ++t) fold_row(js, x[t], bc, r + t, acc);
+  }
+  (_mm512_mask_storeu_pd(c + J * c_stride, lanes, acc[J]), ...);
+}
+
+KERN_V4 void crossprod_v4(view a, view b, std::size_t rows, std::size_t m,
+                          std::size_t k, double* C) {
+  for (std::size_t i0 = 0; i0 < m; i0 += 8) {
+    const std::size_t w = std::min<std::size_t>(8, m - i0);
+    const double* col[8];
+    for (std::size_t q = 0; q < 8; ++q)
+      col[q] = col_of<double>(a, i0 + std::min(q, w - 1));
+    const auto lanes = static_cast<__mmask8>((1u << w) - 1);
+    for_each_fold_block(k, [&]<std::size_t W>(std::size_t j0) {
+      crossprod_block_v4(std::make_index_sequence<W>{}, col, lanes,
+                         col_of<double>(b, j0), b.stride, rows,
+                         C + j0 * m + i0, m);
+    });
+  }
+}
+#endif
 
 }  // namespace
 
@@ -580,8 +710,19 @@ void agg_col_acc(scalar_type t, agg_id op, view a, std::size_t rows,
   });
 }
 
-void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
-             std::size_t rows, std::size_t m, std::size_t k, char* acc) {
+namespace {
+
+void tmm_on(vmath::isa variant, scalar_type t, bop_id f1, agg_id f2, view a,
+            view b, std::size_t rows, std::size_t m, std::size_t k,
+            char* acc) {
+#ifdef FLASHR_KERN_X86
+  if (variant == vmath::isa::x86_64_v4 && t == scalar_type::f64 &&
+      f1 == bop_id::mul && f2 == agg_id::sum) {
+    crossprod_v4(a, b, rows, m, k, reinterpret_cast<double*>(acc));
+    return;
+  }
+#endif
+  (void)variant;
   if (f1 == bop_id::mul && f2 == agg_id::sum) {
     // crossprod: each C element folds its rows in order, kFoldWidth
     // elements of a C column side by side. Only this case is written out
@@ -616,6 +757,21 @@ void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
       });
     });
   });
+}
+
+}  // namespace
+
+void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
+             std::size_t rows, std::size_t m, std::size_t k, char* acc) {
+  tmm_on(vmath::active_isa(), t, f1, f2, a, b, rows, m, k, acc);
+}
+
+void tmm_acc(vmath::isa v, scalar_type t, bop_id f1, agg_id f2, view a,
+             view b, std::size_t rows, std::size_t m, std::size_t k,
+             char* acc) {
+  FLASHR_ASSERT(vmath::isa_supported(v),
+                "kern::tmm_acc: variant not supported here");
+  tmm_on(v, t, f1, f2, a, b, rows, m, k, acc);
 }
 
 void groupby_row_acc(scalar_type t, agg_id op, view a, view labels_i64,

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "core/genops.h"
+#include "core/vmath.h"
 
 namespace flashr::kern {
 
@@ -110,10 +111,19 @@ void agg_finish(scalar_type t, agg_id op, const char* acc, std::size_t n,
 /// Generalized t(A) %*% B accumulation: acc (m×k, col-major, type t,
 /// stride m) += f2-combine over chunk rows of f1(A_ri, B_rj). A is rows×m,
 /// B is rows×k. Each acc element folds the rows strictly in order, as
-/// agg_col_acc does; the f1 = mul, f2 = sum case (crossprod) runs eight
-/// elements of an acc column side by side, for every type.
+/// agg_col_acc does. The f1 = mul, f2 = sum case (crossprod) runs eight
+/// elements of an acc column side by side, for every type; in f64 on an
+/// x86-64-v4 CPU it runs eight elements per vector register instead, with
+/// the same bits, whatever the shape.
 void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
              std::size_t rows, std::size_t m, std::size_t k, char* acc);
+
+/// tmm_acc on variant `v` (tests and benchmarks), which must be
+/// supported. Only crossprod in f64 has an x86-64-v4 kernel; every
+/// other case, and x86-64-v3, runs the baseline folds.
+void tmm_acc(vmath::isa v, scalar_type t, bop_id f1, agg_id f2, view a,
+             view b, std::size_t rows, std::size_t m, std::size_t k,
+             char* acc);
 
 /// groupby.row: acc is num_groups×cols (type t, stride num_groups);
 /// acc[labels[r], j] = op-combine(acc[labels[r], j], A_rj). Labels outside

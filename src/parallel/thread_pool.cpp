@@ -1,5 +1,6 @@
 #include "parallel/thread_pool.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -44,7 +45,9 @@ void thread_pool::worker_loop(int idx) {
       mutex_lock lock(job_mtx_);
       {
         obs::sample_idle_scope idle;
-        while (!stop_ && job_seq_ == seen_seq) cv_start_.wait(lock);
+        // Sleep through jobs of fewer participants than idx + 1.
+        while (!stop_ && (job_seq_ == seen_seq || idx >= participants_))
+          cv_start_.wait(lock);
       }
       if (stop_) return;
       seen_seq = job_seq_;
@@ -63,12 +66,19 @@ void thread_pool::worker_loop(int idx) {
   }
 }
 
-void thread_pool::run_all(const std::function<void(int)>& fn) {
+void thread_pool::run_all(const std::function<void(int)>& fn,
+                          int participants) {
+  const int n = std::clamp(participants, 1, num_threads_);
+  if (n == 1) {
+    fn(0);
+    return;
+  }
   {
     mutex_lock lock(job_mtx_);
     FLASHR_ASSERT(job_ == nullptr, "thread_pool::run_all is not reentrant");
     job_ = &fn;
-    remaining_ = num_threads_ - 1;
+    participants_ = n;
+    remaining_ = n - 1;
     first_error_ = nullptr;
     ++job_seq_;
   }
@@ -83,6 +93,9 @@ void thread_pool::run_all(const std::function<void(int)>& fn) {
   std::exception_ptr err;
   {
     mutex_lock lock(job_mtx_);
+    // Joining the other participants is a wait, not work: the sampler
+    // keys samples landing here lock_wait.
+    obs::sample_wait_scope join_scope(obs::sample_state::lock_wait);
     while (remaining_ != 0) cv_done_.wait(lock);
     job_ = nullptr;
     err = first_error_;

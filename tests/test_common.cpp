@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/align.h"
@@ -206,6 +208,41 @@ TEST(ThreadPool, PropagatesException) {
   std::atomic<int> n{0};
   pool.run_all([&](int) { ++n; });
   EXPECT_EQ(n.load(), 3);
+}
+
+// A job runs on its participants only. One participant is the caller
+// alone; the rest of the pool skips the job and runs the next full one.
+TEST(ThreadPool, RunsOnlyItsParticipants) {
+  thread_pool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(4);
+  std::atomic<bool> off_caller{false};
+  pool.run_all(
+      [&](int idx) {
+        hits[static_cast<std::size_t>(idx)]++;
+        if (std::this_thread::get_id() != caller) off_caller = true;
+      },
+      1);
+  EXPECT_FALSE(off_caller.load());
+  EXPECT_EQ(hits[0].load(), 1);
+  for (std::size_t i = 1; i < 4; ++i) EXPECT_EQ(hits[i].load(), 0);
+
+  pool.run_all([&](int idx) { hits[static_cast<std::size_t>(idx)]++; }, 2);
+  EXPECT_EQ(hits[0].load(), 2);
+  EXPECT_EQ(hits[1].load(), 1);
+  EXPECT_EQ(hits[2].load(), 0);
+  EXPECT_EQ(hits[3].load(), 0);
+
+  EXPECT_THROW(pool.run_all(
+                   [&](int idx) {
+                     if (idx == 1) throw std::runtime_error("boom");
+                   },
+                   2),
+               std::runtime_error);
+
+  for (auto& h : hits) h = 0;
+  pool.run_all([&](int idx) { hits[static_cast<std::size_t>(idx)]++; });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, SizeOneRunsInline) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/config.h"
+#include "common/timer.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
 #include "io/safs.h"
@@ -231,6 +232,35 @@ TEST(ExecTest, ChunkBuffersRecycleWithinWorker) {
 
   o.obs_trace = false;
   init(o);
+}
+
+// A pass runs on no more pool workers than it has partitions. A one-partition
+// pass runs on the caller alone, so it leaves no span on any worker's
+// flight-recorder track (a woken worker would record its empty
+// prefetch.pop before joining).
+TEST(ExecTest, OnePartitionPassLeavesWorkersAsleep) {
+  options o;
+  o.em_dir = "/tmp/flashr_test_em";
+  o.num_threads = 4;
+  o.obs_flight = true;
+  init(o);
+  const dense_matrix x = conv_store(
+      dense_matrix::runif(o.small_nrow_threshold + 1, 2, 0.0, 1.0, 5),
+      storage::in_mem);
+  ASSERT_LT(x.nrow(), conf().io_part_rows);
+  EXPECT_GT(sum(x).scalar(), 0.0);
+  const std::uint64_t t0 = now_ns();
+  EXPECT_GT(sum(x * 2.0).scalar(), 0.0);
+  std::size_t caller_events = 0;
+  for (const obs::flight_track& t : obs::flight_collect(t0)) {
+    if (t.name.starts_with("worker-"))
+      EXPECT_TRUE(t.events.empty())
+          << t.name << " recorded " << t.events.size() << " events, the "
+          << "first " << t.events.front().name;
+    else
+      caller_events += t.events.size();
+  }
+  EXPECT_GT(caller_events, 0u);  // the pass itself was recorded
 }
 
 class FailureTest : public ::testing::Test {

@@ -1,14 +1,17 @@
 // Sink kernel tests: kern::tmm_acc and kern::agg_col_acc fold every output
 // element strictly in row order (DESIGN.md §11.2), so they must give exactly
 // the bits of a plain serial fold — compared with memcmp, not a tolerance —
-// for every scalar type, output width, right-hand width and row count, and
-// the same bits however a chunk's rows are split across calls. Also pins
-// agg_row's which.min/which.max semantics (first index wins ties, NaN never
-// wins) in the kernel and through the engine.
+// for every scalar type, output width, right-hand width and row count, on
+// every instruction-set variant the CPU supports, and the same bits however
+// a chunk's rows are split across calls. Also pins agg_row's
+// which.min/which.max semantics (first index wins ties, NaN never wins) in
+// the kernel and through the engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <type_traits>
@@ -18,12 +21,13 @@
 #include "common/rng.h"
 #include "core/dense_matrix.h"
 #include "core/kernels.h"
+#include "core/vmath.h"
 
 namespace flashr {
 namespace {
 
 constexpr std::size_t kWidths[] = {1, 3, 7, 8, 9, 15, 16, 17, 39, 40, 64};
-constexpr std::size_t kRhsWidths[] = {1, 2, 8};
+constexpr std::size_t kRhsWidths[] = {1, 2, 3, 4, 5, 8, 9, 16, 17};
 constexpr std::size_t kRowCounts[] = {1, 7, 16, 128, 1000};
 /// Rows per call when a chunk's rows are folded in several calls; 0 folds
 /// them in one.
@@ -151,6 +155,34 @@ bool same_bits(const std::vector<T>& x, const std::vector<T>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
+/// same_bits, except that a NaN matches any NaN: which NaN operand an add
+/// passes on is the compiler's choice of operand order, not the fold's.
+template <typename T>
+bool same_bits_or_nan(const std::vector<T>& x, const std::vector<T>& y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if constexpr (std::is_floating_point_v<T>)
+      if (std::isnan(x[i]) && std::isnan(y[i])) continue;
+    if (std::memcmp(&x[i], &y[i], sizeof(T)) != 0) return false;
+  }
+  return true;
+}
+
+/// The tmm_acc variants with code of their own: every one the CPU supports,
+/// each named in the log when it is not.
+std::vector<vmath::isa> tmm_variants() {
+  std::vector<vmath::isa> out;
+  for (const vmath::isa v : {vmath::isa::baseline, vmath::isa::x86_64_v4}) {
+    if (vmath::isa_supported(v))
+      out.push_back(v);
+    else
+      std::printf("[ SKIPPED  ] tmm_acc variant %s: not supported on this "
+                  "CPU\n",
+                  vmath::isa_name(v));
+  }
+  return out;
+}
+
 /// Runs call(r0, n) over [0, rows) in calls of at most `split` rows (0: one
 /// call).
 template <typename Call>
@@ -166,34 +198,44 @@ class SinkKernelTest : public ::testing::Test {};
 using ScalarTypes = ::testing::Types<double, float, std::int64_t, std::int32_t>;
 TYPED_TEST_SUITE(SinkKernelTest, ScalarTypes);
 
+// Every variant, on general values and on values with NaN and ±inf.
 TYPED_TEST(SinkKernelTest, TmmMulSumMatchesSerialFoldBitForBit) {
   using T = TypeParam;
   const scalar_type t = type_of<T>();
-  for (const std::size_t rows : kRowCounts)
-    for (const std::size_t m : kWidths)
-      for (const std::size_t k : kRhsWidths) {
-        const block<T> a(rows, m, 17 * rows + m, fill::general);
-        const block<T> bdist(rows, k, 31 * rows + k, fill::general);
-        for (const bool self : {false, true}) {
-          // crossprod(X): B is A's own first k columns, the same storage.
-          if (self && k > m) continue;
-          const block<T>& b = self ? a : bdist;
-          const std::vector<T> c0 = start_acc<T>(agg_id::sum, m * k);
-          const std::vector<T> want = ref_tmm(a, b, k, c0);
-          for (const std::size_t split : kCallRows) {
-            std::vector<T> c = c0;
-            fold_in_calls(rows, split, [&](std::size_t r0, std::size_t n) {
-              kern::tmm_acc(t, bop_id::mul, agg_id::sum, a.rows_from(r0),
-                            b.rows_from(r0), n, m, k,
-                            reinterpret_cast<char*>(c.data()));
-            });
-            ASSERT_TRUE(same_bits(c, want))
-                << type_name(t) << " rows " << rows << " m " << m << " k "
-                << k << (self ? " A == B" : " A != B") << " calls of "
-                << (split ? split : rows) << " rows";
+  const std::vector<vmath::isa> variants = tmm_variants();
+  for (const fill f : {fill::general, fill::specials}) {
+    // Integer draws ignore the fill.
+    if (!std::is_floating_point_v<T> && f == fill::specials) continue;
+    for (const std::size_t rows : kRowCounts)
+      for (const std::size_t m : kWidths)
+        for (const std::size_t k : kRhsWidths) {
+          const block<T> a(rows, m, 17 * rows + m, f);
+          const block<T> bdist(rows, k, 31 * rows + k, f);
+          for (const bool self : {false, true}) {
+            // crossprod(X): B is A's own first k columns, the same storage.
+            if (self && k > m) continue;
+            const block<T>& b = self ? a : bdist;
+            const std::vector<T> c0 = start_acc<T>(agg_id::sum, m * k);
+            const std::vector<T> want = ref_tmm(a, b, k, c0);
+            for (const vmath::isa v : variants)
+              for (const std::size_t split : kCallRows) {
+                std::vector<T> c = c0;
+                fold_in_calls(rows, split, [&](std::size_t r0, std::size_t n) {
+                  kern::tmm_acc(v, t, bop_id::mul, agg_id::sum,
+                                a.rows_from(r0), b.rows_from(r0), n, m, k,
+                                reinterpret_cast<char*>(c.data()));
+                });
+                ASSERT_TRUE(f == fill::general ? same_bits(c, want)
+                                               : same_bits_or_nan(c, want))
+                    << type_name(t) << " " << vmath::isa_name(v) << " rows "
+                    << rows << " m " << m << " k " << k
+                    << (self ? " A == B" : " A != B") << " calls of "
+                    << (split ? split : rows) << " rows"
+                    << (f == fill::specials ? " with NaN and inf" : "");
+              }
           }
         }
-      }
+  }
 }
 
 TYPED_TEST(SinkKernelTest, AggColAccMatchesSerialFoldBitForBit) {

@@ -2,7 +2,9 @@
 // inputs, sparse corner cases, API misuse, and mixed materialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/config.h"
 #include "common/rng.h"
@@ -216,6 +218,22 @@ TEST_F(MiscEdgeTest, MaterializeAllMixedPendingAndDone) {
 
 TEST_F(MiscEdgeTest, LoadMatrixMissingThrows) {
   EXPECT_THROW(load_matrix(conf().em_dir, "no_such_matrix"), io_error);
+}
+
+// as.vector flattens column-major, whatever holds the matrix: a transposed
+// view, an in-memory matrix of several partitions, a matrix on SSDs.
+TEST_F(MiscEdgeTest, ToVectorMatchesToSmat) {
+  const dense_matrix mem = conv_store(
+      dense_matrix::rnorm(200, 3, 0.0, 1.0, 21), storage::in_mem);
+  const dense_matrix em = conv_store(
+      dense_matrix::rnorm(150, 2, 0.0, 1.0, 22), storage::ext_mem);
+  for (const dense_matrix& m : {mem, mem.t(), em}) {
+    const smat h = m.to_smat();
+    const std::vector<double> v = m.to_vector();
+    ASSERT_EQ(v.size(), h.size());
+    EXPECT_TRUE(std::equal(v.begin(), v.end(), h.data()));
+  }
+  EXPECT_EQ(mem.t().to_vector()[1], mem.at(0, 1));  // row-major of mem
 }
 
 TEST_F(MiscEdgeTest, RbindTypePromotion) {

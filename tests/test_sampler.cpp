@@ -37,6 +37,7 @@
 #include "obs/prof_store.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
+#include "parallel/thread_pool.h"
 
 namespace flashr {
 namespace {
@@ -272,6 +273,32 @@ TEST(Sampler, ParkedThreadsSampleIdle) {
   EXPECT_EQ(folded_count(folded, "watchdog;cpu;"), 0u) << folded;
   EXPECT_GT(folded_count(folded, "watchdog;idle;"), 0u) << folded;
   EXPECT_GT(folded_count(folded, "io-0;idle;"), 0u) << folded;
+  sampler_reset();
+}
+
+// The caller joining a job's other workers waits; it does not run. A job
+// whose second worker sleeps ~300 ms keeps the caller in run_all's join
+// throughout, so its samples there read lock_wait, not cpu. The sampler's
+// own start and stop are tagged idle, which leaves run_all as the only
+// place a main-thread cpu sample can come from: at most one may land on
+// its few microseconds of publishing the job.
+TEST(Sampler, PoolJoinWaitSamplesLockWait) {
+  sampler_reset();
+  thread_pool pool(2);
+  {
+    obs::sample_idle_scope outside;
+    obs::sampler_start(997);
+  }
+  pool.run_all([](int idx) {
+    if (idx == 1) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  });
+  {
+    obs::sample_idle_scope outside;
+    obs::sampler_stop();
+  }
+  const std::string folded = obs::folded_stacks();
+  EXPECT_GT(folded_count(folded, "main;lock_wait;"), 0u) << folded;
+  EXPECT_LE(folded_count(folded, "main;cpu;"), 1u) << folded;
   sampler_reset();
 }
 
