@@ -21,6 +21,7 @@
 #include "bench_common.h"
 
 #include "core/exec.h"
+#include "io/fault.h"
 
 using namespace flashr;
 using namespace flashr::bench;
@@ -75,13 +76,17 @@ int main() {
   const double r_us = 0.7 * c_us;
   double mbps = (pass_mb / static_cast<double>(num_parts)) / (r_us / 1e6);
   if (mbps < 1.0) mbps = 1.0;
-  o.fault_latency_us = static_cast<int>(6.0 * (c_us - r_us));
+  // Each sweep point arms the spikes with its own fault_scope, which
+  // restarts the schedule, so every depth and budget sees the same spikes.
+  fault_plan spikes;
+  spikes.latency_prob = 0.12;
+  spikes.latency_us = static_cast<int>(6.0 * (c_us - r_us));
   std::printf("n = %zu x %zu (%zu partitions), pass reads %.1f MB, "
               "unthrottled %.3fs\n"
               "emulated SSD array: %.0f MB/s, %d us latency spikes on 12%% "
               "of reads\n\n",
               n, cols, num_parts, pass_mb, t_compute, mbps,
-              o.fault_latency_us);
+              spikes.latency_us);
 
   bench_json out("pipeline");
   const int depths[] = {0, 2, 4, 8};
@@ -91,17 +96,18 @@ int main() {
   for (int depth : depths) {
     o.prefetch_depth = depth;
     set_throttle(mbps);
-    o.fault_latency_prob = 0.12;
     // Medians of wall AND read-wait: a single observation of either is
     // jittery at container scales.
     std::vector<double> walls, waits;
     exec::pass_stats ps;
-    for (int rep = 0; rep < reps; ++rep) {
-      walls.push_back(time_once([&] { sink = run_dag(X); }));
-      ps = exec::last_pass_stats();
-      waits.push_back(static_cast<double>(ps.read_wait_ns) / 1e9);
+    {
+      fault_scope armed(spikes);
+      for (int rep = 0; rep < reps; ++rep) {
+        walls.push_back(time_once([&] { sink = run_dag(X); }));
+        ps = exec::last_pass_stats();
+        waits.push_back(static_cast<double>(ps.read_wait_ns) / 1e9);
+      }
     }
-    o.fault_latency_prob = 0.0;
     set_throttle(0);
     std::sort(walls.begin(), walls.end());
     std::sort(waits.begin(), waits.end());
@@ -122,7 +128,7 @@ int main() {
         .kv("read_mb", static_cast<double>(ps.read_bytes) / 1e6)
         .kv("reads_issued", ps.reads_issued)
         .kv("throttle_mbps", mbps)
-        .kv("latency_spike_us", o.fault_latency_us)
+        .kv("latency_spike_us", spikes.latency_us)
         .kv("n", n)
         .kv("threads", o.num_threads)
         .kv("io_threads", o.io_threads)
@@ -166,11 +172,12 @@ int main() {
     o.prefetch_depth = 8;
     o.mem_budget_bytes = budget;
     set_throttle(mbps);
-    o.fault_latency_prob = 0.12;
     std::vector<double> walls;
-    for (int rep = 0; rep < reps; ++rep)
-      walls.push_back(time_once([&] { sink = run_dag(X); }));
-    o.fault_latency_prob = 0.0;
+    {
+      fault_scope armed(spikes);
+      for (int rep = 0; rep < reps; ++rep)
+        walls.push_back(time_once([&] { sink = run_dag(X); }));
+    }
     set_throttle(0);
     std::sort(walls.begin(), walls.end());
     const double t = walls[walls.size() / 2];

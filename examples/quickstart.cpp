@@ -58,8 +58,7 @@ int main() {
   dense_matrix y = dense_matrix::bernoulli(n, 1, 0.3, 7);
   smat w(p, 1);  // zero weights
   dense_matrix g =
-      crossprod(X, sigmoid(matmul(X, dense_matrix::from_smat(w))) - y) /
-      static_cast<double>(n);
+      crossprod(X, sigmoid(matmul(X, w)) - y) / static_cast<double>(n);
   smat grad = g.to_smat();
   std::printf("logistic gradient at w=0: first coords = %.5f %.5f %.5f\n",
               grad(0, 0), grad(1, 0), grad(2, 0));

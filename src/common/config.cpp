@@ -57,13 +57,6 @@ void options::validate() const {
   FLASHR_CHECK(io_retry_backoff_us >= 0, "io_retry_backoff_us must be >= 0");
   FLASHR_CHECK(io_retry_backoff_cap_us >= 0,
                "io_retry_backoff_cap_us must be >= 0");
-  auto valid_prob = [](double p) { return p >= 0.0 && p <= 1.0; };
-  FLASHR_CHECK(valid_prob(fault_pread_prob) && valid_prob(fault_pwrite_prob) &&
-                   valid_prob(fault_latency_prob) &&
-                   valid_prob(fault_short_prob) && valid_prob(fault_stall_prob),
-               "fault probabilities must be in [0, 1]");
-  FLASHR_CHECK(fault_latency_us >= 0, "fault_latency_us must be >= 0");
-  FLASHR_CHECK(fault_stall_us >= 0, "fault_stall_us must be >= 0");
   FLASHR_CHECK(obs_ring_events >= 16 && std::has_single_bit(obs_ring_events),
                "obs_ring_events must be a power of two >= 16");
   FLASHR_CHECK(obs_profile_history >= 1,
@@ -152,7 +145,7 @@ void init(const options& opts) {
     else
       FLASHR_WARN("FLASHR_LOG_LEVEL: unknown level '%s' (ignored)", env);
   }
-  obs::set_trace_enabled(g_options.obs_trace);
+  obs::set_trace_enabled(g_options.obs_trace, g_options.obs_ring_events);
   obs::set_flight_enabled(g_options.obs_flight);
   obs::set_metrics_enabled(g_options.obs_metrics);
   obs::set_profile_enabled(g_options.obs_profile);

@@ -124,29 +124,8 @@ struct options {
   int io_retry_backoff_cap_us = 20000;
   /// Checksum policy applied to EM partition reads/writes.
   checksum_policy io_checksum = checksum_policy::off;
-  /// Deterministic fault injection (tests, resilience benches). Each
-  /// probability is per syscall at the named fault site; 0 disables the
-  /// site. The schedule is a pure function of (seed, site, syscall index),
-  /// so a given configuration injects the same faults on every run.
-  std::uint64_t fault_seed = 0x5eedULL;
-  double fault_pread_prob = 0.0;    ///< pread returns -1 with fault_errno
-  double fault_pwrite_prob = 0.0;   ///< pwrite returns -1 with fault_errno
-  double fault_latency_prob = 0.0;  ///< syscall delayed by fault_latency_us
-  double fault_short_prob = 0.0;    ///< pread hits EOF early / short pwrite
-  int fault_latency_us = 200;
-  /// Stall site (io/async_io.cpp): a read's completion delivery — the
-  /// notify/future resolution, after the data landed — is delayed by
-  /// fault_stall_us. Unlike the latency site (which delays the syscall),
-  /// this models an SSD whose completions stop arriving, which is exactly
-  /// what the hung-I/O watchdog (core/governor.h) monitors; tests drive the
-  /// watchdog with it deterministically instead of relying on wall-clock
-  /// thread scheduling.
-  double fault_stall_prob = 0.0;
-  int fault_stall_us = 100000;
-  int fault_errno = 5;  // EIO
-  /// Total faults the schedule may inject before disarming; 0 = unlimited.
-  /// A finite budget makes transient-fault tests exact: retries == budget.
-  std::size_t fault_max_faults = 0;
+  // Deterministic fault injection has no option: a fault_scope
+  // (io/fault.h) arms it.
 
   // --- Observability (src/obs/) --------------------------------------------
   /// Collect trace events in the per-thread rings (obs/trace.h). Also

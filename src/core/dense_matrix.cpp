@@ -71,6 +71,36 @@ matrix_store::ptr cast_store(matrix_store::ptr s, scalar_type to) {
   return virtual_store::make(geom, to, std::move(op), {std::move(s)});
 }
 
+/// Hand partition `pidx` of a physical (or generated) store to
+/// `use(data, stride)`: a mem partition in place, an EM partition read and
+/// a generated one generated into a pool buffer first.
+template <class F>
+void with_partition(const matrix_store& s, std::size_t pidx, F&& use) {
+  const std::size_t rows = s.geom().rows_in_part(pidx);
+  switch (s.kind()) {
+    case store_kind::mem: {
+      const auto& m = static_cast<const mem_store&>(s);
+      use(m.part_data(pidx), m.part_stride(pidx));
+      break;
+    }
+    case store_kind::ext: {
+      auto buf = buffer_pool::global().get(rows * s.ncol() * s.elem_size());
+      static_cast<const em_readable&>(s).read_part(pidx, buf.data());
+      use(buf.data(), rows);
+      break;
+    }
+    case store_kind::generated: {
+      auto buf = buffer_pool::global().get(rows * s.ncol() * s.elem_size());
+      static_cast<const generated_store&>(s).generate(
+          s.geom().part_row_begin(pidx), rows, buf.data(), rows);
+      use(buf.data(), rows);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
 /// Read any physical (or generated) store into a host smat.
 smat store_to_smat(const matrix_store::ptr& sp) {
   const matrix_store::ptr s = resolved_store(sp);
@@ -80,43 +110,17 @@ smat store_to_smat(const matrix_store::ptr& sp) {
   FLASHR_CHECK(n * p <= (std::size_t{1} << 27),
                "to_smat: matrix too large to gather on the host");
   smat out(n, p);
-  const std::size_t esz = s->elem_size();
-  auto read_part = [&](std::size_t pidx, const char* data,
-                       std::size_t stride) {
+  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx) {
     const std::size_t r0 = s->geom().part_row_begin(pidx);
     const std::size_t rows = s->geom().rows_in_part(pidx);
-    dispatch_type(s->type(), [&]<typename T>() {
-      const T* d = reinterpret_cast<const T*>(data);
-      for (std::size_t j = 0; j < p; ++j)
-        for (std::size_t i = 0; i < rows; ++i)
-          out(r0 + i, j) = static_cast<double>(d[j * stride + i]);
+    with_partition(*s, pidx, [&](const char* data, std::size_t stride) {
+      dispatch_type(s->type(), [&]<typename T>() {
+        const T* d = reinterpret_cast<const T*>(data);
+        for (std::size_t j = 0; j < p; ++j)
+          for (std::size_t i = 0; i < rows; ++i)
+            out(r0 + i, j) = static_cast<double>(d[j * stride + i]);
+      });
     });
-  };
-  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx) {
-    const std::size_t rows = s->geom().rows_in_part(pidx);
-    switch (s->kind()) {
-      case store_kind::mem: {
-        auto* m = static_cast<const mem_store*>(s.get());
-        read_part(pidx, m->part_data(pidx), m->part_stride(pidx));
-        break;
-      }
-      case store_kind::ext: {
-        auto* e = static_cast<const em_readable*>(s.get());
-        auto buf = buffer_pool::global().get(rows * p * esz);
-        e->read_part(pidx, buf.data());
-        read_part(pidx, buf.data(), rows);
-        break;
-      }
-      case store_kind::generated: {
-        auto* g = static_cast<const generated_store*>(s.get());
-        auto buf = buffer_pool::global().get(rows * p * esz);
-        g->generate(s->geom().part_row_begin(pidx), rows, buf.data(), rows);
-        read_part(pidx, buf.data(), rows);
-        break;
-      }
-      default:
-        break;
-    }
   }
   return out;
 }
@@ -258,11 +262,17 @@ double dense_matrix::at(std::size_t i, std::size_t j) const {
   FLASHR_CHECK(i < nrow() && j < ncol(), "at(): out of range");
   if (transposed_) std::swap(i, j);
   materialize(storage::in_mem);
-  matrix_store::ptr s = resolved_store(store_);
-  if (s->kind() == store_kind::mem)
-    return static_cast<mem_store*>(s.get())->get_d(i, j);
-  // EM / generated: go through a host gather of the one partition.
-  return store_to_smat(s)(i, j);
+  const matrix_store::ptr s = resolved_store(store_);
+  // Only the partition that holds row i is read (or generated).
+  const std::size_t pidx = i / s->geom().part_rows;
+  const std::size_t r = i - s->geom().part_row_begin(pidx);
+  double v = 0.0;
+  with_partition(*s, pidx, [&](const char* data, std::size_t stride) {
+    dispatch_type(s->type(), [&]<typename T>() {
+      v = static_cast<double>(reinterpret_cast<const T*>(data)[j * stride + r]);
+    });
+  });
+  return v;
 }
 
 std::string dense_matrix::explain() const {
@@ -582,16 +592,19 @@ dense_matrix matmul(const dense_matrix& a, const dense_matrix& b) {
   }
   FLASHR_CHECK(!a.is_transposed() && !b.is_transposed(),
                "%*%: unsupported transposition pattern");
-  // small %*% small on the host.
-  if (a.is_small() && b.is_small()) {
-    FLASHR_CHECK_SHAPE(a.ncol() == b.nrow(), "%*%: non-conformable arguments");
-    return dense_matrix::from_smat(a.to_smat().mm(b.to_smat()));
-  }
-  // tall %*% small via inner.prod (floating point goes through the BLAS
-  // fast path inside the kernel — Table 2's "%*%" row).
   FLASHR_CHECK_SHAPE(a.ncol() == b.nrow(), "%*%: non-conformable arguments");
   FLASHR_CHECK(b.is_small(), "%*%: right operand must fit in memory");
-  return inner_prod(a, b.to_smat(), bop_id::mul, agg_id::sum);
+  return matmul(a, b.to_smat());
+}
+
+dense_matrix matmul(const dense_matrix& a, const smat& b) {
+  if (a.is_transposed()) return matmul(a, dense_matrix::from_smat(b));
+  FLASHR_CHECK_SHAPE(a.ncol() == b.nrow(), "%*%: non-conformable arguments");
+  // small %*% small on the host.
+  if (a.is_small()) return dense_matrix::from_smat(a.to_smat().mm(b));
+  // tall %*% small via inner.prod (floating point goes through the BLAS
+  // fast path inside the kernel — Table 2's "%*%" row).
+  return inner_prod(a, b, bop_id::mul, agg_id::sum);
 }
 
 dense_matrix crossprod(const dense_matrix& a) { return crossprod(a, a); }

@@ -205,6 +205,10 @@ dense_matrix sweep_cols(const dense_matrix& a, const dense_matrix& v,
 ///  * t(tall n×p) %*% tall(n×k)     -> small p×k sink (one-pass accumulate)
 ///  * small %*% small               -> small (host gemm)
 dense_matrix matmul(const dense_matrix& a, const dense_matrix& b);
+/// a %*% b for a host matrix b (model weights, rotations, ...), of any row
+/// count: a small `a` multiplies on the host, a tall one through
+/// inner.prod. The same bits as matmul(a, from_smat(b)) without the copy.
+dense_matrix matmul(const dense_matrix& a, const smat& b);
 /// crossprod(A) = t(A) %*% A; crossprod(A, B) = t(A) %*% B.
 dense_matrix crossprod(const dense_matrix& a);
 dense_matrix crossprod(const dense_matrix& a, const dense_matrix& b);

@@ -28,7 +28,6 @@
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
 
@@ -65,6 +64,9 @@ struct plan_node {
   const matrix_store* store = nullptr;
   store_kind kind = store_kind::virt;
   bool sink = false;
+  /// The node's label: node_kind_name() of a virtual node, "mem", "em" or
+  /// "generated" for a leaf. Names its probe's span and its profile entry.
+  const char* op = "?";
   /// Edges from collected parents, +1 for a tall output's writer: the
   /// node's chunk buffer is recycled when this many uses have passed.
   int consumers = 0;
@@ -134,15 +136,20 @@ void collect_node(dag_info& dag, const matrix_store* r) {
   const auto id = static_cast<int>(dag.nodes.size());
   if (!dag.ids.emplace(r, id).second) return;
   dag.nodes.push_back(plan_node{r, r->kind()});
+  plan_node& n = dag.nodes.back();
   if (r->kind() != store_kind::virt) {
     // Leaf in the tall space.
     note_space(dag, r);
+    n.op = r->kind() == store_kind::mem   ? "mem"
+           : r->kind() == store_kind::ext ? "em"
+                                          : "generated";
     if (r->kind() == store_kind::ext)
       dag.em_leaves.push_back(static_cast<const em_readable*>(r));
     return;
   }
   auto* v = const_cast<virtual_store*>(static_cast<const virtual_store*>(r));
-  dag.nodes.back().sink = v->is_sink_node();
+  n.sink = v->is_sink_node();
+  n.op = node_kind_name(v->op().kind);
   for (const auto& child : v->children())
     collect_node(dag, resolve(child.get()));
   if (!v->is_sink_node()) note_space(dag, v);
@@ -446,10 +453,9 @@ class pass_runner {
     std::uint64_t zero_copy = 0;
     /// Per-sink partial accumulators.
     std::vector<std::vector<char>> sink_acc;
-    /// Per-node profiling partials, plain u64 (slot * kProfFields + field);
-    /// merged lock-free into prof_acc_ when the worker exits. Empty unless
-    /// profiling is on.
-    std::vector<std::uint64_t> prof;
+    /// This worker's profile counts, by id; handed to worker_prof_ when the
+    /// worker exits. Empty unless profiling is on.
+    std::vector<obs::node_counters> prof;
     /// Running carry of each cum node for the current partition, by id.
     std::vector<std::vector<char>> cum_carry;
     bool cum_has_carry = false;
@@ -492,16 +498,25 @@ class pass_runner {
   void teardown_pipeline() noexcept;
 
   // --- Per-node profiling (obs/profile.h) ---------------------------------
-  /// Field layout of one profiling slot's accumulators.
-  enum prof_field { pf_kernel = 0, pf_copy, pf_io, pf_parts, pf_rows,
-                    pf_bytes, pf_chunks, kProfFields };
-  /// Resolve the pass's profiling slots, one per dense dag id.
+  /// Resolve the pass's profile entries, one per dense dag id.
   void prof_init();
-  /// Per-pass wrap-up: fold prof_acc_ into a pass_profile and push it into
-  /// the history ring. Success path only.
-  void record_profile();
-  void prof_add(thread_ctx& ctx, int slot, prof_field f, std::uint64_t v) {
-    ctx.prof[static_cast<std::size_t>(slot) * kProfFields + f] += v;
+  /// Per-pass wrap-up: add every worker's counts into the entries and push
+  /// the pass_profile into the history ring. Success path only.
+  void record_profile(std::uint64_t wall_ns);
+  /// The profile counter a probe adds node `id`'s interval to, or null
+  /// when profiling is off.
+  std::uint64_t* prof_ns(thread_ctx& ctx, int id,
+                         std::uint64_t obs::node_counters::*field) const {
+    return prof_ ? &(ctx.prof[static_cast<std::size_t>(id)].*field) : nullptr;
+  }
+  /// Count one chunk evaluation of node `id` (profiling on only).
+  static void count_chunk(thread_ctx& ctx, int id, std::size_t rows,
+                          std::size_t bytes) {
+    obs::node_counters& c = ctx.prof[static_cast<std::size_t>(id)];
+    c.rows += rows;
+    c.bytes += bytes;
+    ++c.chunks;
+    if (ctx.chunk_row0 == 0) ++c.partitions;
   }
 
   // --- Cooperative cancellation -------------------------------------------
@@ -542,18 +557,12 @@ class pass_runner {
   /// Pool buffers outstanding after output allocation; the post-pass audit
   /// (validate::audit_pool) asserts the pass returned to this baseline.
   std::size_t pool_baseline_count_ = 0;
-  /// Profiling state, armed at construction when obs::profile_on(). The
-  /// per-slot metadata vectors are read-only during the pass; prof_acc_ is
-  /// the lock-free merge target workers fetch_add into as they finish.
+  /// Profiling state, armed at construction when obs::profile_on():
+  /// prof_nodes_ holds one entry per dense id, untouched until the workers
+  /// join; each worker leaves its counts in its own worker_prof_ slot.
   bool prof_ = false;
-  std::size_t prof_slots_ = 0;
-  std::vector<int> prof_plan_id_;
-  std::vector<obs::plan_node_meta> prof_meta_;
-  std::vector<const char*> prof_label_;
-  std::vector<std::uint8_t> prof_sink_;
-  std::vector<std::uint8_t> prof_leaf_;
-  std::vector<std::atomic<std::uint64_t>> prof_acc_;
-  std::uint64_t prof_t0_ = 0;
+  std::vector<obs::node_profile> prof_nodes_;
+  std::vector<std::vector<obs::node_counters>> worker_prof_;
   /// Pool workers that run the pass: no more than it has partitions.
   int workers_ = 1;
   /// The pass's prefetch pipeline. Built before workers start, read-only
@@ -716,68 +725,33 @@ std::size_t chunk_rows_for(const dag_info& dag) {
 void pass_runner::prof_init() {
   prof_ = obs::profile_on();
   if (!prof_) return;
-  prof_slots_ = dag_.nodes.size();
-  prof_plan_id_.assign(prof_slots_, -1);
-  prof_meta_.assign(prof_slots_, {});
-  prof_label_.assign(prof_slots_, "?");
-  prof_sink_.assign(prof_slots_, 0);
-  prof_leaf_.assign(prof_slots_, 0);
-  for (std::size_t slot = 0; slot < prof_slots_; ++slot) {
-    const matrix_store* node = dag_.nodes[slot].store;
-    prof_plan_id_[slot] = obs::profile_node_id(node, &prof_meta_[slot]);
-    switch (node->kind()) {
-      case store_kind::virt:
-        prof_label_[slot] = node_kind_name(
-            static_cast<const virtual_store*>(node)->op().kind);
-        prof_sink_[slot] = dag_.nodes[slot].sink ? 1 : 0;
-        break;
-      case store_kind::mem:
-        prof_label_[slot] = "mem";
-        prof_leaf_[slot] = 1;
-        break;
-      case store_kind::ext:
-        prof_label_[slot] = "em";
-        prof_leaf_[slot] = 1;
-        break;
-      case store_kind::generated:
-        prof_label_[slot] = "generated";
-        prof_leaf_[slot] = 1;
-        break;
-    }
+  prof_nodes_.resize(dag_.nodes.size());
+  for (std::size_t id = 0; id < dag_.nodes.size(); ++id) {
+    const plan_node& pn = dag_.nodes[id];
+    obs::node_profile& n = prof_nodes_[id];
+    obs::plan_node_meta meta;
+    n.id = obs::profile_node_id(pn.store, &meta);
+    n.op = pn.op;
+    n.sink = pn.sink;
+    n.leaf = pn.kind != store_kind::virt;
+    n.group = meta.group;
+    n.est_bytes = meta.est_bytes;
   }
-  prof_acc_ =
-      std::vector<std::atomic<std::uint64_t>>(prof_slots_ * kProfFields);
 }
 
-void pass_runner::record_profile() {
+void pass_runner::record_profile(std::uint64_t wall_ns) {
   obs::pass_profile p;
   p.mode = exec_mode_name(conf().mode);
   p.chunk_rows = cfg_.chunk_rows;
   p.threads = workers_;
-  p.wall_ns = now_ns() - prof_t0_;
+  p.wall_ns = wall_ns;
   // Ladder steps of the whole materialize() so far: a degraded eager pass
   // shows the mode fallback that created it, not just its own rungs.
   if (ctl_ != nullptr) p.degrade = ctl_->degrade;
-  p.nodes.reserve(prof_slots_);
-  for (std::size_t slot = 0; slot < prof_slots_; ++slot) {
-    obs::node_profile n;
-    n.id = prof_plan_id_[slot];
-    n.op = prof_label_[slot];
-    n.sink = prof_sink_[slot] != 0;
-    n.leaf = prof_leaf_[slot] != 0;
-    n.group = prof_meta_[slot].group;
-    n.est_bytes = prof_meta_[slot].est_bytes;
-    const std::atomic<std::uint64_t>* a = &prof_acc_[slot * kProfFields];
-    n.kernel_ns = a[pf_kernel].load(std::memory_order_relaxed);
-    n.copy_ns = a[pf_copy].load(std::memory_order_relaxed);
-    n.io_wait_ns = a[pf_io].load(std::memory_order_relaxed);
-    n.partitions = a[pf_parts].load(std::memory_order_relaxed);
-    n.rows = a[pf_rows].load(std::memory_order_relaxed);
-    n.bytes = a[pf_bytes].load(std::memory_order_relaxed);
-    n.chunks = a[pf_chunks].load(std::memory_order_relaxed);
-    p.io_wait_ns += n.io_wait_ns;
-    p.nodes.push_back(n);
-  }
+  for (const std::vector<obs::node_counters>& w : worker_prof_)
+    for (std::size_t id = 0; id < w.size(); ++id) prof_nodes_[id] += w[id];
+  for (const obs::node_profile& n : prof_nodes_) p.io_wait_ns += n.io_wait_ns;
+  p.nodes = std::move(prof_nodes_);
   obs::profile_record(std::move(p));
 }
 
@@ -827,26 +801,29 @@ void pass_runner::teardown_pipeline() noexcept {
 void pass_runner::pipeline_worker(thread_ctx& ctx) {
   prefetch_pipeline::slot s;
   while (!cancelled()) {
-    const std::uint64_t w0 = prof_ ? now_ns() : 0;
+    std::uint64_t waited_ns = 0;
     bool got;
     {
       // Blocked in pop() == waiting for prefetched reads: the sampler keys
       // samples landing here io_wait.
-      obs::sample_wait_scope io_scope(obs::sample_state::io_wait);
+      obs::probe pop_probe({.name = "prefetch.pop",
+                            .acc = prof_ ? &waited_ns : nullptr,
+                            .wait = obs::sample_state::io_wait});
       got = pipeline_->pop(s);
     }
     if (!got) break;
     if (prof_ && !s.bufs.empty()) {
       // Attribute the blocked-in-pop() time evenly across the partition's
       // EM leaves; bytes/rows are exact per leaf.
-      const std::uint64_t share = (now_ns() - w0) / s.bufs.size();
+      const std::uint64_t share = waited_ns / s.bufs.size();
       const std::size_t prows = dag_.space.rows_in_part(s.part);
       for (const auto& [leaf, buf] : s.bufs) {
-        const int slot = dag_.id_of(leaf);
-        prof_add(ctx, slot, pf_io, share);
-        prof_add(ctx, slot, pf_parts, 1);
-        prof_add(ctx, slot, pf_rows, prows);
-        prof_add(ctx, slot, pf_bytes, buf.size());
+        obs::node_counters& c =
+            ctx.prof[static_cast<std::size_t>(dag_.id_of(leaf))];
+        c.io_wait_ns += share;
+        ++c.partitions;
+        c.rows += prows;
+        c.bytes += buf.size();
       }
     }
     ctx.em_bufs = std::move(s.bufs);
@@ -860,8 +837,11 @@ void pass_runner::pipeline_worker(thread_ctx& ctx) {
 }
 
 void pass_runner::run() {
-  OBS_SPAN_ARG("pass", dag_.order.size());
-  if (prof_) prof_t0_ = now_ns();
+  // The pass span and the profile's wall time are one interval.
+  std::uint64_t wall_ns = 0;
+  obs::probe pass_probe({.name = "pass",
+                         .arg = dag_.order.size(),
+                         .acc = prof_ ? &wall_ns : nullptr});
   thread_pool& pool = thread_pool::global();
   // A worker past the partition count would find nothing to claim and
   // only join, so it does not run the pass: a one-partition pass runs on
@@ -869,6 +849,7 @@ void pass_runner::run() {
   workers_ = static_cast<int>(std::clamp<std::size_t>(
       dag_.space.num_parts(), 1, static_cast<std::size_t>(pool.size())));
   build_pipeline();
+  if (prof_) worker_prof_.resize(static_cast<std::size_t>(workers_));
   ++g_stats_acc.passes;
   if (pipeline_->sequential()) ++g_stats_acc.sequential_passes;
 
@@ -903,7 +884,7 @@ void pass_runner::run() {
     // leaves room for a short last chunk's smaller size class as well.
     ctx.free_bufs.reserve(2 * num_ids);
     ctx.cum_carry.resize(num_ids);
-    if (prof_) ctx.prof.assign(prof_slots_ * kProfFields, 0);
+    if (prof_) ctx.prof.resize(num_ids);
     // Sink partials start at the aggregation identity; they are re-armed
     // after every partition by submit_sink_partials().
     ctx.sink_acc.reserve(sinks_.size());
@@ -920,12 +901,10 @@ void pass_runner::run() {
     } catch (...) {
       fail(std::current_exception());
     }
-    // Merge this worker's profiling partials lock-free: the accumulators
-    // are only read after run_all joins every worker.
+    // Leave this worker's counts in its own slot; record_profile() adds
+    // them up after run_all joins every worker.
     if (prof_)
-      for (std::size_t i = 0; i < ctx.prof.size(); ++i)
-        if (ctx.prof[i] != 0)
-          prof_acc_[i].fetch_add(ctx.prof[i], std::memory_order_relaxed);
+      worker_prof_[static_cast<std::size_t>(thread_idx)] = std::move(ctx.prof);
     if (ctx.zero_copy != 0)
       g_zero_copy_total.fetch_add(ctx.zero_copy, std::memory_order_relaxed);
     // ctx destruction returns every worker-held pool buffer (chunk bufs,
@@ -980,11 +959,14 @@ void pass_runner::run() {
       obs::profile_alias(out_stores_[i].get(), dag_.tall_outputs[i]);
   }
   merge_sinks();
-  if (prof_) record_profile();
+  if (prof_) {
+    pass_probe.stop();
+    record_profile(wall_ns);
+  }
 }
 
 void pass_runner::process_partition(thread_ctx& ctx) {
-  OBS_SPAN_ARG("partition", ctx.part);
+  obs::probe partition_probe({.name = "partition", .arg = ctx.part});
   // A peer may have failed while this worker was between partitions; bail
   // before fetching carries so we never block on a cancelled cum chain.
   if (cancelled()) throw pass_cancelled{};
@@ -997,7 +979,7 @@ void pass_runner::process_partition(thread_ctx& ctx) {
       carry.resize(node.ncol() * node.elem_size());
       if (ctx.part > 0) {
         // Parked on a predecessor's cumulative carry: lock wait.
-        obs::sample_wait_scope sample_scope(obs::sample_state::lock_wait);
+        obs::probe carry_wait({.wait = obs::sample_state::lock_wait});
         chain.wait_for(ctx.part - 1, carry.data(), carry.size());
       }
     }
@@ -1078,16 +1060,16 @@ chunk_buf& pass_runner::ensure(thread_ctx& ctx, int id) {
       const std::size_t bytes = ctx.chunk_rows * g->ncol() * g->elem_size();
       cb.owned = ctx.free_bufs.take(bytes);
       ++ctx.live_owned;
-      const std::uint64_t g0 = prof_ ? now_ns() : 0;
-      g->generate(ctx.part_row0 + ctx.chunk_row0, ctx.chunk_rows,
-                  cb.owned.data(), ctx.chunk_rows);
-      if (prof_) {
-        prof_add(ctx, id, pf_kernel, now_ns() - g0);
-        prof_add(ctx, id, pf_rows, ctx.chunk_rows);
-        prof_add(ctx, id, pf_bytes, bytes);
-        prof_add(ctx, id, pf_chunks, 1);
-        if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
+      {
+        obs::probe gen_probe({.name = n.op,
+                              .arg = ctx.chunk_rows,
+                              .hot = true,
+                              .acc = prof_ns(ctx, id,
+                                             &obs::node_counters::kernel_ns)});
+        g->generate(ctx.part_row0 + ctx.chunk_row0, ctx.chunk_rows,
+                    cb.owned.data(), ctx.chunk_rows);
       }
+      if (prof_) count_chunk(ctx, id, ctx.chunk_rows, bytes);
       cb.v = kern::view{cb.owned.data(), ctx.chunk_rows};
       break;
     }
@@ -1131,11 +1113,7 @@ void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
     out.v = ensure(ctx, ch[0]).v;
     unref(ctx, ch[0]);
     ++ctx.zero_copy;
-    if (prof_) {
-      prof_add(ctx, id, pf_rows, rows);
-      prof_add(ctx, id, pf_chunks, 1);
-      if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
-    }
+    if (prof_) count_chunk(ctx, id, rows, 0);
     return;
   }
 
@@ -1148,13 +1126,15 @@ void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
     return ctx.chunk[static_cast<std::size_t>(ch[k])].v;
   };
 
-  // Kernel execution: node_kind_name() returns a string literal, which
-  // satisfies the span's static-storage requirement. One span per node per
-  // chunk is chunk-granularity, so it goes to the full tracer only: in the
-  // always-on flight recorder its two clock reads and ring writes cost a
-  // transcendental chain 6% of its wall time with 128-row chunks.
-  obs::span_hot kernel_span(node_kind_name(op.kind), rows);
-  const std::uint64_t k0 = prof_ ? now_ns() : 0;
+  // Kernel execution, named by the node's kind. One probe per node per
+  // chunk is chunk-granularity, so its span goes to the full tracer only:
+  // in the always-on flight recorder its two clock reads and ring writes
+  // cost a transcendental chain 6% of its wall time with 128-row chunks.
+  obs::probe kernel_probe(
+      {.name = n.op,
+       .arg = rows,
+       .hot = true,
+       .acc = prof_ns(ctx, id, &obs::node_counters::kernel_ns)});
 
   out.owned = ctx.free_bufs.take(rows * cols * v->elem_size());
   ++ctx.live_owned;
@@ -1224,20 +1204,16 @@ void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
     default:
       FLASHR_ASSERT(false, "sink evaluated as aligned node");
   }
+  kernel_probe.stop();
 
-  if (prof_) {
-    prof_add(ctx, id, pf_kernel, now_ns() - k0);
-    prof_add(ctx, id, pf_rows, rows);
-    prof_add(ctx, id, pf_bytes, rows * cols * v->elem_size());
-    prof_add(ctx, id, pf_chunks, 1);
-    if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
-  }
+  if (prof_) count_chunk(ctx, id, rows, rows * cols * v->elem_size());
   out.v = kern::view{o, ostride};
   for (int k = 0; k < n.num_children; ++k) unref(ctx, ch[k]);
 }
 
 void pass_runner::process_chunk(thread_ctx& ctx) {
-  OBS_SPAN_HOT("chunk", ctx.chunk_row0);
+  obs::probe chunk_probe(
+      {.name = "chunk", .arg = ctx.chunk_row0, .hot = true});
   ++ctx.gen;
   // Tall outputs: evaluate and copy the chunk into the partition store.
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
@@ -1245,87 +1221,75 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
     const matrix_store& v = store_of(id);
     chunk_buf& cb = ensure(ctx, id);
     const std::size_t esz = v.elem_size();
-    // The output move is data plumbing, not compute: it lands on the node's
-    // copy time, not its kernel time.
-    const std::uint64_t c0 = prof_ ? now_ns() : 0;
-    if (out_stores_[i]->kind() == store_kind::ext) {
-      char* dst = ctx.out_stage[i].data() + ctx.chunk_row0 * esz;
-      kern::copy(v.type(), cb.v, ctx.chunk_rows, v.ncol(), dst,
-                 ctx.part_rows);
-    } else {
-      auto* m = static_cast<mem_store*>(out_stores_[i].get());
-      char* dst = m->part_data(ctx.part) + ctx.chunk_row0 * esz;
-      kern::copy(v.type(), cb.v, ctx.chunk_rows, v.ncol(), dst,
-                 m->part_stride(ctx.part));
+    {
+      // The output move is data plumbing, not compute: it lands on the
+      // node's copy time, not its kernel time.
+      obs::probe copy_probe(
+          {.name = "output.copy",
+           .arg = ctx.chunk_rows,
+           .hot = true,
+           .acc = prof_ns(ctx, id, &obs::node_counters::copy_ns)});
+      if (out_stores_[i]->kind() == store_kind::ext) {
+        char* dst = ctx.out_stage[i].data() + ctx.chunk_row0 * esz;
+        kern::copy(v.type(), cb.v, ctx.chunk_rows, v.ncol(), dst,
+                   ctx.part_rows);
+      } else {
+        auto* m = static_cast<mem_store*>(out_stores_[i].get());
+        char* dst = m->part_data(ctx.part) + ctx.chunk_row0 * esz;
+        kern::copy(v.type(), cb.v, ctx.chunk_rows, v.ncol(), dst,
+                   m->part_stride(ctx.part));
+      }
     }
-    if (prof_) prof_add(ctx, id, pf_copy, now_ns() - c0);
     unref(ctx, id);
   }
 
-  // Sinks: accumulate into this thread's partials.
+  // Sinks: accumulate into this thread's partials. Like eval_virtual: the
+  // children first (ensure() may evaluate the whole virtual chain beneath
+  // the sink, and those kernels time themselves), then one probe around
+  // the accumulate kernel alone, then the unrefs.
   for (std::size_t s = 0; s < sinks_.size(); ++s) {
     const int id = dag_.sink_ids[s];
+    const plan_node& n = dag_.nodes[static_cast<std::size_t>(id)];
     const genop& op = sinks_[s].node->op();
     const int* ch = dag_.children_of(id);
+    for (int k = 0; k < n.num_children; ++k) ensure(ctx, ch[k]);
+    auto in = [&](int k) -> const kern::view& {
+      return ctx.chunk[static_cast<std::size_t>(ch[k])].v;
+    };
     char* acc = ctx.sink_acc[s].data();
     const matrix_store& a = store_of(ch[0]);
     const scalar_type ct = a.type();
-    // Time ONLY the accumulate kernel: ensure() may evaluate the whole
-    // virtual chain beneath the sink, and those kernels account their own
-    // time — including them here would double-count.
-    std::uint64_t acc_ns = 0;
-    switch (op.kind) {
-      // A full aggregate keeps one accumulator per column until agg_finish,
-      // so both accumulate exactly like a column aggregate.
-      case node_kind::s_agg_full:
-      case node_kind::s_agg_col: {
-        const kern::view& av = ensure(ctx, ch[0]).v;
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::agg_col_acc(ct, op.a, av, ctx.chunk_rows, a.ncol(), acc);
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
-        break;
+    {
+      obs::probe sink_probe(
+          {.name = n.op,
+           .arg = ctx.chunk_rows,
+           .hot = true,
+           .acc = prof_ns(ctx, id, &obs::node_counters::kernel_ns)});
+      switch (op.kind) {
+        // A full aggregate keeps one accumulator per column until
+        // agg_finish, so both accumulate exactly like a column aggregate.
+        case node_kind::s_agg_full:
+        case node_kind::s_agg_col:
+          kern::agg_col_acc(ct, op.a, in(0), ctx.chunk_rows, a.ncol(), acc);
+          break;
+        case node_kind::s_tmm:
+          kern::tmm_acc(ct, op.b, op.a, in(0), in(1), ctx.chunk_rows,
+                        a.ncol(), store_of(ch[1]).ncol(), acc);
+          break;
+        case node_kind::s_groupby_row:
+          kern::groupby_row_acc(ct, op.a, in(0), in(1), ctx.chunk_rows,
+                                a.ncol(), op.num_groups, acc);
+          break;
+        case node_kind::s_count_groups:
+          kern::count_groups_acc(in(0), ctx.chunk_rows, op.num_groups,
+                                 reinterpret_cast<std::int64_t*>(acc));
+          break;
+        default:
+          FLASHR_ASSERT(false, "aligned node in sink list");
       }
-      case node_kind::s_tmm: {
-        const kern::view& av = ensure(ctx, ch[0]).v;
-        const kern::view& bv = ensure(ctx, ch[1]).v;
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::tmm_acc(ct, op.b, op.a, av, bv, ctx.chunk_rows, a.ncol(),
-                      store_of(ch[1]).ncol(), acc);
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
-        unref(ctx, ch[1]);
-        break;
-      }
-      case node_kind::s_groupby_row: {
-        const kern::view& av = ensure(ctx, ch[0]).v;
-        const kern::view& lab = ensure(ctx, ch[1]).v;
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::groupby_row_acc(ct, op.a, av, lab, ctx.chunk_rows, a.ncol(),
-                              op.num_groups, acc);
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
-        unref(ctx, ch[1]);
-        break;
-      }
-      case node_kind::s_count_groups: {
-        const kern::view& lab = ensure(ctx, ch[0]).v;
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::count_groups_acc(lab, ctx.chunk_rows, op.num_groups,
-                               reinterpret_cast<std::int64_t*>(acc));
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
-        break;
-      }
-      default:
-        FLASHR_ASSERT(false, "aligned node in sink list");
     }
-    if (prof_) {
-      prof_add(ctx, id, pf_kernel, acc_ns);
-      prof_add(ctx, id, pf_rows, ctx.chunk_rows);
-      prof_add(ctx, id, pf_chunks, 1);
-      if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
-    }
+    for (int k = 0; k < n.num_children; ++k) unref(ctx, ch[k]);
+    if (prof_) count_chunk(ctx, id, ctx.chunk_rows, 0);
   }
 
   // Every owned buffer must have been recycled by its last consumer.
@@ -1641,7 +1605,7 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st) {
 
 void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
                  const materialize_opts& opts) {
-  OBS_SPAN_ARG("materialize", targets.size());
+  obs::probe materialize_probe({.name = "materialize", .arg = targets.size()});
   static const bool probes_registered = [] {
     register_pass_probes();
     return true;

@@ -131,7 +131,7 @@ resource_governor::reservation resource_governor::admit(
   const std::uint64_t t0 = now_ns();
   queue_wait_counter().add(1);
   // Sampling profiler: time queued for the admission budget is lock wait.
-  obs::sample_wait_scope sample_scope(obs::sample_state::lock_wait);
+  obs::probe queue_probe({.wait = obs::sample_state::lock_wait});
   mutex_lock lock(gov_mtx_);
   ++queued_;
   for (;;) {

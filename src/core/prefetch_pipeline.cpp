@@ -84,7 +84,6 @@ void prefetch_pipeline::on_leaf_read_complete(
 
 bool prefetch_pipeline::pop(slot& out) {
   if (depth_ == 0) return pop_sync(out);
-  OBS_SPAN("prefetch.pop");
   async_io& io = async_io::global();
   // Write back-pressure: claim no new work while more writes wait in the I/O
   // FIFO than the window holds partitions; run the oldest requests first.

@@ -124,16 +124,15 @@ void async_io::admit_write(std::size_t len) {
   // max(budget, largest single write).
   if (budget != 0 && inflight_write_bytes_ != 0 &&
       inflight_write_bytes_ + len > budget) {
-    OBS_SPAN_ARG("io.write_throttle", len);
-    // Sampling profiler: time stalled on the write budget is I/O wait.
-    obs::sample_wait_scope sample_scope(obs::sample_state::io_wait);
+    // Time stalled on the write budget is I/O wait to the sampler.
+    obs::probe throttle_probe({.name = "io.write_throttle",
+                               .arg = len,
+                               .acc = &throttle_stall_ns_,
+                               .hist = throttle_hist,
+                               .wait = obs::sample_state::io_wait});
     ++throttle_stalls_;
-    const std::uint64_t t0 = now_ns();
     while (inflight_write_bytes_ != 0 && inflight_write_bytes_ + len > budget)
       cv_write_budget_.wait(lock);
-    const std::uint64_t stalled = now_ns() - t0;
-    throttle_stall_ns_ += stalled;
-    if (obs::metrics_on()) throttle_hist().record(stalled / 1000);
   }
   inflight_write_bytes_ += len;
   if (inflight_write_bytes_ > write_hwm_bytes_)
@@ -231,8 +230,8 @@ bool async_io::help_one() noexcept {
   FLASHR_DCHECK(detail::held_ranks(nullptr, 0) == 0,
                 "async_io::help_one with a ranked lock held");
   // The helper does the I/O thread's work, not a wait: keep these samples
-  // out of the io_wait scope its caller (the pass worker's pop) opened.
-  obs::sample_wait_scope cpu_scope(obs::sample_state::cpu);
+  // out of the io_wait state its caller (the pass worker's pop) entered.
+  obs::probe cpu_probe({.wait = obs::sample_state::cpu});
   request req;
   {
     mutex_lock lock(io_mtx_);
@@ -249,8 +248,8 @@ void async_io::run(request& req) {
   if (req.is_write) {
     std::exception_ptr err;
     {
-      OBS_SPAN_ARG("io.write", req.len);
-      const std::uint64_t t0 = obs::metrics_on() ? now_ns() : 0;
+      obs::probe write_probe(
+          {.name = "io.write", .arg = req.len, .hist = write_hist});
       try {
         req.wfile->write(req.offset, req.len, req.wbuf.data());
         stats.write_ops.fetch_add(1, std::memory_order_relaxed);
@@ -258,7 +257,6 @@ void async_io::run(request& req) {
       } catch (...) {
         err = std::current_exception();
       }
-      if (t0 != 0) write_hist().record((now_ns() - t0) / 1000);
     }
     req.wbuf.release();
     last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
@@ -267,8 +265,8 @@ void async_io::run(request& req) {
   }
   std::exception_ptr err;
   {
-    OBS_SPAN_ARG("io.read", req.len);
-    const std::uint64_t t0 = obs::metrics_on() ? now_ns() : 0;
+    obs::probe read_probe(
+        {.name = "io.read", .arg = req.len, .hist = read_hist});
     try {
       req.rfile->read(req.offset, req.len, req.rbuf);
       stats.read_ops.fetch_add(1, std::memory_order_relaxed);
@@ -276,7 +274,6 @@ void async_io::run(request& req) {
     } catch (...) {
       err = std::current_exception();
     }
-    if (t0 != 0) read_hist().record((now_ns() - t0) / 1000);
   }
   // Stall injection sits between "data landed" and "completion
   // delivered": the read already happened (and was counted), but the

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/config.h"
 #include "common/rng.h"
 #include "io/safs.h"
 
@@ -35,22 +34,6 @@ double fault_plan::prob(fault_site s) const {
 }
 
 namespace {
-fault_plan plan_from_conf() {
-  const options& o = conf();
-  fault_plan p;
-  p.seed = o.fault_seed;
-  p.pread_prob = o.fault_pread_prob;
-  p.pwrite_prob = o.fault_pwrite_prob;
-  p.latency_prob = o.fault_latency_prob;
-  p.short_prob = o.fault_short_prob;
-  p.stall_prob = o.fault_stall_prob;
-  p.latency_us = o.fault_latency_us;
-  p.stall_us = o.fault_stall_us;
-  p.fault_errno = o.fault_errno;
-  p.max_faults = o.fault_max_faults;
-  return p;
-}
-
 /// Per-site salt so the four sites draw from independent streams of the
 /// same seed.
 constexpr std::uint64_t site_salt(fault_site s) {
@@ -59,11 +42,8 @@ constexpr std::uint64_t site_salt(fault_site s) {
 }  // namespace
 
 fault_plan fault_injector::snapshot() const {
-  {
-    mutex_lock lock(fault_mtx_);
-    if (use_override_) return override_plan_;
-  }
-  return plan_from_conf();
+  mutex_lock lock(fault_mtx_);
+  return use_override_ ? override_plan_ : fault_plan{};
 }
 
 fault_injector::decision fault_injector::next_with(const fault_plan& p,

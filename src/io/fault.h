@@ -18,8 +18,8 @@
 // *other* work. An optional total budget (max_faults) disarms the schedule
 // after N injections, which lets tests assert exact retry counts.
 //
-// The active plan comes from conf() (fault_* knobs) unless a fault_scope
-// has installed an override; fault_scope is the RAII entry point tests use.
+// Nothing is injected until a fault_scope installs a plan; fault_scope is
+// the one way to arm the injector (tests, bench_pipeline's latency spikes).
 #pragma once
 
 #include <sys/types.h>
@@ -49,7 +49,7 @@ inline constexpr int kNumFaultSites = 5;
 
 const char* fault_site_name(fault_site s);
 
-/// One injection schedule. Mirrors the fault_* knobs of flashr::options.
+/// One injection schedule.
 struct fault_plan {
   std::uint64_t seed = 0x5eedULL;
   double pread_prob = 0.0;
@@ -77,8 +77,7 @@ class fault_injector {
     int sleep_us = 0;  // latency site: delay to apply
   };
 
-  /// Snapshot of the active plan (the conf()-derived plan, or the installed
-  /// override).
+  /// Snapshot of the active plan: the installed one, or an unarmed default.
   fault_plan snapshot() const;
 
   /// Evaluate the schedule for one syscall at `site` under plan `p`
@@ -88,9 +87,9 @@ class fault_injector {
   /// Convenience: snapshot() + next_with().
   decision next(fault_site site) { return next_with(snapshot(), site); }
 
-  /// Install an override plan and reset counters/budget.
+  /// Install a plan and reset counters/budget.
   void install(const fault_plan& p);
-  /// Drop any override (back to the conf()-derived plan); reset counters.
+  /// Drop the installed plan (back to injecting nothing); reset counters.
   void clear();
   /// Reset per-site counters and the injection budget only.
   void reset();
@@ -111,8 +110,8 @@ class fault_injector {
   std::atomic<std::size_t> injected_{0};
 };
 
-/// RAII test scope: installs `p` on construction and restores the previous
-/// injector state (override or conf-derived) on destruction.
+/// RAII scope: installs `p` on construction and restores the previous
+/// injector state (an installed plan, or none) on destruction.
 class fault_scope {
  public:
   explicit fault_scope(const fault_plan& p);

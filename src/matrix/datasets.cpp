@@ -27,7 +27,7 @@ labeled_data criteo_like(std::size_t n, std::uint64_t seed) {
   rng64 rng(seed ^ 0x1234567ULL);
   for (std::size_t j = 0; j < p; ++j)
     w(j, 0) = (j % 3 == 0 ? 0.2 : -0.08) / (1.0 + 0.2 * static_cast<double>(j));
-  dense_matrix logits = matmul(X, dense_matrix::from_smat(w)) - 0.8;
+  dense_matrix logits = matmul(X, w) - 0.8;
   dense_matrix u = dense_matrix::runif(n, 1, 0.0, 1.0, seed ^ 0xabcdefULL);
   dense_matrix y = lt(u, sigmoid(logits));
   return labeled_data{X, y};
@@ -45,7 +45,7 @@ labeled_data pagegraph_like(std::size_t n, std::size_t clusters,
       mix(i, j) = scale * (i == j ? 1.0 : 0.15 * rng.next_normal());
   }
   dense_matrix Z = dense_matrix::rnorm(n, p, 0.0, 1.0, seed ^ 0x55aaULL);
-  dense_matrix X = matmul(Z, dense_matrix::from_smat(mix));
+  dense_matrix X = matmul(Z, mix);
 
   if (clusters == 0) return labeled_data{X, dense_matrix{}};
 
@@ -70,8 +70,7 @@ labeled_data pagegraph_like(std::size_t n, std::size_t clusters,
     indicators.push_back(
         mapply2(labf, static_cast<double>(c), bop_id::eq));
   dense_matrix onehot = cbind(indicators);
-  dense_matrix shift =
-      matmul(onehot, dense_matrix::from_smat(centroids.t()));
+  dense_matrix shift = matmul(onehot, centroids.t());
   return labeled_data{X + shift, lab};
 }
 

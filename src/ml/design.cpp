@@ -10,15 +10,14 @@ design::design(const dense_matrix& X, bool intercept)
 
 dense_matrix design::times(const smat& W) const {
   FLASHR_CHECK_SHAPE(W.nrow() == ncol(), "design: dimension mismatch");
-  if (!intercept_) return matmul(x_, dense_matrix::from_smat(W));
+  if (!intercept_) return matmul(x_, W);
   const std::size_t p = x_.ncol(), k = W.ncol();
   smat wx(p, k), icpt(1, k);
   for (std::size_t t = 0; t < k; ++t) {
     for (std::size_t j = 0; j < p; ++j) wx(j, t) = W(j, t);
     icpt(0, t) = W(p, t);
   }
-  return sweep_cols(matmul(x_, dense_matrix::from_smat(wx)), icpt,
-                    bop_id::add);
+  return sweep_cols(matmul(x_, wx), icpt, bop_id::add);
 }
 
 design::crossprod_sinks design::crossprod(const dense_matrix& R) const {

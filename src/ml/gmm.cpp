@@ -52,7 +52,7 @@ dense_matrix log_joint(const dense_matrix& X, const gmm_result& model,
     component_xform xf =
         make_xform(model.covariances[c], model.weights[c], ridge);
     dense_matrix Xc = sweep_cols(X, model.means.row(c), bop_id::sub);
-    dense_matrix Y = matmul(Xc, dense_matrix::from_smat(xf.A));
+    dense_matrix Y = matmul(Xc, xf.A);
     dense_matrix q = row_sums(square(Y));  // Mahalanobis distance^2
     cols.push_back(q * -0.5 + xf.log_norm);
   }

@@ -104,14 +104,13 @@ dense_matrix lda_predict(const dense_matrix& X, const lda_model& model) {
   FLASHR_CHECK_SHAPE(X.ncol() == model.coef.nrow(),
                      "lda_predict: dimension mismatch");
   dense_matrix scores =
-      sweep_cols(matmul(X, dense_matrix::from_smat(model.coef)),
-                 model.intercept, bop_id::add);
+      sweep_cols(matmul(X, model.coef), model.intercept, bop_id::add);
   return which_max_row(scores);
 }
 
 dense_matrix lda_transform(const dense_matrix& X, const lda_model& model) {
   FLASHR_CHECK(model.scaling.size() > 0, "lda_transform: no axes (k < 2)");
-  return matmul(X, dense_matrix::from_smat(model.scaling));
+  return matmul(X, model.scaling);
 }
 
 }  // namespace flashr::ml

@@ -93,7 +93,7 @@ dense_matrix svd_u(const dense_matrix& X, const svd_result& s) {
     const double inv = s.d[j] > 0 ? 1.0 / s.d[j] : 0.0;
     for (std::size_t i = 0; i < vs.nrow(); ++i) vs(i, j) *= inv;
   }
-  return matmul(X, dense_matrix::from_smat(vs));
+  return matmul(X, vs);
 }
 
 }  // namespace flashr::ml

@@ -36,8 +36,7 @@ dense_matrix mvrnorm(std::size_t n, const smat& mu, const smat& sigma,
   smat mu_row(1, p);
   for (std::size_t j = 0; j < p; ++j)
     mu_row(0, j) = mu.nrow() == 1 ? mu(0, j) : mu(j, 0);
-  return sweep_cols(matmul(Z, dense_matrix::from_smat(B)), mu_row,
-                    bop_id::add);
+  return sweep_cols(matmul(Z, B), mu_row, bop_id::add);
 }
 
 }  // namespace flashr::ml

@@ -29,7 +29,7 @@ dense_matrix pca_transform(const dense_matrix& X, const pca_result& fit) {
   FLASHR_CHECK_SHAPE(X.ncol() == fit.rotation.nrow(),
                      "pca_transform: dimension mismatch");
   dense_matrix centered = sweep_cols(X, fit.center, bop_id::sub);
-  return matmul(centered, dense_matrix::from_smat(fit.rotation));
+  return matmul(centered, fit.rotation);
 }
 
 }  // namespace flashr::ml

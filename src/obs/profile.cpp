@@ -69,6 +69,17 @@ void append_node(std::string& out, const node_profile& n) {
 
 }  // namespace
 
+node_counters& node_counters::operator+=(const node_counters& o) {
+  kernel_ns += o.kernel_ns;
+  copy_ns += o.copy_ns;
+  io_wait_ns += o.io_wait_ns;
+  partitions += o.partitions;
+  rows += o.rows;
+  bytes += o.bytes;
+  chunks += o.chunks;
+  return *this;
+}
+
 std::string pass_profile::to_json() const {
   std::string out;
   append(out,
@@ -206,14 +217,7 @@ void run_analysis(const std::vector<matrix_store::ptr>& targets, storage st,
     for (const node_profile& n : p.nodes) {
       if (n.id < 0 || static_cast<std::size_t>(n.id) >= totals.size())
         continue;
-      node_profile& t = totals[static_cast<std::size_t>(n.id)];
-      t.kernel_ns += n.kernel_ns;
-      t.copy_ns += n.copy_ns;
-      t.io_wait_ns += n.io_wait_ns;
-      t.partitions += n.partitions;
-      t.rows += n.rows;
-      t.bytes += n.bytes;
-      t.chunks += n.chunks;
+      totals[static_cast<std::size_t>(n.id)] += n;
     }
   }
 

@@ -3,11 +3,13 @@
 //
 // When profiling is enabled, exec::materialize arms a map from every store
 // in the pending DAG to its deterministic DFS plan id (the same ids
-// explain_json() prints — obs/explain.h summarize()). Each pass accumulates
-// per-thread, per-node costs in plain per-worker arrays (kernel ns, I/O-wait
-// ns, partitions, rows, bytes, Pcache chunks) and merges them lock-free
-// (atomic fetch_add) when the worker finishes; the merged pass_profile is
-// pushed into a bounded history ring here.
+// explain_json() prints — obs/explain.h summarize()). Each pass fills one
+// node_profile per plan node: every worker counts into its own
+// node_counters (kernel, copy and I/O-wait ns, partitions, rows, bytes,
+// Pcache chunks) and adds them in once, when it finishes; the pass_profile
+// is pushed into a bounded history ring here. Every time a node gets is
+// the interval of one obs::probe (obs/trace.h), the same two clock reads
+// the trace shows as that site's span.
 //
 // explain_analyze_json() ties the two halves together: capture the plan,
 // materialize with profiling on, then emit plan + per-pass actuals +
@@ -41,16 +43,10 @@ inline bool profile_on() {
 
 void set_profile_enabled(bool on);
 
-/// Measured actuals of one DAG node over one pass. `id` is the plan's DFS
-/// node id, or -1 when the store was not part of the armed plan (profiling
-/// enabled without an armed materialization).
-struct node_profile {
-  int id = -1;
-  const char* op = "?";  ///< static storage (node_kind_name / store label)
-  bool sink = false;
-  bool leaf = false;
-  int group = -1;                 ///< fusion group from the armed plan
-  std::uint64_t est_bytes = 0;    ///< planned size, from the armed plan
+/// What a pass measured for one DAG node. Workers count into their own
+/// copies; += merges them into the pass's node_profile, and sums passes
+/// into explain_analyze()'s per-node totals.
+struct node_counters {
   std::uint64_t kernel_ns = 0;    ///< kernel/generate/sink-accumulate time
   std::uint64_t copy_ns = 0;      ///< chunk-copy time (staging/output moves)
   std::uint64_t io_wait_ns = 0;   ///< worker time blocked on this leaf's I/O
@@ -58,6 +54,20 @@ struct node_profile {
   std::uint64_t rows = 0;         ///< rows produced/consumed
   std::uint64_t bytes = 0;        ///< bytes produced (or read, for leaves)
   std::uint64_t chunks = 0;       ///< Pcache chunk evaluations
+
+  node_counters& operator+=(const node_counters& o);
+};
+
+/// Measured actuals of one DAG node over one pass. `id` is the plan's DFS
+/// node id, or -1 when the store was not part of the armed plan (profiling
+/// enabled without an armed materialization).
+struct node_profile : node_counters {
+  int id = -1;
+  const char* op = "?";  ///< static storage (node_kind_name / store label)
+  bool sink = false;
+  bool leaf = false;
+  int group = -1;                 ///< fusion group from the armed plan
+  std::uint64_t est_bytes = 0;    ///< planned size, from the armed plan
 };
 
 /// One materialization pass, merged across workers.

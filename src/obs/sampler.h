@@ -7,17 +7,17 @@
 // SIGEV_THREAD_ID) that delivers SIGPROF at obs_sample_hz. The signal
 // handler — async-signal-safe under the analyzer's FLASHR_SIGNAL_SAFE
 // rules — walks the frame-pointer chain and records the raw pcs plus the
-// interrupted thread's wait state (a thread-local relaxed atomic
-// maintained by the RAII scopes below) into a per-thread lock-free SPSC
-// ring. A collector thread drains the rings every ~50 ms and folds samples
+// interrupted thread's wait state (a thread-local relaxed atomic set by
+// obs::probe and sample_idle_scope) into a per-thread lock-free SPSC ring. A collector thread drains the rings every ~50 ms and folds samples
 // into (stack, state)-keyed aggregates.
 //
-// Off-CPU attribution: the executor and I/O layers wrap their existing
-// read-wait / throttle / lock-wait span sites in sample_wait_scope, so a
-// sample taken while a thread sits in one of those windows is keyed
-// io_wait or lock_wait instead of cpu, and a thread parked with no work
-// (sample_idle_scope) is keyed idle. Every profile therefore splits into
-// on-CPU / I/O-wait / lock-wait / idle with no post-hoc log joining.
+// Off-CPU attribution: the probe (obs/trace.h) at each blocking site of the
+// executor, I/O layer, governor and pool names the wait state its interval
+// covers (probe_site::wait), so a sample taken while a thread sits in one
+// of those windows is keyed io_wait or lock_wait instead of cpu, and a
+// thread parked with no work (sample_idle_scope) is keyed idle. Every
+// profile therefore splits into on-CPU / I/O-wait / lock-wait / idle with
+// no post-hoc log joining.
 //
 // Samples carry no DAG node or pass: a node's time is the pass profile's
 // measured kernel_ns (obs/profile.h). The sampler names stacks.
@@ -32,8 +32,8 @@
 //   * flashr-prof-v1 history records via obs/prof_store.h, diffed stack by
 //     stack by tools/bench_compare.py --attribute.
 //
-// Cost when off: obs_sample_hz=0 (the default) arms no timers and every
-// wait scope below is a single relaxed load — pinned by the microops
+// Cost when off: obs_sample_hz=0 (the default) arms no timers and a
+// probe's wait state is a single relaxed load — pinned by the microops
 // overhead test like the flight recorder's.
 #pragma once
 
@@ -55,9 +55,9 @@ inline bool sampler_on() {
 }
 
 /// What a sample taken "now" on this thread means. cpu is the default;
-/// the wait states are entered via sample_wait_scope around the blocking
-/// windows the trace layer already marks with spans, and idle via
-/// sample_idle_scope around a thread's wait for work.
+/// the wait states are entered by the probe around a blocking window
+/// (probe_site::wait), and idle via sample_idle_scope around a thread's
+/// wait for work.
 enum class sample_state : std::uint8_t {
   cpu = 0,
   io_wait = 1,
@@ -85,35 +85,11 @@ struct sample_tls_ctx {
 extern thread_local sample_tls_ctx t_sample_ctx;
 }  // namespace detail
 
-/// Mark this thread as blocked (io_wait / lock_wait) for the scope's
-/// lifetime; samples landing inside are attributed off-CPU. Placed at the
-/// same sites as the trace layer's read-wait/throttle spans.
-class sample_wait_scope {
- public:
-  explicit sample_wait_scope(sample_state s) {
-    if (!sampler_on()) return;
-    auto& c = detail::t_sample_ctx;
-    prev_ = c.state.load(std::memory_order_relaxed);
-    c.state.store(static_cast<std::uint8_t>(s), std::memory_order_relaxed);
-    armed_ = true;
-  }
-  ~sample_wait_scope() {
-    if (armed_)
-      detail::t_sample_ctx.state.store(prev_, std::memory_order_relaxed);
-  }
-  sample_wait_scope(const sample_wait_scope&) = delete;
-  sample_wait_scope& operator=(const sample_wait_scope&) = delete;
-
- private:
-  std::uint8_t prev_ = 0;
-  bool armed_ = false;
-};
-
 /// Mark this thread as parked with no work (a pool worker waiting for a
 /// job, the watchdog between polls, an I/O thread on an empty FIFO) for
-/// the scope's lifetime. Unlike sample_wait_scope it arms even while the
-/// sampler is off: a thread may park before the sampler starts and stay
-/// parked through the whole profile. Two relaxed stores, next to a wait.
+/// the scope's lifetime. Unlike a probe's wait state it arms even while
+/// the sampler is off: a thread may park before the sampler starts and
+/// stay parked through the whole profile. Two relaxed stores, next to a wait.
 class sample_idle_scope {
  public:
   sample_idle_scope() {

@@ -3,18 +3,19 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <vector>
 
-#include "common/config.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/raw_sink.h"
 #include "common/thread_safety.h"
 #include "common/timer.h"
+#include "obs/metrics.h"
 #include "obs/sampler.h"
 
 namespace flashr::obs {
@@ -27,6 +28,9 @@ std::atomic<std::uint32_t> g_record_mask{kFlightBit};
 
 namespace {
 
+/// Capacity of trace rings registered from now on (set_trace_enabled).
+std::atomic<std::size_t> g_ring_events{std::size_t{1} << 16};
+
 void set_mask_bit(std::uint32_t bit, bool on) {
   if (on)
     detail::g_record_mask.fetch_or(bit, std::memory_order_relaxed);
@@ -36,7 +40,10 @@ void set_mask_bit(std::uint32_t bit, bool on) {
 
 }  // namespace
 
-void set_trace_enabled(bool on) { set_mask_bit(detail::kTraceBit, on); }
+void set_trace_enabled(bool on, std::size_t ring_events) {
+  g_ring_events.store(ring_events, std::memory_order_relaxed);
+  set_mask_bit(detail::kTraceBit, on);
+}
 
 void set_flight_enabled(bool on) { set_mask_bit(detail::kFlightBit, on); }
 
@@ -90,7 +97,7 @@ trace_ring& local_ring() {
   trace_registry& reg = registry();
   const std::uint64_t e = reg.epoch.load(std::memory_order_relaxed);
   if (t_ring.epoch != e) {
-    std::size_t cap = conf().obs_ring_events;
+    std::size_t cap = g_ring_events.load(std::memory_order_relaxed);
     if (cap < 16) cap = 16;
     auto ring = std::make_shared<trace_ring>(cap);
     mutex_lock lock(reg.trace_mtx);
@@ -101,11 +108,6 @@ trace_ring& local_ring() {
     t_ring.epoch = e;
   }
   return *t_ring.ring;
-}
-
-std::uint64_t ring_dropped(const trace_ring& r, std::uint64_t head) {
-  const std::uint64_t cap = r.mask + 1;
-  return head > cap ? head - cap : 0;
 }
 
 // ---- flight recorder rings ------------------------------------------------
@@ -170,15 +172,38 @@ flight_ring& local_flight() {
   return *t_flight;
 }
 
-/// Decoded record used by the flush path.
-struct event_rec {
-  std::uint64_t ts = 0;
-  const char* name = nullptr;
-  event_kind kind = event_kind::instant;
-  std::uint64_t arg = 0;
-};
+/// Copy a ring's live records into `out`, oldest first, and return how
+/// many older ones were lost to wrap. Safe against a running writer: the
+/// head is re-read after the copy and any record the writer may have
+/// overwritten mid-copy is dropped, never decoded (slot words are relaxed
+/// atomics, so the race is benign and TSan-clean).
+std::uint64_t snapshot_ring(const trace_slot* slots, std::uint64_t mask,
+                            const std::atomic<std::uint64_t>& head,
+                            std::vector<flight_event>& out) {
+  const std::uint64_t cap = mask + 1;
+  const std::uint64_t h = head.load(std::memory_order_acquire);
+  const std::uint64_t lo = h > cap ? h - cap : 0;
+  out.clear();
+  out.reserve(static_cast<std::size_t>(h - lo));
+  for (std::uint64_t i = lo; i < h; ++i) {
+    const trace_slot& s = slots[i & mask];
+    flight_event ev;
+    ev.ts_ns = s.w[0].load(std::memory_order_relaxed);
+    ev.name = reinterpret_cast<const char*>(
+        static_cast<std::uintptr_t>(s.w[1].load(std::memory_order_relaxed)));
+    ev.kind = static_cast<event_kind>(s.w[2].load(std::memory_order_relaxed));
+    ev.arg = s.w[3].load(std::memory_order_relaxed);
+    out.push_back(ev);
+  }
+  const std::uint64_t h2 = head.load(std::memory_order_acquire);
+  const std::uint64_t lo2 = h2 > cap ? h2 - cap : 0;
+  const std::size_t skip = std::min<std::size_t>(
+      lo2 > lo ? static_cast<std::size_t>(lo2 - lo) : 0, out.size());
+  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(skip));
+  return lo + skip;
+}
 
-void append_event(std::string& out, const event_rec& ev, int tid) {
+void append_event(std::string& out, const flight_event& ev, int tid) {
   const char* ph = ev.kind == event_kind::begin     ? "B"
                    : ev.kind == event_kind::end     ? "E"
                    : ev.kind == event_kind::counter ? "C"
@@ -189,7 +214,7 @@ void append_event(std::string& out, const event_rec& ev, int tid) {
   std::snprintf(buf, sizeof(buf),
                 "\",\"cat\":\"flashr\",\"ph\":\"%s\",\"pid\":1,\"tid\":%d,"
                 "\"ts\":%.3f",
-                ph, tid, static_cast<double>(ev.ts) / 1e3);
+                ph, tid, static_cast<double>(ev.ts_ns) / 1e3);
   out += buf;
   if (ev.kind == event_kind::instant) out += ",\"s\":\"t\"";
   if (ev.kind != event_kind::end) {
@@ -205,14 +230,15 @@ void append_event(std::string& out, const event_rec& ev, int tid) {
 /// analyzer holds it to that. Shared by the trace and flight rings.
 void record_slot(trace_slot* slots, std::uint64_t mask,
                  std::atomic<std::uint64_t>& head, event_kind kind,
-                 const char* name, std::uint64_t arg) FLASHR_NONBLOCKING;
+                 const char* name, std::uint64_t arg,
+                 std::uint64_t ts_ns) FLASHR_NONBLOCKING;
 
 void record_slot(trace_slot* slots, std::uint64_t mask,
                  std::atomic<std::uint64_t>& head, event_kind kind,
-                 const char* name, std::uint64_t arg) {
+                 const char* name, std::uint64_t arg, std::uint64_t ts_ns) {
   const std::uint64_t i = head.load(std::memory_order_relaxed);
   trace_slot& s = slots[i & mask];
-  s.w[0].store(now_ns(), std::memory_order_relaxed);
+  s.w[0].store(ts_ns, std::memory_order_relaxed);
   s.w[1].store(reinterpret_cast<std::uintptr_t>(name),
                std::memory_order_relaxed);
   s.w[2].store(static_cast<std::uint64_t>(kind), std::memory_order_relaxed);
@@ -230,26 +256,42 @@ void record_slot(trace_slot* slots, std::uint64_t mask,
 FLASHR_BLOCKING_EXEMPT(
     "once-per-thread ring registration; I/O threads pre-register via "
     "ensure_thread_ring")
-void emit(event_kind kind, const char* name, std::uint64_t arg) {
-  const std::uint32_t m = detail::g_record_mask.load(std::memory_order_relaxed);
+void emit(event_kind kind, const char* name, std::uint64_t arg,
+          std::uint64_t ts_ns, std::uint32_t rings) {
+  const std::uint32_t m =
+      detail::g_record_mask.load(std::memory_order_relaxed) & rings;
   if ((m & detail::kTraceBit) != 0) {
     trace_ring& r = local_ring();
-    record_slot(r.slots.data(), r.mask, r.head, kind, name, arg);
+    record_slot(r.slots.data(), r.mask, r.head, kind, name, arg, ts_ns);
   }
   if ((m & detail::kFlightBit) != 0) {
     flight_ring& r = local_flight();
-    record_slot(r.slots, kFlightCap - 1, r.head, kind, name, arg);
+    record_slot(r.slots, kFlightCap - 1, r.head, kind, name, arg, ts_ns);
   }
 }
 
-FLASHR_BLOCKING_EXEMPT(
-    "once-per-thread ring registration; I/O threads pre-register via "
-    "ensure_thread_ring")
-void emit_trace_only(event_kind kind, const char* name, std::uint64_t arg) {
-  if (!trace_on()) return;
-  trace_ring& r = local_ring();
-  record_slot(r.slots.data(), r.mask, r.head, kind, name, arg);
+namespace detail {
+
+histogram* hist_if_on(histogram& (*f)()) { return metrics_on() ? &f() : nullptr; }
+
+std::uint64_t probe_begin(const char* name, std::uint64_t arg,
+                          std::uint32_t rings) {
+  const std::uint64_t t0 = now_ns();
+  if (rings != 0) emit(event_kind::begin, name, arg, t0, rings);
+  return t0;
 }
+
+std::uint64_t probe_end(const char* name, std::uint32_t rings,
+                        std::uint64_t t0, std::uint64_t* acc, histogram* hist) {
+  const std::uint64_t t1 = now_ns();
+  if (rings != 0) emit(event_kind::end, name, 0, t1, rings);
+  const std::uint64_t ns = t1 - t0;
+  if (acc != nullptr) *acc += ns;
+  if (hist != nullptr) hist->record(ns / 1000);
+  return ns;
+}
+
+}  // namespace detail
 
 void ensure_thread_ring() {
   if (trace_on()) (void)local_ring();
@@ -280,31 +322,10 @@ std::string trace_json(trace_summary* summary) {
 
   trace_registry& reg = registry();
   mutex_lock lock(reg.trace_mtx);
+  std::vector<flight_event> evs;
   for (const auto& ring : reg.rings) {
-    const std::uint64_t cap = ring->mask + 1;
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    std::uint64_t lo = head > cap ? head - cap : 0;
-
-    // Snapshot the live region, then re-read the head: any slot a still-
-    // running writer may have overwritten during the copy (index < head2 -
-    // cap) is discarded rather than interpreted as a torn record.
-    std::vector<event_rec> evs;
-    evs.reserve(static_cast<std::size_t>(head - lo));
-    for (std::uint64_t i = lo; i < head; ++i) {
-      const trace_slot& s = ring->slots[i & ring->mask];
-      event_rec ev;
-      ev.ts = s.w[0].load(std::memory_order_relaxed);
-      ev.name = reinterpret_cast<const char*>(
-          static_cast<std::uintptr_t>(s.w[1].load(std::memory_order_relaxed)));
-      ev.kind = static_cast<event_kind>(s.w[2].load(std::memory_order_relaxed));
-      ev.arg = s.w[3].load(std::memory_order_relaxed);
-      evs.push_back(ev);
-    }
-    const std::uint64_t head2 = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t lo2 = head2 > cap ? head2 - cap : 0;
-    std::size_t skip = lo2 > lo ? static_cast<std::size_t>(lo2 - lo) : 0;
-    if (skip > evs.size()) skip = evs.size();
-
+    sum.dropped += snapshot_ring(ring->slots.data(), ring->mask, ring->head,
+                                 evs);
     // Thread metadata first, so Perfetto labels the track.
     {
       std::string name = ring->name.empty()
@@ -320,12 +341,11 @@ std::string trace_json(trace_summary* summary) {
 
     // Re-pair spans: drop ends whose begin was overwritten, close spans
     // still open at flush, so the JSON is always balanced.
-    std::vector<const event_rec*> open;
+    std::vector<const flight_event*> open;
     std::uint64_t last_ts = 0;
     std::string line;
-    for (std::size_t i = skip; i < evs.size(); ++i) {
-      const event_rec& ev = evs[i];
-      last_ts = ev.ts;
+    for (const flight_event& ev : evs) {
+      last_ts = ev.ts_ns;
       if (ev.kind == event_kind::end) {
         if (open.empty()) continue;  // begin lost to ring wrap
         open.pop_back();
@@ -338,16 +358,15 @@ std::string trace_json(trace_summary* summary) {
       ++sum.events;
     }
     for (std::size_t i = open.size(); i > 0; --i) {
-      event_rec ev = *open[i - 1];
+      flight_event ev = *open[i - 1];
       ev.kind = event_kind::end;
-      ev.ts = last_ts;
+      ev.ts_ns = last_ts;
       line.clear();
       append_event(line, ev, ring->tid);
       emit_line(line);
       ++sum.events;
     }
 
-    sum.dropped += ring_dropped(*ring, head2) + skip;
     ++sum.threads;
   }
 
@@ -385,8 +404,10 @@ std::size_t trace_dropped() {
   trace_registry& reg = registry();
   mutex_lock lock(reg.trace_mtx);
   std::size_t dropped = 0;
-  for (const auto& ring : reg.rings)
-    dropped += ring_dropped(*ring, ring->head.load(std::memory_order_acquire));
+  for (const auto& ring : reg.rings) {
+    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+    if (head > ring->mask + 1) dropped += head - (ring->mask + 1);
+  }
   return dropped;
 }
 
@@ -404,30 +425,10 @@ std::vector<flight_track> flight_collect(std::uint64_t since_ns) {
       track.name.assign(r->name, strnlen(r->name, sizeof(r->name)));
     }
 
-    const std::uint64_t head = r->head.load(std::memory_order_acquire);
-    const std::uint64_t lo = head > kFlightCap ? head - kFlightCap : 0;
     std::vector<flight_event> evs;
-    evs.reserve(static_cast<std::size_t>(head - lo));
-    for (std::uint64_t i = lo; i < head; ++i) {
-      const trace_slot& s = r->slots[i & (kFlightCap - 1)];
-      flight_event ev;
-      ev.ts_ns = s.w[0].load(std::memory_order_relaxed);
-      ev.name = reinterpret_cast<const char*>(
-          static_cast<std::uintptr_t>(s.w[1].load(std::memory_order_relaxed)));
-      ev.kind = static_cast<event_kind>(s.w[2].load(std::memory_order_relaxed));
-      ev.arg = s.w[3].load(std::memory_order_relaxed);
-      evs.push_back(ev);
-    }
-    // Same torn-copy discipline as trace_json: discard anything a live
-    // writer may have overwritten while we copied.
-    const std::uint64_t head2 = r->head.load(std::memory_order_acquire);
-    const std::uint64_t lo2 = head2 > kFlightCap ? head2 - kFlightCap : 0;
-    std::size_t skip = lo2 > lo ? static_cast<std::size_t>(lo2 - lo) : 0;
-    if (skip > evs.size()) skip = evs.size();
-
-    track.dropped = (head > kFlightCap ? head - kFlightCap : 0) + skip;
-    for (std::size_t i = skip; i < evs.size(); ++i)
-      if (evs[i].ts_ns >= since_ns) track.events.push_back(evs[i]);
+    track.dropped = snapshot_ring(r->slots, kFlightCap - 1, r->head, evs);
+    for (const flight_event& ev : evs)
+      if (ev.ts_ns >= since_ns) track.events.push_back(ev);
     out.push_back(std::move(track));
   }
   return out;

@@ -1,4 +1,5 @@
-// Per-thread lock-free trace rings (the tracing third of src/obs/).
+// Per-thread lock-free trace rings and the probe that feeds them (the
+// tracing third of src/obs/).
 //
 // Every thread that emits an event owns a fixed-capacity ring of 32-byte
 // records (steady-clock ns timestamp, interned name pointer, event kind,
@@ -7,6 +8,15 @@
 // the ring is full the writer simply keeps going — the oldest records are
 // overwritten and counted as dropped, so tracing can stay on for a whole
 // run without unbounded memory.
+//
+// Every timed instrumentation site holds one obs::probe (below). A probe
+// stamps its interval once on entry and once on exit, and those two stamps
+// are the whole record: the trace and flight rings get them as a span's
+// begin and end, the pass profile (obs/profile.h) adds their difference to
+// a node's kernel, copy or I/O-wait time, an I/O histogram (obs/metrics.h)
+// records it, and the sampler (obs/sampler.h) keys samples taken inside it
+// with the site's wait state. The trace therefore shows exactly what the
+// profile times.
 //
 // write_trace() snapshots every ring and emits Chrome trace-event JSON
 // (loadable in ui.perfetto.dev / chrome://tracing), one event per line.
@@ -26,8 +36,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "common/timer.h"
+#include "obs/sampler.h"
 
 namespace flashr {
 struct raw_sink;  // common/raw_sink.h
@@ -46,6 +60,10 @@ inline constexpr std::uint32_t kFlightBit = 2;
 extern std::atomic<std::uint32_t> g_record_mask;
 }  // namespace detail
 
+/// Both rings: what emit() writes by default and a non-hot probe records to.
+inline constexpr std::uint32_t kAllRings =
+    detail::kTraceBit | detail::kFlightBit;
+
 /// Whether full trace events are being collected (obs_trace).
 inline bool trace_on() {
   return (detail::g_record_mask.load(std::memory_order_relaxed) &
@@ -58,12 +76,16 @@ inline bool flight_on() {
           detail::kFlightBit) != 0;
 }
 
-/// Whether any recorder wants events; the macros/span test this.
+/// Whether any recorder wants events; the macros test this.
 inline bool record_on() {
   return detail::g_record_mask.load(std::memory_order_relaxed) != 0;
 }
 
-void set_trace_enabled(bool on);
+/// Switch full tracing; `ring_events` is the capacity of trace rings
+/// registered from now on (obs_ring_events). init() calls this; a thread
+/// registering its ring reads the capacity from here, never from conf(),
+/// which init() may be rewriting at that moment.
+void set_trace_enabled(bool on, std::size_t ring_events);
 void set_flight_enabled(bool on);
 
 enum class event_kind : std::uint64_t {
@@ -74,20 +96,12 @@ enum class event_kind : std::uint64_t {
                 ///< track (prefetch window occupancy, queue depths, ...)
 };
 
-/// Append one record to the calling thread's ring(s) — the trace ring, the
-/// flight-recorder ring, or both, per the record mask. `name` must have
-/// static storage duration. Call only when record_on() (the macros below
-/// do).
-void emit(event_kind kind, const char* name, std::uint64_t arg);
-
-/// Like emit(), but records to the full trace ring ONLY — the flight
-/// recorder skips it. For chunk-granularity hot-path events (the per-chunk
-/// span, per-buffer pool instants): thousands fire per second, so they
-/// would wrap the small flight ring in milliseconds and evict the
-/// pass/partition/I-O context a post-mortem actually needs, while taxing
-/// the engine's hottest loops when tracing is off. Call only when
-/// trace_on() (the _HOT macros below do).
-void emit_trace_only(event_kind kind, const char* name, std::uint64_t arg);
+/// Append one record stamped `ts_ns` to each of `rings` that is on — the
+/// trace ring, the flight-recorder ring, or both, per the record mask.
+/// `name` must have static storage duration. Call only when record_on()
+/// (the macros and probe below do).
+void emit(event_kind kind, const char* name, std::uint64_t arg,
+          std::uint64_t ts_ns, std::uint32_t rings = kAllRings);
 
 /// Label the calling thread's ring in the flushed JSON ("worker-3", "io-0");
 /// unnamed rings flush as "thread-<tid>". Cheap; callable before or after
@@ -117,7 +131,7 @@ std::string trace_json(trace_summary* summary = nullptr);
 trace_summary write_trace(const std::string& path);
 
 /// Drop every ring (threads re-register on their next event, picking up the
-/// current conf().obs_ring_events capacity) and reset drop counters.
+/// capacity last passed to set_trace_enabled) and reset drop counters.
 void trace_clear();
 
 /// Records lost to ring wrap since the last trace_clear(), across all rings.
@@ -155,66 +169,108 @@ std::vector<flight_track> flight_collect(std::uint64_t since_ns);
 /// reads into static snapshot buffers, no locks, no allocation.
 void flight_dump_raw(raw_sink& sink) noexcept;
 
-/// RAII span: records begin on construction and end on destruction when
-/// any recorder is enabled; otherwise a single relaxed-load branch.
-class span {
- public:
-  explicit span(const char* name, std::uint64_t arg = 0) {
-    if (record_on()) {
-      name_ = name;
-      emit(event_kind::begin, name, arg);
-    }
-  }
-  ~span() {
-    if (name_ != nullptr) emit(event_kind::end, name_, 0);
-  }
-  span(const span&) = delete;
-  span& operator=(const span&) = delete;
+class histogram;  // obs/metrics.h
 
- private:
-  const char* name_ = nullptr;
+/// What one instrumentation site feeds; a site names only the consumers it
+/// has (designated initializers).
+struct probe_site {
+  /// Span name (static storage) for the rings that are on; nullptr writes
+  /// no ring record.
+  const char* name = nullptr;
+  std::uint64_t arg = 0;  ///< the span's begin argument
+  /// Chunk-level site: trace ring only. Thousands fire per second; in the
+  /// small flight ring they would evict the pass/partition/I-O context a
+  /// post-mortem needs.
+  bool hot = false;
+  /// Gets the interval's ns added (a profile or stall counter); non-null
+  /// always reads the clock.
+  std::uint64_t* acc = nullptr;
+  /// Records the interval's µs while metrics_on(); the accessor runs only
+  /// then, so an unrecorded histogram is never registered.
+  histogram& (*hist)() = nullptr;
+  /// The sampler's state for this thread inside the interval (io_wait,
+  /// lock_wait, or cpu for work done inside a wait); unset leaves it.
+  std::optional<sample_state> wait = std::nullopt;
 };
 
-/// RAII span for chunk-granularity hot paths: recorded by the full tracer
-/// only, never the flight recorder (see emit_trace_only).
-class span_hot {
+// The probe's out-of-line parts. They take scalars only, so a probe's
+// address never escapes and the compiler keeps it in registers.
+namespace detail {
+/// `f()` while metrics_on(), else null.
+histogram* hist_if_on(histogram& (*f)());
+/// Stamp the clock and write the begin record to `rings`; returns the stamp.
+std::uint64_t probe_begin(const char* name, std::uint64_t arg,
+                          std::uint32_t rings);
+/// Stamp the clock again, write the end record and feed `acc` and `hist`;
+/// returns the interval in ns.
+std::uint64_t probe_end(const char* name, std::uint32_t rings,
+                        std::uint64_t t0, std::uint64_t* acc, histogram* hist);
+}  // namespace detail
+
+/// One RAII probe per timed site. It reads the clock at most once on entry
+/// and once on exit, only when a consumer is on, and those two stamps feed
+/// them all: the rings' begin and end records, `acc` and `hist`; the
+/// sampler's wait state covers the same interval. With every consumer off,
+/// a hot probe costs one relaxed load and untaken branches — which holds
+/// only inline, so the probe forces inlining where GCC's size heuristics
+/// would call it out of line (they did in the chunk loop's big functions).
+class probe {
  public:
-  explicit span_hot(const char* name, std::uint64_t arg = 0) {
-    if (trace_on()) {
-      name_ = name;
-      emit_trace_only(event_kind::begin, name, arg);
+  [[gnu::always_inline]] explicit probe(const probe_site& s)
+      : name_(s.name), acc_(s.acc) {
+    if (s.name != nullptr)
+      rings_ = detail::g_record_mask.load(std::memory_order_relaxed) &
+               (s.hot ? detail::kTraceBit : kAllRings);
+    if (s.hist != nullptr) hist_ = detail::hist_if_on(s.hist);
+    if (rings_ != 0 || acc_ != nullptr || hist_ != nullptr)
+      t0_ = detail::probe_begin(name_, s.arg, rings_);
+    if (s.wait.has_value() && sampler_on()) {
+      auto& c = detail::t_sample_ctx;
+      prev_state_ = c.state.load(std::memory_order_relaxed);
+      c.state.store(static_cast<std::uint8_t>(*s.wait),
+                    std::memory_order_relaxed);
+      wait_armed_ = true;
     }
   }
-  ~span_hot() {
-    if (name_ != nullptr) emit_trace_only(event_kind::end, name_, 0);
+  [[gnu::always_inline]] ~probe() { stop(); }
+  probe(const probe&) = delete;
+  probe& operator=(const probe&) = delete;
+
+  /// Close the interval now (idempotent; the destructor calls it) and
+  /// return its length in ns, 0 when no consumer was on at entry.
+  [[gnu::always_inline]] std::uint64_t stop() {
+    std::uint64_t ns = 0;
+    if (t0_ != 0) {
+      ns = detail::probe_end(name_, rings_, t0_, acc_, hist_);
+      t0_ = 0;
+    }
+    if (wait_armed_) {
+      detail::t_sample_ctx.state.store(prev_state_, std::memory_order_relaxed);
+      wait_armed_ = false;
+    }
+    return ns;
   }
-  span_hot(const span_hot&) = delete;
-  span_hot& operator=(const span_hot&) = delete;
 
  private:
-  const char* name_ = nullptr;
+  const char* name_;
+  std::uint64_t* acc_;
+  histogram* hist_ = nullptr;
+  std::uint64_t t0_ = 0;  ///< entry stamp; 0 = the clock was not read
+  std::uint32_t rings_ = 0;
+  std::uint8_t prev_state_ = 0;
+  bool wait_armed_ = false;
 };
 
 }  // namespace flashr::obs
 
-#define FLASHR_OBS_CONCAT2(a, b) a##b
-#define FLASHR_OBS_CONCAT(a, b) FLASHR_OBS_CONCAT2(a, b)
-
-/// Scoped trace span; `name` must be a static string.
-#define OBS_SPAN(name) \
-  ::flashr::obs::span FLASHR_OBS_CONCAT(obs_span_, __LINE__)(name)
-#define OBS_SPAN_ARG(name, arg) \
-  ::flashr::obs::span FLASHR_OBS_CONCAT(obs_span_, __LINE__)(name, (arg))
-
-/// Chunk-granularity span/instant: full tracer only, skipped by the
-/// always-on flight recorder (see emit_trace_only).
-#define OBS_SPAN_HOT(name, arg) \
-  ::flashr::obs::span_hot FLASHR_OBS_CONCAT(obs_span_, __LINE__)(name, (arg))
-#define OBS_INSTANT_HOT(name, arg)                                       \
-  do {                                                                   \
-    if (::flashr::obs::trace_on())                                       \
-      ::flashr::obs::emit_trace_only(::flashr::obs::event_kind::instant, \
-                                     name, static_cast<std::uint64_t>(arg)); \
+/// Chunk-granularity instant: full tracer only, skipped by the always-on
+/// flight recorder (see probe_site::hot).
+#define OBS_INSTANT_HOT(name, arg)                                          \
+  do {                                                                      \
+    if (::flashr::obs::trace_on())                                          \
+      ::flashr::obs::emit(::flashr::obs::event_kind::instant, name,         \
+                          static_cast<std::uint64_t>(arg), ::flashr::now_ns(), \
+                          ::flashr::obs::detail::kTraceBit);                \
   } while (0)
 
 /// Point event; `name` must be a static string.
@@ -222,7 +278,8 @@ class span_hot {
   do {                                                               \
     if (::flashr::obs::record_on())                                  \
       ::flashr::obs::emit(::flashr::obs::event_kind::instant, name,  \
-                          static_cast<std::uint64_t>(arg));          \
+                          static_cast<std::uint64_t>(arg),           \
+                          ::flashr::now_ns());                       \
   } while (0)
 
 /// Counter sample; `name` must be a static string. Shows up as a per-thread
@@ -231,5 +288,6 @@ class span_hot {
   do {                                                               \
     if (::flashr::obs::record_on())                                  \
       ::flashr::obs::emit(::flashr::obs::event_kind::counter, name,  \
-                          static_cast<std::uint64_t>(value));        \
+                          static_cast<std::uint64_t>(value),         \
+                          ::flashr::now_ns());                       \
   } while (0)

@@ -95,7 +95,7 @@ void thread_pool::run_all(const std::function<void(int)>& fn,
     mutex_lock lock(job_mtx_);
     // Joining the other participants is a wait, not work: the sampler
     // keys samples landing here lock_wait.
-    obs::sample_wait_scope join_scope(obs::sample_state::lock_wait);
+    obs::probe join_probe({.wait = obs::sample_state::lock_wait});
     while (remaining_ != 0) cv_done_.wait(lock);
     job_ = nullptr;
     err = first_error_;

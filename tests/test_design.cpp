@@ -185,5 +185,44 @@ TEST(LogisticPasses, BatchedLineSearchTakesFourteenPasses) {
   EXPECT_TRUE(same_bits(r.loss_history, m.loss_history));
 }
 
+// A host right operand may have more rows than small_nrow_threshold:
+// matmul(X, smat) multiplies a tall X through inner.prod at any threshold.
+// Under a threshold of 16, criteo_like's p = 39 logits and a logistic fit
+// with its 40-row weight matrix give the default threshold's bits.
+options host_operand_options(std::size_t small_nrow_threshold) {
+  options o;
+  o.em_dir = "/tmp/flashr_test_em";
+  o.num_threads = 4;
+  o.small_nrow_threshold = small_nrow_threshold;
+  return o;
+}
+
+TEST(HostOperand, CriteoLikeUnderSmallThreshold) {
+  init(host_operand_options(options{}.small_nrow_threshold));
+  const labeled_data d = criteo_like(20000, 1);
+  const smat x0 = d.X.to_smat(), y0 = d.y.to_smat();
+
+  init(host_operand_options(16));
+  const labeled_data d16 = criteo_like(20000, 1);
+  EXPECT_TRUE(same_bits(d16.X.to_smat(), x0));
+  EXPECT_TRUE(same_bits(d16.y.to_smat(), y0));
+}
+
+TEST(HostOperand, LogisticFitUnderSmallThreshold) {
+  init(host_operand_options(options{}.small_nrow_threshold));
+  const labeled_data d = criteo_like(20000, 1);
+  const dense_matrix X = conv_store(d.X, storage::in_mem);
+  const dense_matrix y = conv_store(d.y, storage::in_mem);
+  logistic_options lo;
+  lo.max_iters = 5;
+  lo.loss_tol = 0;
+  const logistic_model m0 = logistic_regression(X, y, lo);
+
+  init(host_operand_options(16));
+  const logistic_model m16 = logistic_regression(X, y, lo);
+  EXPECT_TRUE(same_bits(m16.w, m0.w));
+  EXPECT_TRUE(same_bits(m16.loss_history, m0.loss_history));
+}
+
 }  // namespace
 }  // namespace flashr::ml

@@ -11,6 +11,7 @@
 #include "core/dense_matrix.h"
 #include "core/reshape.h"
 #include "matrix/block_matrix.h"
+#include "matrix/generated_store.h"
 #include "matrix/import.h"
 #include "ml/logistic.h"
 #include "ml/mvrnorm.h"
@@ -33,6 +34,35 @@ class MiscEdgeTest : public ::testing::Test {
     init(o);
   }
 };
+
+// ---- Element access ---------------------------------------------------------
+
+// at() reads only the partition that holds its row, so it works on a
+// generated matrix too large to gather on the host and returns the value
+// the generator gives that element.
+TEST_F(MiscEdgeTest, AtReadsOnePartitionOfAHugeGeneratedMatrix) {
+  const std::size_t n = (std::size_t{1} << 24) + 5, p = 9;  // > 2^27 elements
+  const dense_matrix x = dense_matrix::runif(n, p, 0.0, 1.0, 42);
+  const std::size_t i = n - 3;
+  std::vector<double> row(p);
+  static_cast<const generated_store&>(*x.store())
+      .generate(i, 1, reinterpret_cast<char*>(row.data()), 1);
+  for (std::size_t j = 0; j < p; ++j) EXPECT_EQ(x.at(i, j), row[j]) << j;
+}
+
+TEST_F(MiscEdgeTest, AtMatchesToSmatOnEveryStoreKind) {
+  const dense_matrix gen = dense_matrix::runif(3000, 3, -1.0, 1.0, 5);
+  const dense_matrix mem = conv_store(gen, storage::in_mem);
+  const dense_matrix em = conv_store(gen, storage::ext_mem);
+  const dense_matrix ints = conv_store(
+      dense_matrix::seq(3000, scalar_type::i64), storage::ext_mem);
+  for (const dense_matrix* m : {&gen, &mem, &em, &ints}) {
+    const smat h = m->to_smat();
+    for (std::size_t i : {0, 63, 64, 1500, 2999})
+      for (std::size_t j = 0; j < m->ncol(); ++j)
+        EXPECT_EQ(m->at(i, j), h(i, j)) << i << "," << j;
+  }
+}
 
 // ---- Type promotion ----------------------------------------------------------
 

@@ -265,7 +265,7 @@ TEST(ObsTrace, ConcurrentWritersAndFlushAreClean) {
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&stop] {
       while (!stop.load(std::memory_order_relaxed)) {
-        OBS_SPAN("worker.op");
+        obs::probe op({.name = "worker.op"});
         OBS_INSTANT("worker.tick", 1);
       }
     });
@@ -285,7 +285,7 @@ TEST(ObsTrace, WriteTraceProducesLoadableFile) {
   init(o);
   obs::trace_clear();
   {
-    OBS_SPAN_ARG("file.span", 42);
+    obs::probe span({.name = "file.span", .arg = 42});
     OBS_INSTANT("file.tick", 7);
   }
   const std::string path = "/tmp/flashr_test_obs_trace.json";
@@ -301,6 +301,26 @@ TEST(ObsTrace, WriteTraceProducesLoadableFile) {
   EXPECT_TRUE(valid_json(content));
   EXPECT_NE(content.find("\"traceEvents\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// A fresh I/O thread registers its trace ring at startup, possibly while
+// the main thread has already moved on to re-init: the ring capacity it
+// reads must not come from conf(), which init() rewrites without a lock
+// conf() takes. A traced one-partition pass starts fresh I/O threads (the
+// io_threads change rebuilds the service) and init() turns tracing off
+// right after it; under tsan a capacity read from conf() is a data race.
+TEST(ObsTrace, RingRegistrationDoesNotRaceInit) {
+  options o = obs_options();
+  o.io_threads = 2;
+  init(o);
+  const dense_matrix x =
+      conv_store(dense_matrix::runif(512, 3, 0, 1, 13), storage::ext_mem);
+  o.io_threads = 3;
+  init(o);
+  EXPECT_GT(sum(x).scalar(), 0.0);
+  o.obs_trace = false;
+  init(o);
+  EXPECT_FALSE(obs::trace_on());
 }
 
 TEST(ObsTrace, ThreadNameControlCharactersAreEscaped) {

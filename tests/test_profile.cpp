@@ -1,6 +1,7 @@
 // EXPLAIN ANALYZE tests (src/obs/profile.*): per-node pass profiling
 // attribution (kernel-time coverage of the pass wall time in every exec
-// mode, plan-id agreement with explain(), bounded history ring), Prometheus
+// mode, plan-id agreement with explain(), trace spans carrying exactly the
+// profile's intervals, bounded history ring), Prometheus
 // text exposition, concurrent reads of the obs snapshots during
 // materialization, log-level parsing, and trace counter events.
 #include <gtest/gtest.h>
@@ -9,8 +10,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -248,6 +252,84 @@ TEST(ProfileAnalyze, FailedAnalysisRestoresProfiling) {
   EXPECT_FALSE(obs::profile_on());
   mutable_conf().mem_budget_bytes = 0;
   obs::set_profile_enabled(false);
+}
+
+// One probe per site: the trace and the profile time each interval with the
+// same two clock reads. A traced, profiled cache_fuse pass on one worker
+// over distinct kernel kinds (a generated leaf, a scalar map, a sapply), a
+// tall output and a crossprod sink: per node kind, the summed span
+// durations equal the summed kernel_ns, the output.copy spans equal the
+// summed copy_ns, and the pass span equals the pass's wall_ns — exactly,
+// to the nanosecond.
+TEST(ProfileAnalyze, TraceSpansAreTheProfilesIntervals) {
+  options o = profile_options();
+  o.num_threads = 1;
+  o.mode = exec_mode::cache_fuse;
+  o.obs_trace = true;
+  o.obs_profile = true;
+  o.obs_ring_events = std::size_t{1} << 16;
+  init(o);
+  obs::profile_clear();
+  obs::trace_clear();
+
+  const dense_matrix x = dense_matrix::runif(8192, 4, 0.5, 2.0, 17);
+  const dense_matrix b = sqrt(x * 3.0);
+  const dense_matrix c = crossprod(b);
+  materialize_all({b, c});
+
+  obs::trace_summary tsum;
+  const std::string json = obs::trace_json(&tsum);
+  ASSERT_EQ(tsum.dropped, 0u);
+  const std::vector<obs::pass_profile> passes = obs::profile_history();
+  ASSERT_EQ(passes.size(), 1u);
+
+  // Pair every thread's begin/end records (trace_json writes one event per
+  // line) and sum each name's durations in ns; "ts" is ns / 1e3 printed
+  // with three decimals, so it converts back exactly.
+  std::map<std::string, std::uint64_t> span_ns;
+  std::map<std::string, std::vector<std::pair<std::string, std::uint64_t>>>
+      open;  // tid -> stack of (name, begin ts)
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    auto field = [&line](const std::string& key, char end) {
+      const std::size_t at = line.find("\"" + key + "\":");
+      if (at == std::string::npos) return std::string();
+      const std::size_t from = at + key.size() + 3;
+      return line.substr(from, line.find(end, from) - from);
+    };
+    const std::string ph = field("ph", ',');
+    if (ph != "\"B\"" && ph != "\"E\"") continue;
+    const std::string ts = field("ts", ph == "\"B\"" ? ',' : '}');
+    const std::size_t dot = ts.find('.');
+    ASSERT_NE(dot, std::string::npos) << line;
+    const std::uint64_t ns = std::stoull(ts.substr(0, dot)) * 1000 +
+                             std::stoull(ts.substr(dot + 1));
+    auto& stack = open[field("tid", ',')];
+    if (ph == "\"B\"") {
+      stack.emplace_back(field("name", ','), ns);
+    } else {
+      ASSERT_FALSE(stack.empty()) << line;
+      span_ns[stack.back().first] += ns - stack.back().second;
+      stack.pop_back();
+    }
+  }
+
+  const obs::pass_profile& p = passes[0];
+  EXPECT_EQ(span_ns["\"pass\""], p.wall_ns);
+  std::map<std::string, std::uint64_t> kernel_ns;
+  std::uint64_t copy_ns = 0;
+  for (const obs::node_profile& n : p.nodes) {
+    kernel_ns["\"" + std::string(n.op) + "\""] += n.kernel_ns;
+    copy_ns += n.copy_ns;
+  }
+  for (const char* kind : {"generated", "mapply.scalar", "sapply",
+                           "t(A)%*%B"}) {
+    const std::string name = "\"" + std::string(kind) + "\"";
+    EXPECT_GT(kernel_ns[name], 0u) << kind;
+    EXPECT_EQ(span_ns[name], kernel_ns[name]) << kind;
+  }
+  EXPECT_GT(copy_ns, 0u);
+  EXPECT_EQ(span_ns["\"output.copy\""], copy_ns);
 }
 
 TEST(ProfileHistory, RingIsBoundedAndOrdered) {

@@ -37,6 +37,7 @@
 #include "obs/prof_store.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
+#include "obs/trace.h"
 #include "parallel/thread_pool.h"
 
 namespace flashr {
@@ -176,7 +177,7 @@ TEST(Sampler, OffByDefaultCostsNothing) {
   EXPECT_FALSE(obs::sampler_on());
   // Scopes are inert while off: no context mutation, no samples.
   {
-    obs::sample_wait_scope wait(obs::sample_state::io_wait);
+    obs::probe wait({.wait = obs::sample_state::io_wait});
     spin_ms(5);
   }
   const obs::sampler_counters c = obs::sampler_stats();
@@ -238,7 +239,7 @@ TEST(Sampler, WaitScopeSplitsOffCpu) {
   sampler_reset();
   obs::sampler_start(997);
   {
-    obs::sample_wait_scope ws(obs::sample_state::io_wait);
+    obs::probe ws({.wait = obs::sample_state::io_wait});
     // Wall-clock timers keep firing while the thread sleeps — that is the
     // point: blocked time is sampled and attributed off-CPU.
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
@@ -247,7 +248,7 @@ TEST(Sampler, WaitScopeSplitsOffCpu) {
 
   const std::string folded = obs::folded_stacks();
   EXPECT_GT(folded_count(folded, "main;io_wait;"), 0u)
-      << "sleep under sample_wait_scope took no io_wait samples:\n"
+      << "sleep under an io_wait probe took no io_wait samples:\n"
       << folded;
   sampler_reset();
 }

@@ -373,7 +373,7 @@ ABORT_NAMES = {"assert_fail", "FLASHR_ASSERT", "FLASHR_DCHECK",
 
 # OBS_* trace macros funnel into obs::emit (blocking-exempt with a
 # documented pre-registration protocol).
-OBS_MACROS = {"OBS_SPAN", "OBS_SPAN_ARG", "OBS_INSTANT", "OBS_COUNTER"}
+OBS_MACROS = {"OBS_INSTANT", "OBS_INSTANT_HOT", "OBS_COUNTER"}
 
 BLOCKING_NAMES = {
     "wait": "condition-variable wait",
