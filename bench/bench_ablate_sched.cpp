@@ -20,6 +20,9 @@ using namespace flashr::bench;
 
 namespace {
 
+/// Partitions per dynamic dispatch while plenty of work remains.
+constexpr int kInitialBatch = 4;
+
 /// Busy work proportional to `units`.
 double spin(std::size_t units) {
   double acc = 0;
@@ -50,7 +53,7 @@ int main() {
   volatile double sink = 0;
 
   auto run_dynamic = [&](double& imbalance) {
-    part_scheduler sched(parts, pool.size(), conf().dispatch_batch);
+    part_scheduler sched(parts, pool.size(), kInitialBatch);
     std::vector<std::atomic<std::size_t>> load(
         static_cast<std::size_t>(pool.size()));
     timer t;

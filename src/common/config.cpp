@@ -50,7 +50,6 @@ void options::validate() const {
   FLASHR_CHECK(pcache_bytes >= 512, "pcache_bytes too small");
   FLASHR_CHECK(stripes >= 1, "stripes must be >= 1");
   FLASHR_CHECK(stripe_unit >= 4096, "stripe_unit must be >= 4096");
-  FLASHR_CHECK(dispatch_batch >= 1, "dispatch_batch must be >= 1");
   FLASHR_CHECK(prefetch_depth >= -1, "prefetch_depth must be >= -1");
   FLASHR_CHECK(!em_dir.empty(), "em_dir must be set");
   FLASHR_CHECK(io_max_retries >= 0, "io_max_retries must be >= 0");

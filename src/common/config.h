@@ -70,14 +70,12 @@ struct options {
   /// Matrices with at most this many rows are evaluated eagerly with serial
   /// kernels instead of joining a DAG (cluster centers, sink results, ...).
   std::size_t small_nrow_threshold = 4096;
-  /// I/O partitions handed to a worker per dispatch at the start of a pass
-  /// (§3.3: contiguous partitions read in a single asynchronous I/O).
-  int dispatch_batch = 4;
   /// Read-ahead window of the pass's prefetch pipeline (core/
   /// prefetch_pipeline.h): partitions with reads in flight or completed and
-  /// waiting for a worker. -1 = auto (2 * io_threads * dispatch_batch);
-  /// 0 = no read-ahead (workers issue reads synchronously — the ablation
-  /// baseline of bench_pipeline).
+  /// waiting for a worker. -1 = auto (8 * io_threads); 0 = no read-ahead
+  /// (the window holds one partition per worker waiting for one, so I/O
+  /// and compute serialize per worker — the ablation baseline of
+  /// bench_pipeline).
   int prefetch_depth = -1;
   /// Bounded write-behind: submit of an asynchronous partition write blocks
   /// while this many bytes of write data are queued or in flight, so a

@@ -9,7 +9,7 @@
 #include "matrix/em_store.h"
 #include "matrix/generated_store.h"
 #include "matrix/mem_store.h"
-#include "mem/buffer_pool.h"
+#include "matrix/partition_io.h"
 #include "obs/explain.h"
 #include "obs/profile.h"
 
@@ -69,36 +69,6 @@ matrix_store::ptr cast_store(matrix_store::ptr s, scalar_type to) {
   op.to_type = to;
   part_geom geom = s->geom();
   return virtual_store::make(geom, to, std::move(op), {std::move(s)});
-}
-
-/// Hand partition `pidx` of a physical (or generated) store to
-/// `use(data, stride)`: a mem partition in place, an EM partition read and
-/// a generated one generated into a pool buffer first.
-template <class F>
-void with_partition(const matrix_store& s, std::size_t pidx, F&& use) {
-  const std::size_t rows = s.geom().rows_in_part(pidx);
-  switch (s.kind()) {
-    case store_kind::mem: {
-      const auto& m = static_cast<const mem_store&>(s);
-      use(m.part_data(pidx), m.part_stride(pidx));
-      break;
-    }
-    case store_kind::ext: {
-      auto buf = buffer_pool::global().get(rows * s.ncol() * s.elem_size());
-      static_cast<const em_readable&>(s).read_part(pidx, buf.data());
-      use(buf.data(), rows);
-      break;
-    }
-    case store_kind::generated: {
-      auto buf = buffer_pool::global().get(rows * s.ncol() * s.elem_size());
-      static_cast<const generated_store&>(s).generate(
-          s.geom().part_row_begin(pidx), rows, buf.data(), rows);
-      use(buf.data(), rows);
-      break;
-    }
-    default:
-      break;
-  }
 }
 
 /// Read any physical (or generated) store into a host smat.
@@ -681,32 +651,20 @@ smat gather_rows(const dense_matrix& a, const std::vector<std::size_t>& rows) {
   a.materialize(storage::in_mem);
   matrix_store::ptr s = resolved_store(a.store());
   smat out(rows.size(), s->ncol());
-  if (s->kind() == store_kind::mem) {
-    auto* m = static_cast<mem_store*>(s.get());
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      for (std::size_t j = 0; j < s->ncol(); ++j)
-        out(i, j) = m->get_d(rows[i], j);
-    return out;
-  }
-  // EM / generated: gather partition by partition.
+  // Gather partition by partition: each partition holding a wanted row is
+  // read (or generated) once.
   std::unordered_map<std::size_t, std::vector<std::size_t>> by_part;
   for (std::size_t i = 0; i < rows.size(); ++i)
     by_part[rows[i] / s->geom().part_rows].push_back(i);
   for (const auto& [pidx, idxs] : by_part) {
-    const std::size_t prows = s->geom().rows_in_part(pidx);
-    auto buf = buffer_pool::global().get(s->geom().part_bytes(pidx, s->type()));
-    if (s->kind() == store_kind::ext)
-      static_cast<const em_readable*>(s.get())->read_part(pidx, buf.data());
-    else
-      static_cast<generated_store*>(s.get())->generate(
-          s->geom().part_row_begin(pidx), prows, buf.data(), prows);
-    dispatch_type(s->type(), [&]<typename T>() {
-      const T* d = reinterpret_cast<const T*>(buf.data());
-      for (std::size_t i : idxs) {
-        const std::size_t r = rows[i] - s->geom().part_row_begin(pidx);
-        for (std::size_t j = 0; j < s->ncol(); ++j)
-          out(i, j) = static_cast<double>(d[j * prows + r]);
-      }
+    const std::size_t r0 = s->geom().part_row_begin(pidx);
+    with_partition(*s, pidx, [&](const char* data, std::size_t prows) {
+      dispatch_type(s->type(), [&]<typename T>() {
+        const T* d = reinterpret_cast<const T*>(data);
+        for (std::size_t i : idxs)
+          for (std::size_t j = 0; j < s->ncol(); ++j)
+            out(i, j) = static_cast<double>(d[j * prows + rows[i] - r0]);
+      });
     });
   }
   return out;

@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -349,11 +348,11 @@ struct pass_ctl {
 std::atomic<std::uint64_t> g_pass_id{0};
 
 /// The conf()-derived prefetch depth (the formula of build_pipeline) — the
-/// top rung of the degradation ladder.
+/// top rung of the degradation ladder. Auto: eight partitions per I/O
+/// thread.
 long default_prefetch_depth() {
   return conf().prefetch_depth < 0
-             ? 2 * static_cast<long>(conf().io_threads) *
-                   static_cast<long>(conf().dispatch_batch)
+             ? 8 * static_cast<long>(conf().io_threads)
              : static_cast<long>(conf().prefetch_depth);
 }
 
@@ -772,8 +771,8 @@ void pass_runner::fail(std::exception_ptr e) noexcept {
 
 void pass_runner::build_pipeline() {
   // Read-ahead across the whole pass: enough in-flight partitions to keep
-  // every I/O thread busy through a full dispatch batch per worker refill —
-  // unless the governor's degradation ladder pinned a smaller window.
+  // every I/O thread busy — unless the governor's degradation ladder pinned
+  // a smaller window.
   const std::size_t depth = static_cast<std::size_t>(
       cfg_.prefetch_depth >= 0 ? cfg_.prefetch_depth
                                : default_prefetch_depth());

@@ -25,7 +25,6 @@ prefetch_pipeline::prefetch_pipeline(std::vector<const em_readable*> leaves,
       depth_(depth),
       sequential_(sequential),
       st_(std::make_shared<pf_state>()) {
-  if (depth_ == 0) return;
   // Prime the window: the first `depth` partition reads overlap with
   // whatever setup the caller still has to do before workers start popping.
   mutex_lock lock(st_->win_mtx);
@@ -37,9 +36,12 @@ prefetch_pipeline::~prefetch_pipeline() {
   settle();  // also drains window-held buffers back to the pool
 }
 
-void prefetch_pipeline::refill(pf_state& s) {
+bool prefetch_pipeline::refill(pf_state& s) {
+  const std::size_t capacity = depth_ != 0 ? depth_ : s.poppers;
+  bool issued = false;
   while (!s.cancelled && s.next_part < num_parts_ &&
-         s.window.size() < depth_) {
+         s.window.size() < capacity) {
+    issued = true;
     const std::size_t part = s.next_part++;
     auto fl = std::make_shared<pf_inflight>();
     fl->part = part;
@@ -63,6 +65,7 @@ void prefetch_pipeline::refill(pf_state& s) {
                              });
     }
   }
+  return issued;
 }
 
 void prefetch_pipeline::on_leaf_read_complete(
@@ -83,7 +86,6 @@ void prefetch_pipeline::on_leaf_read_complete(
 }
 
 bool prefetch_pipeline::pop(slot& out) {
-  if (depth_ == 0) return pop_sync(out);
   async_io& io = async_io::global();
   // Write back-pressure: claim no new work while more writes wait in the I/O
   // FIFO than the window holds partitions; run the oldest requests first.
@@ -94,6 +96,7 @@ bool prefetch_pipeline::pop(slot& out) {
   }
   pf_state& s = *st_;
   mutex_lock lock(s.win_mtx);
+  ++s.poppers;
   std::uint64_t waited_ns = 0;
   // One help attempt per wake-up: with nothing to claim, run the I/O FIFO's
   // oldest request here instead of sleeping while the I/O threads work
@@ -101,7 +104,10 @@ bool prefetch_pipeline::pop(slot& out) {
   // the worker to wait, so it never spins.
   bool may_help = true;
   for (;;) {
-    if (s.cancelled) throw pipeline_cancelled{};
+    if (s.cancelled) {
+      --s.poppers;
+      throw pipeline_cancelled{};
+    }
     // Claimable = all leaf reads landed. Sequential mode only ever claims
     // the head, preserving strictly increasing dispatch order for cum
     // carry chains; completion-order mode claims the first finished slot.
@@ -123,9 +129,12 @@ bool prefetch_pipeline::pop(slot& out) {
       }
     }
     if (claimed) {
-      s.st.occupancy_sum += s.window.size() + 1;  // window as of this claim
-      if (obs::metrics_on()) occupancy_hist().record(s.window.size() + 1);
-      OBS_COUNTER("prefetch.window", s.window.size() + 1);
+      --s.poppers;
+      if (depth_ != 0) {  // depth 0 has no read-ahead window to sample
+        s.st.occupancy_sum += s.window.size() + 1;  // window as of this claim
+        if (obs::metrics_on()) occupancy_hist().record(s.window.size() + 1);
+        OBS_COUNTER("prefetch.window", s.window.size() + 1);
+      }
       ++s.st.pops;
       s.st.read_wait_ns += waited_ns;
       if (claimed->error) {
@@ -144,9 +153,14 @@ bool prefetch_pipeline::pop(slot& out) {
       return true;
     }
     if (s.window.empty() && s.next_part == num_parts_) {
+      --s.poppers;
       s.st.read_wait_ns += waited_ns;
       return false;
     }
+    // At depth 0 this worker's arrival raised the window's capacity, so it
+    // issues the next partition's reads itself (claimable at once when the
+    // DAG has no EM leaves); at depth > 0 the window is already full.
+    if (refill(s)) continue;
     if (may_help) {
       // Help with the window lock dropped (the request's completion may
       // take it), then re-check before sleeping: a completion that landed
@@ -161,55 +175,6 @@ bool prefetch_pipeline::pop(slot& out) {
     waited_ns += now_ns() - t0;
     may_help = true;
   }
-}
-
-bool prefetch_pipeline::pop_sync(slot& out) {
-  // Depth 0: the pre-pipeline behavior (and the ablation baseline) — claim
-  // a partition, issue its reads, and wait for them right here.
-  pf_state& s = *st_;
-  std::size_t part = 0;
-  {
-    mutex_lock lock(s.win_mtx);
-    if (s.cancelled) throw pipeline_cancelled{};
-    if (s.next_part == num_parts_) return false;
-    part = s.next_part++;
-    s.st.reads_issued += leaves_.size();
-    s.outstanding_reads += leaves_.size();
-    ++s.st.pops;
-  }
-  out.part = part;
-  out.bufs.clear();
-  std::vector<std::future<void>> reads;
-  reads.reserve(leaves_.size());
-  for (const em_readable* leaf : leaves_) {
-    auto buf =
-        buffer_pool::global().get(leaf->geom().part_bytes(part, leaf->type()));
-    reads.push_back(leaf->read_part_async(part, buf.data()));
-    out.bufs.emplace(leaf, std::move(buf));
-  }
-  const std::uint64_t t0 = now_ns();
-  // Drain EVERY read before surfacing an error: a failed leaf must not free
-  // buffers a sibling read is still writing into.
-  std::exception_ptr err;
-  for (auto& f : reads) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  s.last_completion_ns.store(now_ns(), std::memory_order_relaxed);
-  {
-    mutex_lock lock(s.win_mtx);
-    s.st.read_wait_ns += now_ns() - t0;
-    s.outstanding_reads -= leaves_.size();
-    s.cv.notify_all();
-  }
-  if (err) {
-    out.bufs.clear();  // all reads drained; safe to return to the pool
-    std::rethrow_exception(err);
-  }
-  return true;
 }
 
 void prefetch_pipeline::cancel() noexcept {

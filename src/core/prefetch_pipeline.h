@@ -14,15 +14,18 @@
 //    strictly increasing dispatch order, preserving the carry-chain protocol
 //    of core/exec (a worker blocked on partition p's carry is guaranteed that
 //    p is owned by a peer);
-//  * depth 0 (the pre-pipeline behavior, kept for the ablation benchmark):
-//    pop() issues the reads on demand and waits for them synchronously.
+//  * depth 0 (no read-ahead, the ablation baseline): the same pop() with a
+//    window whose capacity is the number of workers waiting in pop(). A
+//    worker with nothing to claim issues the next partition's reads, then
+//    helps and waits like any other popper, so nothing is read ahead of a
+//    waiting worker and no occupancy is sampled.
 //
 // Every pop refills the window, so reads stay `depth` partitions ahead of
-// compute for the whole pass instead of overlapping only within one worker's
-// dispatch batch. Cancellation: cancel() stops refilling and wakes blocked
-// poppers with pipeline_cancelled; settle() blocks until no read is in
-// flight, after which destroying the pipeline provably returns every window
-// buffer to the pool (the zero-leak guarantee of the pass audit).
+// compute for the whole pass. Cancellation: cancel() stops refilling and
+// wakes blocked poppers with pipeline_cancelled; settle() blocks until no
+// read is in flight, after which destroying the pipeline provably returns
+// every window buffer to the pool (the zero-leak guarantee of the pass
+// audit).
 //
 // Shared state lives in a shared_ptr'd block captured by the I/O completion
 // callbacks, so a callback can never touch a destroyed pipeline; all of it
@@ -66,9 +69,10 @@ class prefetch_pipeline {
 
   /// Partitions [0, num_parts) are handed out in increasing order. `depth`
   /// is the maximum number of partitions with reads in flight or
-  /// completed-but-unclaimed; 0 selects the synchronous (no read-ahead)
-  /// path. `sequential` forces claims in that order. Reads for the first
-  /// `depth` partitions are issued before the constructor returns.
+  /// completed-but-unclaimed; 0 reads no partition ahead of a worker
+  /// waiting in pop(). `sequential` forces claims in that order. Reads for
+  /// the first `depth` partitions are issued before the constructor
+  /// returns.
   prefetch_pipeline(std::vector<const em_readable*> leaves,
                     std::size_t num_parts, std::size_t depth, bool sequential);
   /// Cancels and settles; afterwards every window buffer is back in the
@@ -131,16 +135,18 @@ class prefetch_pipeline {
     std::size_t next_part GUARDED_BY(win_mtx) = 0;
     /// Leaf reads submitted and not yet notified; settle() waits on this.
     std::size_t outstanding_reads GUARDED_BY(win_mtx) = 0;
+    /// Workers inside pop(): the window's capacity at depth 0.
+    std::size_t poppers GUARDED_BY(win_mtx) = 0;
     stats st GUARDED_BY(win_mtx);
     /// Atomic (not guarded): stamped by completion callbacks and read by
     /// the watchdog thread without taking the pipeline lock.
     std::atomic<std::uint64_t> last_completion_ns{0};
   };
 
-  /// Issue reads until the window holds `depth_` partitions or every
-  /// partition was handed out.
-  void refill(pf_state& s) REQUIRES(s.win_mtx);
-  bool pop_sync(slot& out);
+  /// Issue reads until the window holds `depth_` partitions (at depth 0,
+  /// one per worker waiting in pop()) or every partition was handed out.
+  /// Returns whether it issued any.
+  bool refill(pf_state& s) REQUIRES(s.win_mtx);
   /// Async-I/O completion for one leaf read of one windowed partition.
   /// Runs between requests on the thread that runs the request: an I/O
   /// thread, or a worker helping from pop(). So it must never block: it

@@ -1,47 +1,15 @@
 #include "core/reshape.h"
 
-#include <cstring>
 #include <numeric>
 #include <set>
 
 #include "common/config.h"
 #include "common/error.h"
-#include "matrix/em_store.h"
-#include "matrix/generated_store.h"
-#include "matrix/mem_store.h"
-#include "mem/buffer_pool.h"
+#include "matrix/partition_io.h"
 
 namespace flashr {
 
 namespace {
-
-/// Stream packed partitions of any physical store through a callback
-/// (data is col-major with stride = rows in the partition).
-template <typename Fn>
-void stream_partitions(const matrix_store::ptr& s, Fn&& fn) {
-  auto& pool = buffer_pool::global();
-  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx) {
-    const std::size_t rows = s->geom().rows_in_part(pidx);
-    pool_buffer buf = pool.get(s->geom().part_bytes(pidx, s->type()));
-    switch (s->kind()) {
-      case store_kind::mem:
-        std::memcpy(buf.data(),
-                    static_cast<const mem_store*>(s.get())->part_data(pidx),
-                    s->geom().part_bytes(pidx, s->type()));
-        break;
-      case store_kind::ext:
-        static_cast<const em_readable*>(s.get())->read_part(pidx, buf.data());
-        break;
-      case store_kind::generated:
-        static_cast<const generated_store*>(s.get())->generate(
-            s->geom().part_row_begin(pidx), rows, buf.data(), rows);
-        break;
-      default:
-        throw_error("stream_partitions: unmaterialized matrix");
-    }
-    fn(pidx, rows, buf.data());
-  }
-}
 
 matrix_store::ptr physical(const dense_matrix& m) {
   FLASHR_CHECK(!m.is_transposed(), "reshape: transposed input unsupported");
@@ -68,19 +36,14 @@ dense_matrix rbind(const std::vector<dense_matrix>& mats, storage st) {
           : matrix_store::ptr(mem_store::create(total, ncol, type));
 
   // Assemble destination partitions in order, pulling from the sources.
-  auto& pool = buffer_pool::global();
-  std::size_t dst_row = 0;  // global output row cursor
-  pool_buffer dbuf = pool.get(out->geom().full_part_bytes(type));
+  pool_buffer dbuf =
+      buffer_pool::global().get(out->geom().full_part_bytes(type));
   std::size_t dpidx = 0;
   std::size_t dfill = 0;
   std::size_t drows = out->geom().rows_in_part(0);
 
   auto flush = [&] {
-    if (st == storage::ext_mem)
-      static_cast<em_store*>(out.get())->write_part(dpidx, dbuf.data());
-    else
-      std::memcpy(static_cast<mem_store*>(out.get())->part_data(dpidx),
-                  dbuf.data(), out->geom().part_bytes(dpidx, type));
+    write_partition(*out, dpidx, dbuf.data());
     ++dpidx;
     dfill = 0;
     if (dpidx < out->num_parts()) drows = out->geom().rows_in_part(dpidx);
@@ -89,28 +52,27 @@ dense_matrix rbind(const std::vector<dense_matrix>& mats, storage st) {
   for (const auto& m : mats) {
     const dense_matrix conv = m.type() == type ? m : m.cast(type);
     auto s = physical(conv);
-    stream_partitions(s, [&](std::size_t, std::size_t rows, const char* data) {
-      // Copy `rows` source rows into the destination, splitting across
-      // destination partitions as needed.
-      std::size_t copied = 0;
-      dispatch_type(type, [&]<typename T>() {
-        const T* src = reinterpret_cast<const T*>(data);
-        while (copied < rows) {
-          const std::size_t take = std::min(rows - copied, drows - dfill);
-          T* dst = reinterpret_cast<T*>(dbuf.data());
-          for (std::size_t j = 0; j < ncol; ++j)
-            for (std::size_t i = 0; i < take; ++i)
-              dst[j * drows + dfill + i] = src[j * rows + copied + i];
-          copied += take;
-          dfill += take;
-          if (dfill == drows) flush();
-        }
+    for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx)
+      with_partition(*s, pidx, [&](const char* data, std::size_t rows) {
+        // Copy `rows` source rows into the destination, splitting across
+        // destination partitions as needed.
+        std::size_t copied = 0;
+        dispatch_type(type, [&]<typename T>() {
+          const T* src = reinterpret_cast<const T*>(data);
+          while (copied < rows) {
+            const std::size_t take = std::min(rows - copied, drows - dfill);
+            T* dst = reinterpret_cast<T*>(dbuf.data());
+            for (std::size_t j = 0; j < ncol; ++j)
+              for (std::size_t i = 0; i < take; ++i)
+                dst[j * drows + dfill + i] = src[j * rows + copied + i];
+            copied += take;
+            dfill += take;
+            if (dfill == drows) flush();
+          }
+        });
       });
-    });
   }
   if (dfill > 0) flush();
-  dst_row = total;
-  (void)dst_row;
   if (st == storage::ext_mem) em_store::drain_writes();
   return dense_matrix{out};
 }
@@ -118,53 +80,56 @@ dense_matrix rbind(const std::vector<dense_matrix>& mats, storage st) {
 std::vector<double> unique_values(const dense_matrix& m) {
   auto s = physical(m);
   std::set<double> seen;
-  stream_partitions(s, [&](std::size_t, std::size_t rows, const char* data) {
-    dispatch_type(s->type(), [&]<typename T>() {
-      const T* d = reinterpret_cast<const T*>(data);
-      for (std::size_t i = 0; i < rows * s->ncol(); ++i)
-        seen.insert(static_cast<double>(d[i]));
+  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx)
+    with_partition(*s, pidx, [&](const char* data, std::size_t rows) {
+      dispatch_type(s->type(), [&]<typename T>() {
+        const T* d = reinterpret_cast<const T*>(data);
+        for (std::size_t i = 0; i < rows * s->ncol(); ++i)
+          seen.insert(static_cast<double>(d[i]));
+      });
     });
-  });
   return std::vector<double>(seen.begin(), seen.end());
 }
 
 std::map<double, std::size_t> table_values(const dense_matrix& m) {
   auto s = physical(m);
   std::map<double, std::size_t> counts;
-  stream_partitions(s, [&](std::size_t, std::size_t rows, const char* data) {
-    dispatch_type(s->type(), [&]<typename T>() {
-      const T* d = reinterpret_cast<const T*>(data);
-      for (std::size_t i = 0; i < rows * s->ncol(); ++i)
-        ++counts[static_cast<double>(d[i])];
+  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx)
+    with_partition(*s, pidx, [&](const char* data, std::size_t rows) {
+      dispatch_type(s->type(), [&]<typename T>() {
+        const T* d = reinterpret_cast<const T*>(data);
+        for (std::size_t i = 0; i < rows * s->ncol(); ++i)
+          ++counts[static_cast<double>(d[i])];
+      });
     });
-  });
   return counts;
 }
 
 std::map<double, double> groupby_values(const dense_matrix& m, agg_id op) {
   auto s = physical(m);
   std::map<double, double> out;
-  stream_partitions(s, [&](std::size_t, std::size_t rows, const char* data) {
-    dispatch_type(s->type(), [&]<typename T>() {
-      const T* d = reinterpret_cast<const T*>(data);
-      for (std::size_t i = 0; i < rows * s->ncol(); ++i) {
-        const double v = static_cast<double>(d[i]);
-        auto [it, fresh] = out.try_emplace(v, 0.0);
-        switch (op) {
-          case agg_id::sum: it->second += v; break;
-          case agg_id::count_nonzero: it->second += v != 0 ? 1 : 0; break;
-          case agg_id::min_v:
-            it->second = fresh ? v : std::min(it->second, v);
-            break;
-          case agg_id::max_v:
-            it->second = fresh ? v : std::max(it->second, v);
-            break;
-          default:
-            throw_error("groupby_values: unsupported aggregation");
+  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx)
+    with_partition(*s, pidx, [&](const char* data, std::size_t rows) {
+      dispatch_type(s->type(), [&]<typename T>() {
+        const T* d = reinterpret_cast<const T*>(data);
+        for (std::size_t i = 0; i < rows * s->ncol(); ++i) {
+          const double v = static_cast<double>(d[i]);
+          auto [it, fresh] = out.try_emplace(v, 0.0);
+          switch (op) {
+            case agg_id::sum: it->second += v; break;
+            case agg_id::count_nonzero: it->second += v != 0 ? 1 : 0; break;
+            case agg_id::min_v:
+              it->second = fresh ? v : std::min(it->second, v);
+              break;
+            case agg_id::max_v:
+              it->second = fresh ? v : std::max(it->second, v);
+              break;
+            default:
+              throw_error("groupby_values: unsupported aggregation");
+          }
         }
-      }
+      });
     });
-  });
   return out;
 }
 
@@ -197,35 +162,17 @@ dense_matrix head_rows(const dense_matrix& a, std::size_t nrow, storage st) {
   auto& pool = buffer_pool::global();
   for (std::size_t pidx = 0; pidx < out->num_parts(); ++pidx) {
     const std::size_t orows = out->geom().rows_in_part(pidx);
-    const std::size_t srows = s->geom().rows_in_part(pidx);
-    pool_buffer sbuf = pool.get(s->geom().part_bytes(pidx, s->type()));
-    // Fetch just this partition.
-    switch (s->kind()) {
-      case store_kind::mem:
-        std::memcpy(sbuf.data(),
-                    static_cast<const mem_store*>(s.get())->part_data(pidx),
-                    s->geom().part_bytes(pidx, s->type()));
-        break;
-      case store_kind::ext:
-        static_cast<const em_readable*>(s.get())->read_part(pidx, sbuf.data());
-        break;
-      default:
-        static_cast<const generated_store*>(s.get())->generate(
-            s->geom().part_row_begin(pidx), srows, sbuf.data(), srows);
-    }
     pool_buffer obuf = pool.get(out->geom().part_bytes(pidx, s->type()));
-    dispatch_type(s->type(), [&]<typename T>() {
-      const T* src = reinterpret_cast<const T*>(sbuf.data());
-      T* dst = reinterpret_cast<T*>(obuf.data());
-      for (std::size_t j = 0; j < a.ncol(); ++j)
-        for (std::size_t i = 0; i < orows; ++i)
-          dst[j * orows + i] = src[j * srows + i];
+    with_partition(*s, pidx, [&](const char* data, std::size_t srows) {
+      dispatch_type(s->type(), [&]<typename T>() {
+        const T* src = reinterpret_cast<const T*>(data);
+        T* dst = reinterpret_cast<T*>(obuf.data());
+        for (std::size_t j = 0; j < a.ncol(); ++j)
+          for (std::size_t i = 0; i < orows; ++i)
+            dst[j * orows + i] = src[j * srows + i];
+      });
     });
-    if (st == storage::ext_mem)
-      static_cast<em_store*>(out.get())->write_part(pidx, obuf.data());
-    else
-      std::memcpy(static_cast<mem_store*>(out.get())->part_data(pidx),
-                  obuf.data(), out->geom().part_bytes(pidx, s->type()));
+    write_partition(*out, pidx, obuf.data());
   }
   return dense_matrix{out};
 }

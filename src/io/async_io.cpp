@@ -75,19 +75,6 @@ std::size_t async_io::queued_writes() const {
   return queued_writes_;
 }
 
-std::future<void> async_io::submit_read(std::shared_ptr<const safs_file> file,
-                                        std::size_t offset, std::size_t len,
-                                        char* buf) {
-  request req;
-  req.rfile = std::move(file);
-  req.offset = offset;
-  req.len = len;
-  req.rbuf = buf;
-  std::future<void> fut = req.done.get_future();
-  enqueue(std::move(req));
-  return fut;
-}
-
 void async_io::submit_read_notify(std::shared_ptr<const safs_file> file,
                                   std::size_t offset, std::size_t len,
                                   char* buf, completion_fn done) {
@@ -281,17 +268,31 @@ void async_io::run(request& req) {
   // exactly the shape of an SSD whose completions stop arriving.
   fault_completion_stall();
   last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
-  if (req.notify) {
-    // Completion-order dispatch: hand the result to the prefetch pipeline
-    // on this thread, then drop the closure immediately so any buffers it
-    // references are not pinned past the notification.
-    completion_fn notify = std::move(req.notify);
-    notify(err);
-  } else if (err) {
-    req.done.set_exception(err);
-  } else {
-    req.done.set_value();
+  // Hand the result over on this thread, then drop the closure immediately
+  // so any buffers it references are not pinned past the notification.
+  completion_fn notify = std::move(req.notify);
+  notify(err);
+}
+
+void read_join::complete(std::exception_ptr err) {
+  {
+    mutex_lock lock(join_mtx_);
+    if (err && !error_) error_ = std::move(err);
+    if (--remaining_ != 0) return;
+    cv_landed_.notify_all();
+    if (!done_) return;
+    err = error_;
   }
+  done_(err);
+}
+
+void read_join::wait() {
+  mutex_lock lock(join_mtx_);
+  {
+    obs::probe wait_probe({.wait = obs::sample_state::io_wait});
+    while (remaining_ != 0) cv_landed_.wait(lock);
+  }
+  if (error_) std::rethrow_exception(error_);
 }
 
 async_io& async_io::global() {

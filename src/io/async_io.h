@@ -7,13 +7,12 @@
 // small pool of dedicated I/O threads draining a FIFO of pread/pwrite
 // requests against safs_files; a compute worker with nothing to claim in the
 // prefetch window runs the oldest queued request itself (help_one), so
-// io_threads is a floor on read parallelism, not a cap. Reads either
-// complete a future the compute thread waits on (synchronous consumers:
-// import, tests, depth-0 mode) or invoke a completion callback on the thread
-// that runs the request: an I/O thread, or a worker helping from pop() (the
-// prefetch pipeline's completion-order dispatch); writes carry their
-// buffer's ownership and are tracked so a pass can drain them before
-// finishing.
+// io_threads is a floor on read parallelism, not a cap. Every read completes
+// through one callback, on the thread that runs the request: an I/O thread,
+// or a worker helping from pop(). A caller that needs to wait (a
+// synchronous partition read, a sparse block batch) joins its reads with a
+// read_join; writes carry their buffer's ownership and are tracked so a pass
+// can drain them before finishing.
 //
 // Write-behind is bounded by a byte budget (conf().max_inflight_write_bytes):
 // submit_write blocks while the in-flight write volume is over budget, and
@@ -33,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -47,9 +45,9 @@ namespace flashr {
 
 class async_io {
  public:
-  /// Invoked when a notify-read completes, on the thread that runs the
-  /// request: an I/O thread, or a worker helping from pop(). The argument
-  /// is null on success, the I/O error otherwise. Must not block on I/O.
+  /// Invoked when a read completes, on the thread that runs the request:
+  /// an I/O thread, or a worker helping from pop(). The argument is null on
+  /// success, the I/O error otherwise. Must not block on I/O.
   using completion_fn = std::function<void(std::exception_ptr)>;
 
   explicit async_io(int num_threads);
@@ -57,17 +55,11 @@ class async_io {
   async_io(const async_io&) = delete;
   async_io& operator=(const async_io&) = delete;
 
-  /// Read [offset, offset+len) of `file` into `buf` (caller keeps ownership
-  /// and must keep it alive until the future resolves). The future rethrows
-  /// any I/O error.
-  std::future<void> submit_read(std::shared_ptr<const safs_file> file,
-                                std::size_t offset, std::size_t len,
-                                char* buf);
-
-  /// Like submit_read, but instead of completing a future, `done` is invoked
-  /// once the data landed (or the read failed), on the thread that runs the
+  /// Read [offset, offset+len) of `file` into `buf`; `done` is invoked once
+  /// the data landed (or the read failed), on the thread that runs the
   /// request: an I/O thread, or a worker helping from pop(). The caller
-  /// must keep `buf` alive until `done` runs.
+  /// keeps ownership of `buf` and must keep it alive until `done` runs. The
+  /// service's only read submission.
   void submit_read_notify(std::shared_ptr<const safs_file> file,
                           std::size_t offset, std::size_t len, char* buf,
                           completion_fn done);
@@ -140,7 +132,6 @@ class async_io {
     std::size_t len = 0;
     char* rbuf = nullptr;
     pool_buffer wbuf;
-    std::promise<void> done;
     completion_fn notify;
     bool is_write = false;
   };
@@ -185,6 +176,44 @@ class async_io {
   std::atomic<std::uint64_t> last_completion_ns_{0};
   /// Declared last: the I/O threads use every member above.
   std::vector<std::thread> threads_;
+};
+
+/// Join of a group of reads: one em_col_view partition's column reads, a
+/// synchronous partition read, one sparse block batch. It counts its member
+/// reads and keeps the first error; when the last member lands it wakes
+/// wait() and then runs `done`, if any. Each member's completion holds a
+/// shared_ptr to the join, so the join outlives its last completion.
+class read_join {
+ public:
+  explicit read_join(std::size_t reads, async_io::completion_fn done = {})
+      : remaining_(reads), done_(std::move(done)) {}
+  read_join(const read_join&) = delete;
+  read_join& operator=(const read_join&) = delete;
+
+  /// The completion of one member read, for submit_read_notify.
+  static async_io::completion_fn member(std::shared_ptr<read_join> join) {
+    return [join = std::move(join)](std::exception_ptr err) {
+      join->complete(std::move(err));
+    };
+  }
+
+  /// Block until every member read landed, then rethrow the first error. A
+  /// failed member never ends the wait early, so the caller releases no
+  /// buffer a sibling read may still write into.
+  void wait();
+
+ private:
+  /// Account one member read. Runs on the thread that ran the read (an I/O
+  /// thread, or a worker helping from pop()), so it must never block: only
+  /// the nonblocking-safe join mutex is taken, and `done` runs after it is
+  /// released.
+  void complete(std::exception_ptr err) FLASHR_NONBLOCKING;
+
+  mutex join_mtx_ LOCK_RANK(io_join);
+  cond_var cv_landed_;
+  std::size_t remaining_ GUARDED_BY(join_mtx_);
+  std::exception_ptr error_ GUARDED_BY(join_mtx_);
+  const async_io::completion_fn done_;
 };
 
 }  // namespace flashr

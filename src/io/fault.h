@@ -37,9 +37,9 @@ enum class fault_site : int {
   pwrite = 1,
   latency = 2,
   short_io = 3,
-  /// Completion stall: the delivery of a finished read — the future
-  /// resolution or notify callback in io/async_io.cpp, AFTER the data
-  /// landed — is delayed by stall_us. Models an SSD whose completions stop
+  /// Completion stall: the delivery of a finished read — its completion
+  /// callback in io/async_io.cpp, AFTER the data landed — is delayed by
+  /// stall_us. Models an SSD whose completions stop
   /// arriving; the hung-I/O watchdog (core/governor.h) is tested against
   /// this site so stall detection never depends on wall-clock scheduling
   /// luck.
@@ -130,9 +130,9 @@ ssize_t fault_pread(int fd, char* buf, std::size_t len, off_t offset);
 ssize_t fault_pwrite(int fd, const char* buf, std::size_t len, off_t offset);
 
 /// Completion-delivery shim: the async I/O service calls this after a read's
-/// data has landed, immediately before resolving the future / invoking the
-/// notify callback. Evaluates the stall site and sleeps the injected delay
-/// on the calling (I/O) thread; a no-op when the site is unarmed.
+/// data has landed, immediately before invoking its completion callback.
+/// Evaluates the stall site and sleeps the injected delay on the calling
+/// (I/O) thread; a no-op when the site is unarmed.
 void fault_completion_stall();
 
 }  // namespace flashr

@@ -9,7 +9,6 @@
 #include "common/config.h"
 #include "common/crc32.h"
 #include "common/error.h"
-#include "common/thread_safety.h"
 #include "io/async_io.h"
 #include "obs/incident.h"
 
@@ -81,20 +80,10 @@ void em_store::verify_part(std::size_t pidx, char* buf) const {
                  part_offset(pidx), len, 0);
 }
 
-std::future<void> em_store::read_part_async(std::size_t pidx,
-                                            char* buf) const {
-  auto fut = async_io::global().submit_read(file_, part_offset(pidx),
-                                            geom_.part_bytes(pidx, type_), buf);
-  if (conf().io_checksum == checksum_policy::off ||
-      has_crc_[pidx].load(std::memory_order_acquire) == 0)
-    return fut;
-  // Deferred completion: the waiter's get() verifies once the data arrived.
-  auto self = std::static_pointer_cast<const em_store>(shared_from_this());
-  return std::async(std::launch::deferred,
-                    [self, pidx, buf, f = std::move(fut)]() mutable {
-                      f.get();
-                      self->verify_part(pidx, buf);
-                    });
+void em_readable::read_part(std::size_t pidx, char* buf) const {
+  auto join = std::make_shared<read_join>(1);
+  read_part_notify(pidx, buf, read_join::member(join));
+  join->wait();
 }
 
 void em_store::read_part_notify(std::size_t pidx, char* buf,
@@ -108,10 +97,10 @@ void em_store::read_part_notify(std::size_t pidx, char* buf,
     return;
   }
   // Verify before notifying, on the thread that runs the request (an I/O
-  // thread, or a worker helping from pop()), so completion-order consumers
-  // see exactly the same checksum guarantees as future waiters. A repair
-  // re-read is a direct synchronous pread, not a queued request, so running
-  // it here cannot deadlock the I/O service.
+  // thread, or a worker helping from pop()), so every reader, windowed or
+  // synchronous, sees the same checksum guarantees. A repair re-read is a
+  // direct synchronous pread, not a queued request, so running it here
+  // cannot deadlock the I/O service.
   auto self = std::static_pointer_cast<const em_store>(shared_from_this());
   async_io::global().submit_read_notify(
       file_, off, len, buf,
@@ -136,78 +125,22 @@ em_col_view::ptr em_col_view::create(std::shared_ptr<const em_store> base,
   return ptr(new em_col_view(geom, std::move(base), std::move(cols)));
 }
 
-std::future<void> em_col_view::read_part_async(std::size_t pidx,
-                                               char* buf) const {
-  // One asynchronous read per selected column: within a partition, columns
-  // are contiguous file ranges at stride rows_in_part. Column reads bypass
+void em_col_view::read_part_notify(std::size_t pidx, char* buf,
+                                   read_callback done) const {
+  // One read per selected column: within a partition, columns are
+  // contiguous file ranges at stride rows_in_part. `done` runs once the
+  // last column landed, with the first column error. Column reads bypass
   // the per-partition checksum (a whole-partition CRC cannot validate a
   // byte subrange); full-partition reads remain the verified path.
   const std::size_t rows = geom_.rows_in_part(pidx);
   const std::size_t col_bytes = rows * elem_size();
   const std::size_t base_off = base_->part_offset(pidx);
   const std::size_t base_rows = base_->geom().rows_in_part(pidx);
-  auto futures = std::make_shared<std::vector<std::future<void>>>();
-  futures->reserve(cols_.size());
-  for (std::size_t j = 0; j < cols_.size(); ++j)
-    futures->push_back(async_io::global().submit_read(
-        base_->file(), base_off + cols_[j] * base_rows * elem_size(),
-        col_bytes, buf + j * col_bytes));
-  // Deferred completion: the waiter's get() drains the per-column reads.
-  return std::async(std::launch::deferred, [futures] {
-    for (auto& f : *futures) f.get();
-  });
-}
-
-namespace {
-
-/// Join of the per-column notify-reads of one em_col_view partition read:
-/// `done` fires once when the last column lands, first error wins.
-struct col_join_state {
-  mutex join_mtx LOCK_RANK(io_join);
-  std::size_t remaining GUARDED_BY(join_mtx) = 0;
-  std::exception_ptr error GUARDED_BY(join_mtx);
-  em_readable::read_callback done;
-};
-
-/// Async-I/O completion for one column read. Runs between requests on the
-/// thread that runs the request: an I/O thread, or a worker helping from
-/// pop(). So it must never block: only the nonblocking-safe join mutex is
-/// taken, and `done` (the prefetch pipeline's own completion, verified
-/// separately) is invoked after it is released.
-void on_col_read_complete(const std::shared_ptr<col_join_state>& join,
-                          std::exception_ptr err) FLASHR_NONBLOCKING;
-
-void on_col_read_complete(const std::shared_ptr<col_join_state>& join,
-                          std::exception_ptr err) {
-  bool last = false;
-  std::exception_ptr first;
-  {
-    mutex_lock lock(join->join_mtx);
-    if (err && !join->error) join->error = err;
-    last = --join->remaining == 0;
-    if (last) first = join->error;
-  }
-  if (last) join->done(first);
-}
-
-}  // namespace
-
-void em_col_view::read_part_notify(std::size_t pidx, char* buf,
-                                   read_callback done) const {
-  // One notify-read per selected column (same layout as read_part_async).
-  const std::size_t rows = geom_.rows_in_part(pidx);
-  const std::size_t col_bytes = rows * elem_size();
-  const std::size_t base_off = base_->part_offset(pidx);
-  const std::size_t base_rows = base_->geom().rows_in_part(pidx);
-  auto join = std::make_shared<col_join_state>();
-  join->remaining = cols_.size();
-  join->done = std::move(done);
+  auto join = std::make_shared<read_join>(cols_.size(), std::move(done));
   for (std::size_t j = 0; j < cols_.size(); ++j)
     async_io::global().submit_read_notify(
         base_->file(), base_off + cols_[j] * base_rows * elem_size(),
-        col_bytes, buf + j * col_bytes, [join](std::exception_ptr err) {
-          on_col_read_complete(join, std::move(err));
-        });
+        col_bytes, buf + j * col_bytes, read_join::member(join));
 }
 
 void em_store::write_part_async(std::size_t pidx, pool_buffer buf) {

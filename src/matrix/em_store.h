@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <functional>
-#include <future>
 #include <vector>
 
 #include "io/safs.h"
@@ -30,24 +29,19 @@ class em_readable : public matrix_store {
   /// null pointer on success, the I/O error otherwise.
   using read_callback = std::function<void(std::exception_ptr)>;
 
-  /// Asynchronously read partition `pidx` into `buf` (which must hold
-  /// geom().part_bytes(pidx, type())). The future resolves when data is
-  /// ready and rethrows I/O errors.
-  virtual std::future<void> read_part_async(std::size_t pidx,
-                                            char* buf) const = 0;
-
-  /// Completion-notified variant feeding the prefetch pipeline: `done` is
-  /// invoked once the partition landed in `buf` (checksum verification
-  /// included), on the thread that runs the request: an I/O thread, or a
-  /// worker helping from pop(). No future to poll. The caller keeps `buf`
+  /// Read partition `pidx` into `buf` (which must hold
+  /// geom().part_bytes(pidx, type())): `done` is invoked once the whole
+  /// partition landed in `buf` (checksum verification included), on the
+  /// thread that runs the request: an I/O thread, or a worker helping from
+  /// pop(). The one asynchronous partition read; the caller keeps `buf`
   /// alive until `done` runs.
   virtual void read_part_notify(std::size_t pidx, char* buf,
                                 read_callback done) const = 0;
 
-  /// Synchronous partition read (tests, import, host gathers).
-  void read_part(std::size_t pidx, char* buf) const {
-    read_part_async(pidx, buf).get();
-  }
+  /// Synchronous partition read (host gathers, tests): read_part_notify,
+  /// waited on through a read_join (io/async_io.h). Returns, or rethrows
+  /// the first error, only once every read into `buf` has landed.
+  void read_part(std::size_t pidx, char* buf) const;
 };
 
 class em_store final : public em_readable {
@@ -59,9 +53,6 @@ class em_store final : public em_readable {
                     std::size_t part_rows = 0);
 
   store_kind kind() const override { return store_kind::ext; }
-
-  std::future<void> read_part_async(std::size_t pidx,
-                                    char* buf) const override;
 
   void read_part_notify(std::size_t pidx, char* buf,
                         read_callback done) const override;
@@ -119,9 +110,6 @@ class em_col_view final : public em_readable {
                     std::vector<std::size_t> cols);
 
   store_kind kind() const override { return store_kind::ext; }
-
-  std::future<void> read_part_async(std::size_t pidx,
-                                    char* buf) const override;
 
   void read_part_notify(std::size_t pidx, char* buf,
                         read_callback done) const override;

@@ -2,59 +2,16 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "common/config.h"
 #include "common/error.h"
-#include "matrix/em_store.h"
-#include "matrix/generated_store.h"
-#include "matrix/mem_store.h"
-#include "mem/buffer_pool.h"
+#include "matrix/partition_io.h"
 
 namespace flashr {
 
 namespace {
-
-/// Fetch one packed partition (col-major, stride = rows) of any physical
-/// store into `buf`.
-void fetch_partition(const matrix_store::ptr& s, std::size_t pidx,
-                     char* buf) {
-  const std::size_t rows = s->geom().rows_in_part(pidx);
-  switch (s->kind()) {
-    case store_kind::mem: {
-      auto* m = static_cast<const mem_store*>(s.get());
-      std::memcpy(buf, m->part_data(pidx), s->geom().part_bytes(pidx, s->type()));
-      break;
-    }
-    case store_kind::ext:
-      static_cast<const em_readable*>(s.get())->read_part(pidx, buf);
-      break;
-    case store_kind::generated:
-      static_cast<const generated_store*>(s.get())->generate(
-          s->geom().part_row_begin(pidx), rows, buf, rows);
-      break;
-    default:
-      throw_error("fetch_partition: unmaterialized matrix");
-  }
-}
-
-/// Store one packed partition into a writable physical store.
-void put_partition(const matrix_store::ptr& s, std::size_t pidx,
-                   const char* buf) {
-  switch (s->kind()) {
-    case store_kind::mem:
-      std::memcpy(static_cast<mem_store*>(s.get())->part_data(pidx), buf,
-                  s->geom().part_bytes(pidx, s->type()));
-      break;
-    case store_kind::ext:
-      static_cast<em_store*>(s.get())->write_part(pidx, buf);
-      break;
-    default:
-      throw_error("put_partition: not a writable store");
-  }
-}
 
 matrix_store::ptr make_store(std::size_t nrow, std::size_t ncol,
                              scalar_type type, storage st) {
@@ -109,7 +66,7 @@ dense_matrix load_dense(const std::string& path, const load_options& opts) {
   std::size_t rows_this_part = store->geom().rows_in_part(0);
 
   auto flush = [&] {
-    put_partition(store, pidx, buf.data());
+    write_partition(*store, pidx, buf.data());
     ++pidx;
     in_part = 0;
     if (pidx < store->num_parts())
@@ -144,22 +101,19 @@ void save_dense_text(const dense_matrix& m, const std::string& path,
   auto s = m.resolved();
   std::ofstream out(path);
   if (!out) throw_io_error("save_dense_text: cannot open " + path);
-  auto& pool = buffer_pool::global();
-  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx) {
-    const std::size_t rows = s->geom().rows_in_part(pidx);
-    pool_buffer buf = pool.get(s->geom().part_bytes(pidx, s->type()));
-    fetch_partition(s, pidx, buf.data());
-    dispatch_type(s->type(), [&]<typename T>() {
-      const T* d = reinterpret_cast<const T*>(buf.data());
-      for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t j = 0; j < s->ncol(); ++j) {
-          if (j) out << delimiter;
-          out << +d[j * rows + i];
+  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx)
+    with_partition(*s, pidx, [&](const char* data, std::size_t rows) {
+      dispatch_type(s->type(), [&]<typename T>() {
+        const T* d = reinterpret_cast<const T*>(data);
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t j = 0; j < s->ncol(); ++j) {
+            if (j) out << delimiter;
+            out << +d[j * rows + i];
+          }
+          out << '\n';
         }
-        out << '\n';
-      }
+      });
     });
-  }
 }
 
 void save_matrix(const dense_matrix& m, const std::string& dir,
@@ -179,13 +133,11 @@ void save_matrix(const dense_matrix& m, const std::string& dir,
   // Data: partitions packed back to back.
   std::ofstream data(dir + "/" + name + ".data", std::ios::binary);
   if (!data) throw_io_error("save_matrix: cannot write data");
-  auto& pool = buffer_pool::global();
-  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx) {
-    const std::size_t bytes = s->geom().part_bytes(pidx, s->type());
-    pool_buffer buf = pool.get(bytes);
-    fetch_partition(s, pidx, buf.data());
-    data.write(buf.data(), static_cast<std::streamsize>(bytes));
-  }
+  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx)
+    with_partition(*s, pidx, [&](const char* part, std::size_t) {
+      data.write(part, static_cast<std::streamsize>(
+                           s->geom().part_bytes(pidx, s->type())));
+    });
   FLASHR_CHECK(data.good(), "save_matrix: write failed");
 }
 
@@ -216,7 +168,7 @@ dense_matrix load_matrix(const std::string& dir, const std::string& name,
     data.read(buf.data(), static_cast<std::streamsize>(bytes));
     FLASHR_CHECK(data.gcount() == static_cast<std::streamsize>(bytes),
                  "load_matrix: truncated data for " + name);
-    put_partition(store, pidx, buf.data());
+    write_partition(*store, pidx, buf.data());
   }
   return dense_matrix{store};
 }

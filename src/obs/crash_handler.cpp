@@ -284,14 +284,11 @@ void append_escaped_bytes(std::string& out, const unsigned char* s,
   }
 }
 
+/// A raw record's phase letter; "?" for a kind no emitter writes.
 const char* kind_ph(std::uint64_t kind) {
-  switch (kind) {
-    case 0: return "B";
-    case 1: return "E";
-    case 2: return "i";
-    case 3: return "C";
-  }
-  return "?";
+  return kind <= static_cast<std::uint64_t>(event_kind::counter)
+             ? event_ph(static_cast<event_kind>(kind))
+             : "?";
 }
 
 }  // namespace

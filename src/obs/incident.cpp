@@ -134,7 +134,6 @@ std::string config_json() {
   str("em_dir", o.em_dir);
   num("stripes", static_cast<std::uint64_t>(o.stripes));
   str("mode", exec_mode_name(o.mode));
-  num("dispatch_batch", static_cast<std::uint64_t>(o.dispatch_batch));
   num("prefetch_depth", static_cast<std::uint64_t>(
                             o.prefetch_depth < 0 ? 0 : o.prefetch_depth));
   num("max_inflight_write_bytes", o.max_inflight_write_bytes);
@@ -160,16 +159,6 @@ std::string config_json() {
 /// The pre-serialized crash-handler STAT payload.
 std::string static_json() {
   return "{\"build\":" + build_json() + ",\"config\":" + config_json() + "}";
-}
-
-const char* kind_ph(event_kind k) {
-  switch (k) {
-    case event_kind::begin: return "B";
-    case event_kind::end: return "E";
-    case event_kind::counter: return "C";
-    case event_kind::instant: return "i";
-  }
-  return "i";
 }
 
 void ensure_counters() {
@@ -407,35 +396,20 @@ std::string flight_json(std::uint64_t since_ns) {
     out += "{\"tid\":" + std::to_string(t.os_tid) + ",\"name\":";
     json::quote(out, t.name);
     out += ",\"dropped\":" + std::to_string(t.dropped) + ",\"events\":[";
-    // Balance spans exactly like trace_json: an end whose begin fell off
-    // the ring (or predates the window) is dropped; spans still open at
-    // snapshot get synthetic ends at the last seen timestamp.
-    std::vector<const char*> open;
-    std::uint64_t last_ts = since_ns;
+    // Balanced like trace_json: an end whose begin fell off the ring (or
+    // predates the window) is dropped; spans still open at snapshot get
+    // synthetic ends at the last seen timestamp.
     bool first_ev = true;
-    for (const flight_event& e : t.events) {
-      if (e.kind == event_kind::end) {
-        if (open.empty()) continue;
-        open.pop_back();
-      } else if (e.kind == event_kind::begin) {
-        open.push_back(e.name);
-      }
-      last_ts = e.ts_ns;
+    pair_spans(t.events, [&](const flight_event& e, bool synthetic) {
       if (!first_ev) out += ',';
       first_ev = false;
       out += "{\"ts_ns\":" + std::to_string(e.ts_ns) + ",\"name\":";
       json_str(out, e.name);
       out += ",\"ph\":\"";
-      out += kind_ph(e.kind);
-      out += "\",\"arg\":" + std::to_string(e.arg) + "}";
-    }
-    for (auto it = open.rbegin(); it != open.rend(); ++it) {
-      if (!first_ev) out += ',';
-      first_ev = false;
-      out += "{\"ts_ns\":" + std::to_string(last_ts) + ",\"name\":";
-      json_str(out, *it);
-      out += ",\"ph\":\"E\",\"arg\":0,\"synthetic\":true}";
-    }
+      out += event_ph(e.kind);
+      out += "\",\"arg\":" + std::to_string(e.arg);
+      out += synthetic ? ",\"synthetic\":true}" : "}";
+    });
     out += "]}";
   }
   out += "]}";
@@ -464,15 +438,9 @@ std::string stacks_json() {
     thread_view v;
     v.tid = t.os_tid;
     v.name = t.name;
-    std::vector<open_span> open;
-    for (const flight_event& e : t.events) {
-      if (e.kind == event_kind::begin) {
-        open.push_back({e.name, e.ts_ns});
-      } else if (e.kind == event_kind::end && !open.empty()) {
-        open.pop_back();
-      }
-    }
-    if (!open.empty()) v.span = open.back();
+    const flight_event* open =
+        pair_spans(t.events, [](const flight_event&, bool) {});
+    if (open != nullptr) v.span = {open->name, open->ts_ns};
     views.push_back(std::move(v));
   }
   for (int i = 0; i < nranks; ++i) {

@@ -204,17 +204,13 @@ std::uint64_t snapshot_ring(const trace_slot* slots, std::uint64_t mask,
 }
 
 void append_event(std::string& out, const flight_event& ev, int tid) {
-  const char* ph = ev.kind == event_kind::begin     ? "B"
-                   : ev.kind == event_kind::end     ? "E"
-                   : ev.kind == event_kind::counter ? "C"
-                                                    : "i";
   char buf[160];
   out += "{\"name\":\"";
   json::escape(out, ev.name == nullptr ? "?" : ev.name);
   std::snprintf(buf, sizeof(buf),
                 "\",\"cat\":\"flashr\",\"ph\":\"%s\",\"pid\":1,\"tid\":%d,"
                 "\"ts\":%.3f",
-                ph, tid, static_cast<double>(ev.ts_ns) / 1e3);
+                event_ph(ev.kind), tid, static_cast<double>(ev.ts_ns) / 1e3);
   out += buf;
   if (ev.kind == event_kind::instant) out += ",\"s\":\"t\"";
   if (ev.kind != event_kind::end) {
@@ -310,6 +306,16 @@ void set_thread_name(const char* name) {
   sampler_thread_attach(name);
 }
 
+const char* event_ph(event_kind k) {
+  switch (k) {
+    case event_kind::begin: return "B";
+    case event_kind::end: return "E";
+    case event_kind::counter: return "C";
+    case event_kind::instant: return "i";
+  }
+  return "i";
+}
+
 std::string trace_json(trace_summary* summary) {
   trace_summary sum;
   std::string out = "{\"traceEvents\":[\n";
@@ -339,33 +345,15 @@ std::string trace_json(trace_summary* summary) {
       emit_line(line);
     }
 
-    // Re-pair spans: drop ends whose begin was overwritten, close spans
-    // still open at flush, so the JSON is always balanced.
-    std::vector<const flight_event*> open;
-    std::uint64_t last_ts = 0;
+    // Balanced spans, so the JSON always is: ends whose begin was
+    // overwritten are dropped, spans still open at flush are closed.
     std::string line;
-    for (const flight_event& ev : evs) {
-      last_ts = ev.ts_ns;
-      if (ev.kind == event_kind::end) {
-        if (open.empty()) continue;  // begin lost to ring wrap
-        open.pop_back();
-      } else if (ev.kind == event_kind::begin) {
-        open.push_back(&ev);
-      }
+    pair_spans(evs, [&](const flight_event& ev, bool) {
       line.clear();
       append_event(line, ev, ring->tid);
       emit_line(line);
       ++sum.events;
-    }
-    for (std::size_t i = open.size(); i > 0; --i) {
-      flight_event ev = *open[i - 1];
-      ev.kind = event_kind::end;
-      ev.ts_ns = last_ts;
-      line.clear();
-      append_event(line, ev, ring->tid);
-      emit_line(line);
-      ++sum.events;
-    }
+    });
 
     ++sum.threads;
   }

@@ -96,6 +96,9 @@ enum class event_kind : std::uint64_t {
                 ///< track (prefetch window occupancy, queue depths, ...)
 };
 
+/// The Chrome trace-event phase letter of `k`: "B", "E", "i" or "C".
+const char* event_ph(event_kind k);
+
 /// Append one record stamped `ts_ns` to each of `rings` that is on — the
 /// trace ring, the flight-recorder ring, or both, per the record mask.
 /// `name` must have static storage duration. Call only when record_on()
@@ -149,7 +152,7 @@ struct flight_event {
 
 /// One thread's flight-recorder tail: raw records in emission order,
 /// filtered to ts_ns >= the requested window start. Span balancing is the
-/// consumer's job (obs/incident.cpp re-pairs exactly like trace_json).
+/// consumer's job (pair_spans below).
 struct flight_track {
   unsigned os_tid = 0;      ///< OS thread id (gettid), 0 if unknown
   std::string name;         ///< thread label ("worker-3", "io-0", ...)
@@ -162,6 +165,38 @@ struct flight_track {
 /// (same benign-race discipline as trace_json); rings of exited threads are
 /// retained deliberately — their last seconds are post-mortem evidence.
 std::vector<flight_track> flight_collect(std::uint64_t since_ns);
+
+/// Walk one thread's records, oldest first, as balanced spans: the one
+/// re-pairing trace_json(), flight_json() and stacks_json() share. An end
+/// whose begin was lost (to ring wrap, or before the window) is dropped;
+/// `on_record(ev, false)` sees every other record in order, then
+/// `on_record(end, true)` one synthetic end (arg 0) per span still open,
+/// innermost first, stamped with the last visited record's time. Returns
+/// the begin record of the innermost span still open, or nullptr.
+template <class F>
+const flight_event* pair_spans(const std::vector<flight_event>& events,
+                               F&& on_record) {
+  std::vector<const flight_event*> open;
+  std::uint64_t last_ts = 0;
+  for (const flight_event& ev : events) {
+    if (ev.kind == event_kind::end) {
+      if (open.empty()) continue;  // its begin was lost
+      open.pop_back();
+    } else if (ev.kind == event_kind::begin) {
+      open.push_back(&ev);
+    }
+    last_ts = ev.ts_ns;
+    on_record(ev, false);
+  }
+  for (auto it = open.rbegin(); it != open.rend(); ++it) {
+    flight_event close = **it;
+    close.kind = event_kind::end;
+    close.ts_ns = last_ts;
+    close.arg = 0;
+    on_record(close, true);
+  }
+  return open.empty() ? nullptr : open.back();
+}
 
 /// Crash-path dump of every flight ring as FRNG sections plus one STRT
 /// string table (interned name bytes, keyed by pointer), in the crash-dump

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "common/align.h"
-#include "common/config.h"
 #include "common/error.h"
 #include "io/async_io.h"
 #include "mem/buffer_pool.h"
@@ -16,6 +15,10 @@
 namespace flashr::sparse {
 
 namespace {
+
+/// Row blocks a worker takes per scheduler dispatch while plenty remain;
+/// their reads are issued together and joined before any is computed.
+constexpr int kBlocksPerBatch = 4;
 
 std::string next_sparse_name() {
   // Pid-qualified for the same reason as EM temp names: concurrent
@@ -96,28 +99,30 @@ smat em_csr::spmm(const smat& d) const {
   smat out(nrow_, k);
 
   thread_pool& pool = thread_pool::global();
-  part_scheduler sched(blocks_.size(), pool.size(), conf().dispatch_batch);
+  part_scheduler sched(blocks_.size(), pool.size(), kBlocksPerBatch);
   auto& aio = async_io::global();
   auto& mem = buffer_pool::global();
 
   pool.run_all([&](int) {
     std::size_t bb, be;
+    std::vector<pool_buffer> bufs;
     while (sched.fetch(bb, be)) {
-      // Prefetch the whole batch asynchronously, then compute block by
-      // block as reads complete (the semi-external pipeline of [39]).
-      std::vector<std::pair<pool_buffer, std::future<void>>> reads;
-      reads.reserve(be - bb);
+      // Read the whole batch asynchronously, then compute block by block
+      // (the semi-external pipeline of [39]). The join waits for every read
+      // of the batch before it rethrows a failed one, so no buffer goes
+      // back to the pool while a sibling read still writes into it.
+      bufs.clear();
+      auto join = std::make_shared<read_join>(be - bb);
       for (std::size_t bi = bb; bi < be; ++bi) {
         const block_info& blk = blocks_[bi];
-        pool_buffer buf = mem.get(blk.bytes);
-        auto fut = aio.submit_read(file_, blk.offset, blk.bytes, buf.data());
-        reads.emplace_back(std::move(buf), std::move(fut));
+        bufs.push_back(mem.get(blk.bytes));
+        aio.submit_read_notify(file_, blk.offset, blk.bytes,
+                               bufs.back().data(), read_join::member(join));
       }
+      join->wait();
       for (std::size_t bi = bb; bi < be; ++bi) {
         const block_info& blk = blocks_[bi];
-        auto& [buf, fut] = reads[bi - bb];
-        fut.get();
-        const char* r = buf.data();
+        const char* r = bufs[bi - bb].data();
         const auto* hdr = reinterpret_cast<const std::uint64_t*>(r);
         FLASHR_ASSERT(hdr[0] == blk.nnz, "sparse block corrupted");
         const auto* cols = reinterpret_cast<const std::uint32_t*>(

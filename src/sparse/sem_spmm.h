@@ -5,9 +5,9 @@
 // through memory once per multiply, while the (much smaller) dense operand
 // and result stay in RAM. An em_csr serializes a CSR matrix into a SAFS file
 // as independent row blocks; spmm() then runs the paper's pipeline: workers
-// pull row blocks through the sequential dynamic scheduler, asynchronously
-// prefetch the next block while computing on the current one, and accumulate
-// into the in-memory output.
+// pull batches of row blocks through the sequential dynamic scheduler, read
+// each batch asynchronously (the I/O threads overlap one worker's reads with
+// the others' compute), and accumulate into the in-memory output.
 #pragma once
 
 #include <memory>

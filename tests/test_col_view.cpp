@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "common/config.h"
+#include "common/error.h"
 #include "core/dense_matrix.h"
+#include "io/fault.h"
 #include "io/safs.h"
 #include "matrix/em_store.h"
+#include "mem/buffer_pool.h"
 
 namespace flashr {
 namespace {
@@ -88,6 +91,35 @@ TEST_F(ColViewTest, RaggedTailPartition) {
   smat got = mid.to_smat();
   const std::size_t n = 128 * 2 + 17;
   EXPECT_EQ(got(n - 1, 0), static_cast<double>(n - 1) * 10.0);
+}
+
+// A synchronous read of a view partition reports a failed column only once
+// every column read has landed, so the caller never frees a buffer a
+// sibling read still writes into.
+TEST_F(ColViewTest, FailedColumnReadSurfacesAfterEveryColumnLanded) {
+  // One I/O thread runs the column reads in submission order. The first
+  // fails for good (one fault, no retries); the throttle spaces the other
+  // three 10 ms apart, so an early error would find them still queued.
+  mutable_conf().io_threads = 1;
+  mutable_conf().io_max_retries = 0;
+  dense_matrix X = conv_store(dense_matrix::rnorm(1024, 8, 0, 1, 7),
+                              storage::ext_mem);
+  const std::vector<std::size_t> cols{1, 3, 5, 7};
+  auto view = std::dynamic_pointer_cast<const em_col_view>(
+      select_cols(X, cols).resolved());
+  ASSERT_NE(view, nullptr);
+  pool_buffer buf =
+      buffer_pool::global().get(view->geom().part_bytes(0, view->type()));
+  mutable_conf().io_throttle_mbps = 0.1;  // 1 KiB column: ~10 ms each
+  io_stats::global().reset();
+  fault_plan one_fault;
+  one_fault.pread_prob = 1.0;
+  one_fault.max_faults = 1;
+  fault_scope scope(one_fault);
+  EXPECT_THROW(view->read_part(0, buf.data()), io_error);
+  EXPECT_EQ(io_stats::global().read_ops.load(), cols.size() - 1)
+      << "the error surfaced while column reads were still in flight";
+  mutable_conf().io_throttle_mbps = 0;
 }
 
 TEST_F(ColViewTest, OutOfRangeRejected) {

@@ -41,7 +41,7 @@ class EngineTest : public ::testing::TestWithParam<engine_param> {
     o.pcache_bytes = 2048;      // force several Pcache chunks per partition
     o.small_nrow_threshold = 16;
     o.mode = GetParam().mode;
-    o.dispatch_batch = 2;
+    o.prefetch_depth = 8;
     init(o);
   }
 

@@ -347,7 +347,7 @@ class EngineFaultTest : public ::testing::Test {
     o.io_part_rows = 64;        // many partitions at small n
     o.pcache_bytes = 2048;
     o.small_nrow_threshold = 16;
-    o.dispatch_batch = 2;
+    o.prefetch_depth = 8;
     o.io_checksum = policy;
     init(o);
     fault_injector::global().clear();

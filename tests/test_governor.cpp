@@ -60,7 +60,7 @@ class GovernorTest : public ::testing::Test {
     o.io_part_rows = kPartRows;
     o.pcache_bytes = 2048;  // 32-row Pcache chunks for 7 f64 columns
     o.small_nrow_threshold = 16;
-    o.dispatch_batch = 2;  // with io_threads=2: default prefetch depth 8
+    o.prefetch_depth = 8;
     o.mode = mode;
     init(o);
     fault_injector::global().clear();
@@ -181,7 +181,7 @@ TEST_F(GovernorTest, AggregationIsScheduleAndChunkInvariant) {
 
   // And under a budget that walks the full ladder (depth + chunk rungs).
   mutable_conf().num_threads = 4;
-  mutable_conf().prefetch_depth = -1;
+  mutable_conf().prefetch_depth = 8;
   mutable_conf().pcache_bytes = 64 * 1024;
   mutable_conf().mem_budget_bytes = 40000;
   mutable_conf().max_inflight_write_bytes = kLeafPartBytes;

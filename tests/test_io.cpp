@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -109,10 +110,11 @@ TEST_F(SafsTest, AsyncReadWrite) {
   aio.drain_writes();
 
   std::vector<char> back(n);
-  auto fut1 = aio.submit_read(f, 0, half, back.data());
-  auto fut2 = aio.submit_read(f, half, half, back.data() + half);
-  fut1.get();
-  fut2.get();
+  auto join = std::make_shared<read_join>(2);
+  aio.submit_read_notify(f, 0, half, back.data(), read_join::member(join));
+  aio.submit_read_notify(f, half, half, back.data() + half,
+                         read_join::member(join));
+  join->wait();
   EXPECT_EQ(std::memcmp(data.data(), back.data(), n), 0);
 }
 
@@ -127,7 +129,9 @@ TEST_F(SafsTest, IoStatsCountBytes) {
   aio.submit_write(f, 0, n, std::move(buf));
   aio.drain_writes();
   std::vector<char> back(n);
-  aio.submit_read(f, 0, n, back.data()).get();
+  auto join = std::make_shared<read_join>(1);
+  aio.submit_read_notify(f, 0, n, back.data(), read_join::member(join));
+  join->wait();
   EXPECT_EQ(stats.write_bytes.load(), n);
   EXPECT_EQ(stats.read_bytes.load(), n);
   EXPECT_EQ(stats.write_ops.load(), 1u);

@@ -66,7 +66,6 @@ class PrefetchPipelineTest : public ::testing::Test {
     o.io_part_rows = kPartRows;
     o.pcache_bytes = 2048;
     o.small_nrow_threshold = 16;
-    o.dispatch_batch = 2;
     o.prefetch_depth = prefetch_depth;
     o.mode = mode;
     o.io_checksum = policy;
@@ -171,64 +170,72 @@ TEST_F(PrefetchPipelineTest, CumulativeDagTakesSequentialPath) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PrefetchPipelineTest, MidWindowReadFailureCancelsWithPoolAtBaseline) {
-  init_with(/*prefetch_depth=*/8);
-  mutable_conf().io_max_retries = 0;  // first injected fault escalates
-  dense_matrix x = make_em_input();
+  // Depth 0 serves its partitions through the same window, one per waiting
+  // worker, so it must unwind just as cleanly.
+  for (int depth : {8, 0}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    init_with(depth);
+    mutable_conf().io_max_retries = 0;  // first injected fault escalates
+    dense_matrix x = make_em_input();
 
-  auto& pool = buffer_pool::global();
-  const std::size_t count0 = pool.outstanding_count();
-  const std::size_t bytes0 = pool.outstanding_bytes();
+    auto& pool = buffer_pool::global();
+    const std::size_t count0 = pool.outstanding_count();
+    const std::size_t bytes0 = pool.outstanding_bytes();
 
-  {
-    // ~30% of preads fail hard and the rest are latency-scrambled, so the
-    // failure lands mid-window: earlier reads have completed, later ones
-    // are still in flight when the pass starts unwinding.
-    fault_plan p;
-    p.seed = 76;
-    p.pread_prob = 0.30;
-    p.latency_prob = 0.35;
-    p.latency_us = 1000;
-    fault_scope scope(p);
-    try {
-      conv_store(x + 1.0, storage::ext_mem).to_smat();
-      FAIL() << "expected io_error";
-    } catch (const io_error& e) {
-      EXPECT_EQ(e.err(), EIO);
+    {
+      // ~30% of preads fail hard and the rest are latency-scrambled, so the
+      // failure lands mid-window: earlier reads have completed, later ones
+      // are still in flight when the pass starts unwinding.
+      fault_plan p;
+      p.seed = 76;
+      p.pread_prob = 0.30;
+      p.latency_prob = 0.35;
+      p.latency_us = 1000;
+      fault_scope scope(p);
+      try {
+        conv_store(x + 1.0, storage::ext_mem).to_smat();
+        FAIL() << "expected io_error";
+      } catch (const io_error& e) {
+        EXPECT_EQ(e.err(), EIO);
+      }
     }
-  }
-  // Window buffers (completed and in-flight), worker chunks, and staged
-  // writes must all be back in the pool.
-  EXPECT_EQ(pool.outstanding_count(), count0);
-  EXPECT_EQ(pool.outstanding_bytes(), bytes0);
+    // Window buffers (completed and in-flight), worker chunks, and staged
+    // writes must all be back in the pool.
+    EXPECT_EQ(pool.outstanding_count(), count0);
+    EXPECT_EQ(pool.outstanding_bytes(), bytes0);
 
-  // The engine stays usable: same DAG, clean run, exact results.
-  mutable_conf().io_max_retries = 4;
-  smat h = x.to_smat();
-  smat got = conv_store(x + 1.0, storage::ext_mem).to_smat();
-  for (std::size_t j = 0; j < kCols; ++j)
-    for (std::size_t i = 0; i < kN; ++i)
-      ASSERT_NEAR(got(i, j), h(i, j) + 1.0, 1e-12);
+    // The engine stays usable: same DAG, clean run, exact results.
+    mutable_conf().io_max_retries = 4;
+    smat h = x.to_smat();
+    smat got = conv_store(x + 1.0, storage::ext_mem).to_smat();
+    for (std::size_t j = 0; j < kCols; ++j)
+      for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_NEAR(got(i, j), h(i, j) + 1.0, 1e-12);
+  }
 }
 
 TEST_F(PrefetchPipelineTest, ChecksumFailureInsideWindowedReadPropagates) {
-  init_with(/*prefetch_depth=*/8, exec_mode::cache_fuse,
-            checksum_policy::verify);
-  dense_matrix x = make_em_input();
-  auto st = std::dynamic_pointer_cast<em_store>(x.store());
-  ASSERT_NE(st, nullptr);
-  ASSERT_TRUE(st->file()->has_checksums());
-  for (int s = 0; s < st->file()->num_stripes(); ++s)
-    clobber_file(st->file()->stripe_path(s));
+  for (int depth : {8, 0}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    init_with(depth, exec_mode::cache_fuse, checksum_policy::verify);
+    dense_matrix x = make_em_input();
+    auto st = std::dynamic_pointer_cast<em_store>(x.store());
+    ASSERT_NE(st, nullptr);
+    ASSERT_TRUE(st->file()->has_checksums());
+    for (int s = 0; s < st->file()->num_stripes(); ++s)
+      clobber_file(st->file()->stripe_path(s));
 
-  auto& pool = buffer_pool::global();
-  const std::size_t count0 = pool.outstanding_count();
-  const std::size_t bytes0 = pool.outstanding_bytes();
-  // Verification runs inside the I/O-thread completion callback; the error
-  // must surface from the worker's pop, cancel the pass, and leak nothing.
-  EXPECT_THROW(agg(x, agg_id::sum).scalar(), io_error);
-  EXPECT_EQ(pool.outstanding_count(), count0);
-  EXPECT_EQ(pool.outstanding_bytes(), bytes0);
-  EXPECT_GE(io_stats::global().checksum_failures.load(), 1u);
+    auto& pool = buffer_pool::global();
+    const std::size_t count0 = pool.outstanding_count();
+    const std::size_t bytes0 = pool.outstanding_bytes();
+    // Verification runs inside the read's completion callback; the error
+    // must surface from the worker's pop, cancel the pass, and leak
+    // nothing.
+    EXPECT_THROW(agg(x, agg_id::sum).scalar(), io_error);
+    EXPECT_EQ(pool.outstanding_count(), count0);
+    EXPECT_EQ(pool.outstanding_bytes(), bytes0);
+    EXPECT_GE(io_stats::global().checksum_failures.load(), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------

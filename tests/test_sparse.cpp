@@ -6,8 +6,11 @@
 #include <cmath>
 
 #include "common/config.h"
+#include "common/error.h"
 #include "common/rng.h"
+#include "io/fault.h"
 #include "io/safs.h"
+#include "mem/buffer_pool.h"
 #include "sparse/csr.h"
 #include "sparse/sem_spmm.h"
 
@@ -95,6 +98,36 @@ TEST_F(SparseTest, SemSpmmStreamsOnce) {
   io_stats::global().reset();
   em->spmm(d);
   EXPECT_EQ(io_stats::global().read_ops.load(), em->num_blocks());
+}
+
+// A failed block read surfaces from spmm only once every read of its batch
+// has landed, with every batch buffer back in the pool.
+TEST_F(SparseTest, SemSpmmFailedBlockReadSurfacesAfterItsBatchLanded) {
+  // One worker takes blocks 0-3 as its first batch and one I/O thread reads
+  // them in order. Block 0's read fails for good (one fault, no retries);
+  // the throttle spaces the other three ~40 ms apart, so an early error
+  // would find them still queued.
+  mutable_conf().num_threads = 1;
+  mutable_conf().io_threads = 1;
+  mutable_conf().io_max_retries = 0;
+  const std::size_t n = 1024;
+  csr_matrix g = csr_matrix::random_graph(n, 8.0, 19);
+  auto em = em_csr::create(g, /*rows_per_block=*/64);
+  ASSERT_GT(em->num_blocks(), 8u);
+  smat d(n, 2, 1.0);
+  auto& pool = buffer_pool::global();
+  const std::size_t count0 = pool.outstanding_count();
+  mutable_conf().io_throttle_mbps = 0.2;  // 8 KiB block: ~40 ms each
+  io_stats::global().reset();
+  fault_plan one_fault;
+  one_fault.pread_prob = 1.0;
+  one_fault.max_faults = 1;
+  fault_scope scope(one_fault);
+  EXPECT_THROW(em->spmm(d), io_error);
+  EXPECT_EQ(io_stats::global().read_ops.load(), 3u)
+      << "the error surfaced while reads of its batch were still in flight";
+  EXPECT_EQ(pool.outstanding_count(), count0);
+  mutable_conf().io_throttle_mbps = 0;
 }
 
 TEST_F(SparseTest, PowerIterationConverges) {

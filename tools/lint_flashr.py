@@ -27,6 +27,15 @@ Rules (each with a stable ID used in messages and suppressions):
               instrumentation timestamps must all come from the same
               monotonic clock or trace/metric timelines drift apart.
 
+  std-future  No ``std::future``, ``std::shared_future``, ``std::promise``,
+              ``std::packaged_task``, ``std::async`` or ``<future>`` under
+              src/. Every read completes through its async_io callback; a
+              caller that must wait joins its reads with a read_join
+              (io/async_io.h), which waits for every member read before it
+              rethrows the first error. A future per read lets the first
+              failure surface while sibling reads still write into buffers
+              the unwinding caller returns to the pool.
+
   unread-option
               Every field of ``struct options`` (src/common/config.h) must
               be read somewhere under src/, as ``.field`` or ``->field``.
@@ -59,6 +68,10 @@ NAKED_NEW_RE = re.compile(r"\bnew\s+[A-Za-z_][\w:<>]*\s*\[")
 MALLOC_RE = re.compile(r"(?<![\w.>:])(?:malloc|calloc|realloc)\s*\(")
 RAW_CLOCK_RE = re.compile(
     r"\b(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now\s*\("
+)
+STD_FUTURE_RE = re.compile(
+    r"\bstd\s*::\s*(?:future|shared_future|promise|packaged_task|async)\b"
+    r"|#\s*include\s*<future>"
 )
 STD_MUTEX_MEMBER_RE = re.compile(r"\bstd::(?:recursive_)?mutex\s+\w+\s*;")
 FLASHR_MUTEX_MEMBER_RE = re.compile(
@@ -147,6 +160,12 @@ def lint_file(path: pathlib.Path, rel: str) -> list[Violation]:
                     rel, lineno, "raw-clock",
                     "direct clock ::now() outside common/timer.h and "
                     "src/obs/; use flashr::now_ns() / flashr::timer"))
+
+        if "std-future" not in suppressed and STD_FUTURE_RE.search(line):
+            violations.append(Violation(
+                rel, lineno, "std-future",
+                "future/promise/async under src/; complete reads through "
+                "their async_io callback and wait with a read_join"))
 
         if in_pool_scope and "naked-new" not in suppressed:
             if NAKED_NEW_RE.search(line) or MALLOC_RE.search(line):
@@ -249,6 +268,7 @@ def self_test(root: pathlib.Path) -> int:
         "bad_raw_io_pipeline.cpp": "raw-io",
         "bad_naked_new.cpp": "naked-new",
         "bad_raw_clock.cpp": "raw-clock",
+        "bad_std_future.cpp": "std-future",
         "bad_mutex_member.h": "mutex-ann",
         "bad_unannotated_mutex.h": "mutex-ann",
         "bad_unread_option.h": "unread-option",
@@ -264,7 +284,8 @@ def self_test(root: pathlib.Path) -> int:
             print(f"self-test ok: {name} -> {rule}")
     got: list[Violation] = []
     for name in ("clean_sample.cpp", "clean_header.h",
-                 "clean_pipeline_queue.h", "clean_read_options.h"):
+                 "clean_pipeline_queue.h", "clean_read_options.h",
+                 "clean_read_join.cpp"):
         got += lint_fixture(fixtures / name)
     if got:
         print("SELF-TEST FAIL: clean fixtures produced violations:")
