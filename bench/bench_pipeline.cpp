@@ -17,6 +17,9 @@
 // synchronous baseline already overlaps one worker's read with another's
 // compute, which hides the pipeline's contribution.
 //
+// The sweep ends with the default configuration (prefetch_depth = -1, two
+// partitions per I/O thread), labelled with the depth it resolves to.
+//
 // Reported per depth: median wall seconds, the pass's read-wait
 // (exec::last_pass_stats) and mean window occupancy; BENCH_pipeline.json
 // carries the same records for CI artifacts.
@@ -91,12 +94,16 @@ int main() {
               spikes.latency_us);
 
   bench_json out("pipeline");
-  const int depths[] = {0, 2, 4, 8};
+  const int depths[] = {0, 2, 4, 8, -1};
   const int reps = 5;
   std::vector<series_row> rows;
   double t_depth0 = 0;
   for (int depth : depths) {
     o.prefetch_depth = depth;
+    const long resolved = exec::default_prefetch_depth();
+    const std::string label =
+        depth < 0 ? "auto (" + std::to_string(resolved) + ")"
+                  : std::to_string(depth);
     set_throttle(mbps);
     // Medians of wall AND read-wait: a single observation of either is
     // jittery at container scales.
@@ -117,13 +124,17 @@ int main() {
     const double wait_s = waits[waits.size() / 2];
     if (depth == 0) t_depth0 = t;
     const double occupancy = static_cast<double>(ps.occupancy_x100) / 100.0;
-    rows.push_back({"depth " + std::to_string(depth), {t, wait_s, occupancy}});
-    std::printf("  depth %d: %.3fs wall, %.3fs read-wait, occupancy %.2f, "
+    rows.push_back({"depth " + label, {t, wait_s, occupancy}});
+    std::printf("  depth %s: %.3fs wall, %.3fs read-wait, occupancy %.2f, "
                 "speedup over depth 0 %.2fx\n",
-                depth, t, wait_s, occupancy, t_depth0 / t);
-    out.rec()
-        .kv("depth", depth)
-        .kv("seconds", t)
+                label.c_str(), t, wait_s, occupancy, t_depth0 / t);
+    out.rec();
+    if (depth < 0)
+      out.kv("depth", "auto").kv("resolved_depth",
+                                  static_cast<long long>(resolved));
+    else
+      out.kv("depth", depth);
+    out.kv("seconds", t)
         .kv("read_wait_seconds", wait_s)
         .kv("window_occupancy", occupancy)
         .kv("speedup_vs_depth0", t_depth0 / t)

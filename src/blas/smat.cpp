@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "blas/blas.h"
 #include "common/error.h"
@@ -24,6 +25,16 @@ smat smat::from_rows(std::size_t nrow, std::size_t ncol,
 smat smat::identity(std::size_t n) {
   smat m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
+  return m;
+}
+
+smat smat::from_data(std::size_t nrow, std::size_t ncol,
+                     std::vector<double> data) {
+  FLASHR_ASSERT(data.size() == nrow * ncol, "from_data: wrong element count");
+  smat m;
+  m.nrow_ = nrow;
+  m.ncol_ = ncol;
+  m.data_ = std::move(data);
   return m;
 }
 

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <utility>
 #include <vector>
 
 namespace flashr {
@@ -26,16 +25,16 @@ class smat {
 
   static smat identity(std::size_t n);
 
+  /// Adopt `data` (column-major, nrow * ncol elements) without copying or
+  /// filling: for callers that build every element themselves.
+  static smat from_data(std::size_t nrow, std::size_t ncol,
+                        std::vector<double> data);
+
   std::size_t nrow() const { return nrow_; }
   std::size_t ncol() const { return ncol_; }
   std::size_t size() const { return data_.size(); }
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
-  /// The elements, column-major, moved out; the matrix is left empty.
-  std::vector<double> take_data() && {
-    nrow_ = ncol_ = 0;
-    return std::move(data_);
-  }
 
   double& operator()(std::size_t i, std::size_t j) {
     return data_[j * nrow_ + i];

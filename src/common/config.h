@@ -72,16 +72,21 @@ struct options {
   std::size_t small_nrow_threshold = 4096;
   /// Read-ahead window of the pass's prefetch pipeline (core/
   /// prefetch_pipeline.h): partitions with reads in flight or completed and
-  /// waiting for a worker. -1 = auto (8 * io_threads); 0 = no read-ahead
-  /// (the window holds one partition per worker waiting for one, so I/O
-  /// and compute serialize per worker — the ablation baseline of
-  /// bench_pipeline).
+  /// waiting for a worker, which also bounds the reads running at once.
+  /// -1 = auto (2 * io_threads: one read in flight and one landed
+  /// partition per I/O thread); 0 = no read-ahead (the window holds one
+  /// partition per worker waiting for one, so I/O and compute serialize
+  /// per worker — the ablation baseline of bench_pipeline). A larger
+  /// explicit depth buys slack against a slow or spiky device.
   int prefetch_depth = -1;
   /// Bounded write-behind: submit of an asynchronous partition write blocks
   /// while this many bytes of write data are queued or in flight, so a
   /// compute phase that outruns the SSDs cannot exhaust the buffer pool.
   /// 0 = unbounded. A single write larger than the budget is still admitted
-  /// once the write queue is empty (the bound never deadlocks).
+  /// once the write queue is empty (the bound never deadlocks). A pass's
+  /// own write back-pressure usually binds first: it holds at most
+  /// (depth + 2 * num_threads + io_threads) output partitions in flight,
+  /// and the governor charges the smaller of the two.
   std::size_t max_inflight_write_bytes = std::size_t{256} << 20;
 
   // --- Resource governor (core/governor.h) ---------------------------------

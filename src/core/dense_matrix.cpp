@@ -71,26 +71,60 @@ matrix_store::ptr cast_store(matrix_store::ptr s, scalar_type to) {
   return virtual_store::make(geom, to, std::move(op), {std::move(s)});
 }
 
-/// Read any physical (or generated) store into a host smat.
-smat store_to_smat(const matrix_store::ptr& sp) {
+/// Read any physical (or generated) store into host memory, column-major,
+/// or row-major (the column-major layout of its transpose) when
+/// `row_major`. Each element of the result is written once, appended in
+/// order with no zero fill first. One walk over the partitions appends
+/// every row of each in row-major order, or a range of columns of each in
+/// column-major order; the latter takes one walk per column unless there
+/// is one partition, which costs nothing for a mem store (read in place).
+/// An EM or generated store with several columns and partitions is instead
+/// read once per partition into a zero-filled result.
+std::vector<double> store_to_vector(const matrix_store::ptr& sp,
+                                    bool row_major) {
   const matrix_store::ptr s = resolved_store(sp);
   FLASHR_CHECK(s->kind() != store_kind::virt,
-               "store_to_smat on unmaterialized matrix");
-  const std::size_t n = s->nrow(), p = s->ncol();
+               "store_to_vector on unmaterialized matrix");
+  const std::size_t n = s->nrow(), p = s->ncol(), parts = s->num_parts();
   FLASHR_CHECK(n * p <= (std::size_t{1} << 27),
                "to_smat: matrix too large to gather on the host");
-  smat out(n, p);
-  for (std::size_t pidx = 0; pidx < s->num_parts(); ++pidx) {
-    const std::size_t r0 = s->geom().part_row_begin(pidx);
-    const std::size_t rows = s->geom().rows_in_part(pidx);
-    with_partition(*s, pidx, [&](const char* data, std::size_t stride) {
-      dispatch_type(s->type(), [&]<typename T>() {
-        const T* d = reinterpret_cast<const T*>(data);
-        for (std::size_t j = 0; j < p; ++j)
-          for (std::size_t i = 0; i < rows; ++i)
-            out(r0 + i, j) = static_cast<double>(d[j * stride + i]);
+  std::vector<double> out;
+  if (!row_major && parts > 1 && p > 1 && s->kind() != store_kind::mem) {
+    out.resize(n * p);
+    for (std::size_t pidx = 0; pidx < parts; ++pidx) {
+      const std::size_t r0 = s->geom().part_row_begin(pidx);
+      with_partition(*s, pidx, [&](const char* data, std::size_t rows) {
+        dispatch_type(s->type(), [&]<typename T>() {
+          const T* d = reinterpret_cast<const T*>(data);
+          for (std::size_t j = 0; j < p; ++j)
+            std::copy(d + j * rows, d + (j + 1) * rows, &out[j * n + r0]);
+        });
       });
-    });
+    }
+    return out;
+  }
+  out.reserve(n * p);
+  auto walk = [&](std::size_t j0, std::size_t j1) {
+    for (std::size_t pidx = 0; pidx < parts; ++pidx) {
+      with_partition(*s, pidx, [&](const char* data, std::size_t rows) {
+        dispatch_type(s->type(), [&]<typename T>() {
+          const T* d = reinterpret_cast<const T*>(data);
+          if (row_major) {
+            for (std::size_t i = 0; i < rows; ++i)
+              for (std::size_t j = 0; j < p; ++j)
+                out.push_back(static_cast<double>(d[j * rows + i]));
+          } else {
+            for (std::size_t j = j0; j < j1; ++j)
+              out.insert(out.end(), d + j * rows, d + (j + 1) * rows);
+          }
+        });
+      });
+    }
+  };
+  if (row_major || parts == 1) {
+    walk(0, p);
+  } else {
+    for (std::size_t j = 0; j < p; ++j) walk(j, j + 1);
   }
   return out;
 }
@@ -187,14 +221,12 @@ void materialize_all(const std::vector<dense_matrix>& targets, storage st) {
 }
 
 smat dense_matrix::to_smat() const {
-  materialize(storage::in_mem);
-  smat m = store_to_smat(store_);
-  if (transposed_) return m.t();
-  return m;
+  return smat::from_data(nrow(), ncol(), to_vector());
 }
 
 std::vector<double> dense_matrix::to_vector() const {
-  return to_smat().take_data();
+  materialize(storage::in_mem);
+  return store_to_vector(store_, transposed_);
 }
 
 double dense_matrix::scalar() const {

@@ -347,15 +347,6 @@ struct pass_ctl {
 /// Ids for error payloads and the active-pass table.
 std::atomic<std::uint64_t> g_pass_id{0};
 
-/// The conf()-derived prefetch depth (the formula of build_pipeline) — the
-/// top rung of the degradation ladder. Auto: eight partitions per I/O
-/// thread.
-long default_prefetch_depth() {
-  return conf().prefetch_depth < 0
-             ? 8 * static_cast<long>(conf().io_threads)
-             : static_cast<long>(conf().prefetch_depth);
-}
-
 /// Per-chunk evaluation state for one node. Entries live in a flat array
 /// indexed by the node's dense id; `gen` marks which chunk the entry belongs
 /// to, so the array never needs clearing between chunks.
@@ -770,9 +761,9 @@ void pass_runner::fail(std::exception_ptr e) noexcept {
 }
 
 void pass_runner::build_pipeline() {
-  // Read-ahead across the whole pass: enough in-flight partitions to keep
-  // every I/O thread busy — unless the governor's degradation ladder pinned
-  // a smaller window.
+  // Read-ahead across the whole pass: a read in flight and a landed
+  // partition per I/O thread — unless the governor's degradation ladder
+  // pinned a smaller window.
   const std::size_t depth = static_cast<std::size_t>(
       cfg_.prefetch_depth >= 0 ? cfg_.prefetch_depth
                                : default_prefetch_depth());
@@ -1340,10 +1331,11 @@ void pass_runner::merge_sinks() {
 /// Estimated peak TRANSIENT pool demand of one pass. Covers the terms a
 /// pass releases at its end: the prefetch window, each worker's claimed
 /// partition buffers, per-worker chunk evaluation state, EM-output staging
-/// and the bounded write-behind. Persistent in-memory outputs (mem_store
-/// partitions that outlive the pass) are deliberately excluded — they are
-/// the caller's data, not pass overhead. Deterministic for a fixed DAG and
-/// configuration, so the degradation ladder converges.
+/// and the write-behind that pop()'s back-pressure lets the pass hold.
+/// Persistent in-memory outputs (mem_store partitions that outlive the
+/// pass) are deliberately excluded — they are the caller's data, not pass
+/// overhead. Deterministic for a fixed DAG and configuration, so the
+/// degradation ladder converges.
 resource_governor::footprint estimate_footprint(const dag_info& dag,
                                                 long depth,
                                                 std::size_t chunk_rows,
@@ -1372,8 +1364,10 @@ resource_governor::footprint estimate_footprint(const dag_info& dag,
   }
   fp.bytes += threads * crows * node_row_bytes;
 
-  // EM outputs: one staged partition per worker, plus the write-behind
-  // allowance (bounded by conf, or one more partition per worker unbounded).
+  // EM outputs: one staged partition per worker, plus the write-behind.
+  // pop()'s back-pressure keeps at most depth + workers writes queued (each
+  // worker submits after its last check) and each worker runs one more; the
+  // I/O threads run one each. The write budget caps the sum too.
   std::size_t out_part_bytes = 0;
   for (const virtual_store* v : dag.tall_outputs) {
     const storage s =
@@ -1383,8 +1377,11 @@ resource_governor::footprint estimate_footprint(const dag_info& dag,
   }
   if (out_part_bytes != 0) {
     fp.bytes += threads * out_part_bytes;
+    const std::size_t io_threads =
+        static_cast<std::size_t>(conf().io_threads);
+    const std::size_t held = (d + 2 * threads + io_threads) * out_part_bytes;
     const std::size_t wb = conf().max_inflight_write_bytes;
-    fp.bytes += wb != 0 ? wb : threads * out_part_bytes;
+    fp.bytes += wb != 0 ? std::min(wb, held) : held;
   }
 
   if (!dag.em_leaves.empty())
@@ -1541,6 +1538,16 @@ void run_eager(dag_info& dag, storage st,
 }
 
 }  // namespace
+
+long default_prefetch_depth() {
+  // Auto: one read in flight and one landed partition per I/O thread.
+  // Workers idle in pop() run queued reads too (async_io::help_one), but
+  // only those the window issued, so the depth also bounds the reads in
+  // flight. DESIGN §8.1 has the measurements behind the choice.
+  return conf().prefetch_depth < 0
+             ? 2 * static_cast<long>(conf().io_threads)
+             : static_cast<long>(conf().prefetch_depth);
+}
 
 std::size_t pcache_rows(std::size_t max_ncol, std::size_t part_rows,
                         std::size_t elem_bytes) {

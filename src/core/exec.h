@@ -125,4 +125,9 @@ std::string active_passes_json();
 std::size_t pcache_rows(std::size_t max_ncol, std::size_t part_rows,
                         std::size_t elem_bytes = 8);
 
+/// The read-ahead window a pass starts from, before the governor's ladder
+/// shrinks it: conf().prefetch_depth, or two partitions per I/O thread when
+/// that is -1 (auto).
+long default_prefetch_depth();
+
 }  // namespace flashr::exec

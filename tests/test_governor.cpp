@@ -189,6 +189,52 @@ TEST_F(GovernorTest, AggregationIsScheduleAndChunkInvariant) {
   EXPECT_GE(exec::last_pass_stats().degrade_steps, 1u);
 }
 
+// A pass that writes an EM output is charged the write-behind its pop()
+// back-pressure lets it hold, not the whole 256 MiB write budget, so a
+// 128 MiB memory budget admits it at full configuration. Its output has the
+// bits of the unbudgeted run, and its pool peak stays within the footprint
+// it reserved (DESIGN §11.1).
+TEST_F(GovernorTest, BudgetAdmitsAPassWithAnEmOutput) {
+  constexpr std::size_t kRows = 400000, kWide = 16, kThreads = 4;
+  options o;
+  o.em_dir = "/tmp/flashr_test_em";
+  o.num_threads = static_cast<int>(kThreads);
+  init(o);  // default partitions, Pcache, I/O threads, depth and write budget
+  const dense_matrix x = conv_store(
+      dense_matrix::runif(kRows, kWide, -1.0, 1.0, 61), storage::ext_mem);
+  const std::vector<double> want =
+      conv_store(x * 2.0, storage::ext_mem).to_vector();
+
+  constexpr std::size_t kBudget = std::size_t{128} << 20;
+  mutable_conf().mem_budget_bytes = kBudget;
+  auto& pool = buffer_pool::global();
+  const std::size_t bytes0 = pool.outstanding_bytes();
+  pool.reset_peak();
+  const dense_matrix y = conv_store(x * 2.0, storage::ext_mem);
+  const std::size_t peak = pool.peak_bytes() - bytes0;
+  const exec::pass_stats ps = exec::last_pass_stats();
+  mutable_conf().mem_budget_bytes = 0;
+
+  EXPECT_EQ(ps.degrade_steps, 0u) << ps.degrade_path;
+  const std::vector<double> got = y.to_vector();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+
+  const std::size_t part = conf().io_part_rows * kWide * sizeof(double);
+  const auto depth = static_cast<std::size_t>(exec::default_prefetch_depth());
+  const auto io_threads = static_cast<std::size_t>(conf().io_threads);
+  const std::size_t chunk =
+      exec::pcache_rows(kWide, conf().io_part_rows) * kWide * sizeof(double);
+  const std::size_t footprint =
+      (depth + kThreads) * part                     // window + claims
+      + kThreads * chunk                            // x * 2.0's chunk state
+      + kThreads * part                             // staged output
+      + (depth + 2 * kThreads + io_threads) * part; // write-behind
+  EXPECT_LE(footprint, kBudget);
+  EXPECT_LE(peak, footprint);
+}
+
 // An inflight-I/O budget alone (no memory budget) shrinks only the prefetch
 // window: depth 8 issues 8 concurrent leaf reads, so a budget of 4 costs
 // exactly one halving.

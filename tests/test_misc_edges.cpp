@@ -251,17 +251,32 @@ TEST_F(MiscEdgeTest, LoadMatrixMissingThrows) {
 }
 
 // as.vector flattens column-major, whatever holds the matrix: a transposed
-// view, an in-memory matrix of several partitions, a matrix on SSDs.
+// view, an in-memory matrix of several partitions, a matrix on SSDs, a
+// generated one, a single column, a single partition, an integer type. Each
+// element matches at(), which reads one partition per call.
 TEST_F(MiscEdgeTest, ToVectorMatchesToSmat) {
   const dense_matrix mem = conv_store(
       dense_matrix::rnorm(200, 3, 0.0, 1.0, 21), storage::in_mem);
   const dense_matrix em = conv_store(
       dense_matrix::rnorm(150, 2, 0.0, 1.0, 22), storage::ext_mem);
-  for (const dense_matrix& m : {mem, mem.t(), em}) {
+  const dense_matrix gen = dense_matrix::runif(130, 3, 0.0, 1.0, 23);
+  const dense_matrix em_col = conv_store(
+      dense_matrix::rnorm(150, 1, 0.0, 1.0, 24), storage::ext_mem);
+  const dense_matrix em_one_part = conv_store(
+      dense_matrix::rnorm(40, 3, 0.0, 1.0, 25), storage::ext_mem);
+  const dense_matrix ints = conv_store(
+      dense_matrix::constant(100, 2, 7.0, scalar_type::i32), storage::in_mem);
+  for (const dense_matrix& m : {mem, mem.t(), em, em.t(), gen, em_col,
+                                em_one_part, ints}) {
     const smat h = m.to_smat();
     const std::vector<double> v = m.to_vector();
+    ASSERT_EQ(h.nrow(), m.nrow());
+    ASSERT_EQ(h.ncol(), m.ncol());
     ASSERT_EQ(v.size(), h.size());
     EXPECT_TRUE(std::equal(v.begin(), v.end(), h.data()));
+    for (std::size_t j = 0; j < m.ncol(); ++j)
+      for (std::size_t i = 0; i < m.nrow(); ++i)
+        ASSERT_EQ(v[j * m.nrow() + i], m.at(i, j)) << i << "," << j;
   }
   EXPECT_EQ(mem.t().to_vector()[1], mem.at(0, 1));  // row-major of mem
 }

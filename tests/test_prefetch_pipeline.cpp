@@ -305,6 +305,37 @@ TEST_F(PrefetchPipelineTest, PassStatsCountEveryPartitionReadOnce) {
   EXPECT_EQ(io_stats::global().read_ops.load(), kParts);
 }
 
+// The automatic window is two partitions per I/O thread: one read in flight
+// and one landed partition each, while workers idle in pop() run further
+// reads themselves. With one I/O thread, every claim sees at most two
+// windowed partitions, and the pass pins no more than that window, one
+// claimed partition per worker and each worker's chunk state.
+TEST_F(PrefetchPipelineTest, AutoWindowIsTwoPartitionsPerIoThread) {
+  init_with(/*prefetch_depth=*/-1);
+  mutable_conf().io_threads = 1;
+  dense_matrix x = make_em_input();
+  const double want = sum(x * 2.0).scalar();
+
+  auto& pool = buffer_pool::global();
+  const std::size_t bytes0 = pool.outstanding_bytes();
+  pool.reset_peak();
+  const double got = sum(x * 2.0).scalar();
+  const std::size_t peak = pool.peak_bytes() - bytes0;
+  const exec::pass_stats ps = exec::last_pass_stats();
+
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(exec::default_prefetch_depth(), 2);
+  EXPECT_EQ(ps.reads_issued, kParts);
+  EXPECT_GT(ps.occupancy_x100, 0u);
+  EXPECT_LE(ps.occupancy_x100, 200u);
+  const std::size_t workers = static_cast<std::size_t>(conf().num_threads);
+  const std::size_t leaf_part =
+      buffer_pool::class_bytes(kPartRows * kCols * sizeof(double));
+  const std::size_t chunk = buffer_pool::class_bytes(
+      exec::pcache_rows(kCols, kPartRows) * kCols * sizeof(double));
+  EXPECT_LE(peak, (2 + workers) * leaf_part + workers * chunk);
+}
+
 // ---------------------------------------------------------------------------
 // Workers run queued I/O requests themselves
 // ---------------------------------------------------------------------------
