@@ -2,11 +2,10 @@
 //
 // The paper links against ATLAS for floating-point matrix multiplication
 // (Table 2); this container has no BLAS, so we provide our own cache-blocked,
-// vectorization-friendly kernels. They serve two roles:
-//   * per-Pcache-partition GEMM inside the inner.prod GenOp fast path
-//     (tall partition chunk times a small right-hand matrix), and
-//   * host-side math on small matrices (Cholesky, eigensolve, solves) needed
-//     by PCA, GMM, mvrnorm and LDA.
+// vectorization-friendly kernels. They serve host-side math on small
+// matrices (products, Cholesky, eigensolve, solves) needed by PCA, GMM,
+// mvrnorm and LDA, and the BLAS-only baseline. The inner.prod GenOp's
+// matrix product runs in kern::inner_prod, with gemm_nn's fold.
 //
 // All kernels use column-major storage with explicit leading dimensions,
 // matching the engine's within-partition layout.

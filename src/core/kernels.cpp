@@ -1,3 +1,23 @@
+// Every chunk kernel, compiled once per instruction-set level.
+//
+// This file compiles in two parts. The part after `#else` holds the
+// kernels; the part before it includes this file again, once per level,
+// each time inside its own namespace (level_baseline, level_v3, level_v4)
+// and, for v3 and v4, under a pragma that gives every function defined
+// there, templates and lambdas included, the level's target. So each
+// level has its own copy of every loop, internal to this file: no template
+// instantiation compiled for a wider level is shared with a narrower
+// caller (tools/check_isa.py checks this on the built library). Each
+// level's copy ends in a table of its entry points, and the free
+// functions below call the table vmath::active_isa() picks.
+//
+// The levels give the same bits: a vector lane runs one element's (or one
+// accumulator's) separately rounded operations in the baseline's order.
+// That holds because the file is compiled with -ffp-contract=off
+// (src/CMakeLists.txt), as core/vmath.cpp is; without it the v3 and v4
+// levels would fuse multiplies and adds into FMAs.
+#ifndef FLASHR_KERN_LEVEL
+
 #include "core/kernels.h"
 
 #include <algorithm>
@@ -7,15 +27,184 @@
 #include <optional>
 #include <utility>
 
-#include "blas/blas.h"
 #include "common/error.h"
 #include "core/vmath.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define FLASHR_KERN_X86 1
 #include <immintrin.h>
 #endif
 
+#define FLASHR_KERN_LEVEL 0
+namespace flashr::kern::level_baseline {
+#include "core/kernels.cpp"  // NOLINT(bugprone-suspicious-include)
+}  // namespace flashr::kern::level_baseline
+#undef FLASHR_KERN_LEVEL
+
+#ifdef FLASHR_KERN_X86
+// KERN_TARGET_BEGIN(arch) ... KERN_TARGET_END gives every function defined
+// between them the target `arch`.
+#define KERN_PRAGMA(x) _Pragma(#x)
+#ifdef __clang__
+#define KERN_TARGET_BEGIN(arch)                                        \
+  KERN_PRAGMA(clang attribute push(__attribute__((target(arch))),     \
+                                   apply_to = function))
+#define KERN_TARGET_END KERN_PRAGMA(clang attribute pop)
+#else
+#define KERN_TARGET_BEGIN(arch) \
+  KERN_PRAGMA(GCC push_options) KERN_PRAGMA(GCC target(arch))
+#define KERN_TARGET_END KERN_PRAGMA(GCC pop_options)
+#endif
+
+#define FLASHR_KERN_LEVEL 3
+KERN_TARGET_BEGIN("arch=x86-64-v3")
+namespace flashr::kern::level_v3 {
+#include "core/kernels.cpp"  // NOLINT(bugprone-suspicious-include)
+}  // namespace flashr::kern::level_v3
+KERN_TARGET_END
+#undef FLASHR_KERN_LEVEL
+
+#define FLASHR_KERN_LEVEL 4
+KERN_TARGET_BEGIN("arch=x86-64-v4")
+namespace flashr::kern::level_v4 {
+#include "core/kernels.cpp"  // NOLINT(bugprone-suspicious-include)
+}  // namespace flashr::kern::level_v4
+KERN_TARGET_END
+#undef FLASHR_KERN_LEVEL
+#endif
+
 namespace flashr::kern {
+
+namespace {
+
+/// Indexed by vmath::isa. Elsewhere than x86-64 only the baseline is
+/// built, and vmath::isa_supported selects nothing else.
+#ifdef FLASHR_KERN_X86
+constexpr const level_kernels* kLevels[] = {
+    &level_baseline::kernels, &level_v3::kernels, &level_v4::kernels};
+#else
+constexpr const level_kernels* kLevels[] = {&level_baseline::kernels,
+                                            &level_baseline::kernels,
+                                            &level_baseline::kernels};
+#endif
+
+/// The widest level this CPU supports, chosen on first use.
+const level_kernels& active() {
+  static const level_kernels& chosen =
+      *kLevels[static_cast<std::size_t>(vmath::active_isa())];
+  return chosen;
+}
+
+}  // namespace
+
+const level_kernels& at_level(vmath::isa v) {
+  FLASHR_ASSERT(vmath::isa_supported(v), "kern::at_level: not supported here");
+  return *kLevels[static_cast<std::size_t>(v)];
+}
+
+void sapply(scalar_type t, uop_id op, view a, std::size_t rows,
+            std::size_t cols, char* out, std::size_t out_stride) {
+  active().sapply(t, op, a, rows, cols, out, out_stride);
+}
+
+void map2(scalar_type t, bop_id op, view a, view b, bool bcast_b,
+          std::size_t rows, std::size_t cols, char* out,
+          std::size_t out_stride) {
+  active().map2(t, op, a, b, bcast_b, rows, cols, out, out_stride);
+}
+
+void map_scalar(scalar_type t, bop_id op, view a, scalar_val c,
+                bool scalar_left, std::size_t rows, std::size_t cols,
+                char* out, std::size_t out_stride) {
+  active().map_scalar(t, op, a, c, scalar_left, rows, cols, out, out_stride);
+}
+
+void sweep_rowvec(scalar_type t, bop_id op, view a, const double* v,
+                  std::size_t rows, std::size_t cols, char* out,
+                  std::size_t out_stride) {
+  active().sweep_rowvec(t, op, a, v, rows, cols, out, out_stride);
+}
+
+void inner_prod(scalar_type t, bop_id f1, agg_id f2, view a, std::size_t rows,
+                std::size_t p, const smat& B, char* out,
+                std::size_t out_stride) {
+  active().inner_prod(t, f1, f2, a, rows, p, B, out, out_stride);
+}
+
+void agg_row(scalar_type t, agg_id op, bool return_index, view a,
+             std::size_t rows, std::size_t cols, char* out) {
+  active().agg_row(t, op, return_index, a, rows, cols, out);
+}
+
+void cum_col(scalar_type t, bop_id op, view a, std::size_t rows,
+             std::size_t cols, char* out, std::size_t out_stride, char* carry,
+             bool has_carry) {
+  active().cum_col(t, op, a, rows, cols, out, out_stride, carry, has_carry);
+}
+
+void cum_row(scalar_type t, bop_id op, view a, std::size_t rows,
+             std::size_t cols, char* out, std::size_t out_stride) {
+  active().cum_row(t, op, a, rows, cols, out, out_stride);
+}
+
+void groupby_col(scalar_type t, agg_id op, view a, std::size_t rows,
+                 std::size_t cols, const std::size_t* labels,
+                 std::size_t num_groups, char* out, std::size_t out_stride) {
+  active().groupby_col(t, op, a, rows, cols, labels, num_groups, out,
+                       out_stride);
+}
+
+void cast(scalar_type from, scalar_type to, view a, std::size_t rows,
+          std::size_t cols, char* out, std::size_t out_stride) {
+  active().cast(from, to, a, rows, cols, out, out_stride);
+}
+
+void copy(scalar_type t, view a, std::size_t rows, std::size_t cols,
+          char* out, std::size_t out_stride) {
+  active().copy(t, a, rows, cols, out, out_stride);
+}
+
+void agg_col_acc(scalar_type t, agg_id op, view a, std::size_t rows,
+                 std::size_t cols, char* acc) {
+  active().agg_col_acc(t, op, a, rows, cols, acc);
+}
+
+void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
+             std::size_t rows, std::size_t m, std::size_t k, char* acc) {
+  active().tmm_acc(t, f1, f2, a, b, rows, m, k, acc);
+}
+
+void groupby_row_acc(scalar_type t, agg_id op, view a, view labels_i64,
+                     std::size_t rows, std::size_t cols,
+                     std::size_t num_groups, char* acc) {
+  active().groupby_row_acc(t, op, a, labels_i64, rows, cols, num_groups, acc);
+}
+
+void count_groups_acc(view labels_i64, std::size_t rows,
+                      std::size_t num_groups, std::int64_t* counts) {
+  active().count_groups_acc(labels_i64, rows, num_groups, counts);
+}
+
+// Per-sink set-up and merges run once per pass or partition, not per
+// chunk, on the baseline level.
+
+void agg_identity(scalar_type t, agg_id op, char* out, std::size_t n) {
+  level_baseline::agg_identity(t, op, out, n);
+}
+
+void agg_merge(scalar_type t, agg_id op, char* into, const char* from,
+               std::size_t n) {
+  level_baseline::agg_merge(t, op, into, from, n);
+}
+
+void agg_finish(scalar_type t, agg_id op, const char* acc, std::size_t n,
+                char* out) {
+  level_baseline::agg_finish(t, op, acc, n, out);
+}
+
+}  // namespace flashr::kern
+
+#else  // FLASHR_KERN_LEVEL: one level's kernels
 
 namespace {
 
@@ -252,10 +441,22 @@ void for_each_fold_block(std::size_t n, F&& f) {
 // are named registers at -O2 without an unroll pragma (GCC 12 leaves a
 // loop over a T[8] accumulator array rolled there).
 
+// The folds pack their accumulators two to a 128-bit register, as the
+// baseline does. Filling a 256- or 512-bit register from eight columns
+// costs shuffles that made the v3 and v4 folds slower than the baseline's
+// (bench_kernels, tmm_acc and agg_col_acc per level); noinline keeps the
+// wider caller from absorbing the setting.
+#if FLASHR_KERN_LEVEL == 0
+#define KERN_FOLD
+#else
+#define KERN_FOLD __attribute__((noinline, target("prefer-vector-width=128")))
+#endif
+
 /// acc[j0 + q] = op-fold over rows of column j0 + q, for q in Q.
 template <agg_id OP, typename T, std::size_t... Q>
-void agg_cols_side_by_side(std::index_sequence<Q...>, view a, std::size_t j0,
-                           std::size_t rows, T* acc) {
+KERN_FOLD void agg_cols_side_by_side(std::index_sequence<Q...>, view a,
+                                     std::size_t j0, std::size_t rows,
+                                     T* acc) {
   const T* col[] = {col_of<T>(a, j0 + Q)...};
   T v[] = {acc[j0 + Q]...};
   for (std::size_t r = 0; r < rows; ++r)
@@ -265,8 +466,9 @@ void agg_cols_side_by_side(std::index_sequence<Q...>, view a, std::size_t j0,
 
 /// c[i0 + q] += sum over rows of A_r,(i0+q) * b_r, for q in Q.
 template <typename T, std::size_t... Q>
-void dot_cols_side_by_side(std::index_sequence<Q...>, view a, std::size_t i0,
-                           const T* b, std::size_t rows, T* c) {
+KERN_FOLD void dot_cols_side_by_side(std::index_sequence<Q...>, view a,
+                                     std::size_t i0, const T* b,
+                                     std::size_t rows, T* c) {
   const T* col[] = {col_of<T>(a, i0 + Q)...};
   T v[] = {c[i0 + Q]...};
   for (std::size_t r = 0; r < rows; ++r) {
@@ -287,12 +489,11 @@ void dot_cols_side_by_side(std::index_sequence<Q...>, view a, std::size_t i0,
 // row * broadcast(B[r + t, j]). The multiply and the add are two rounded
 // instructions (this file builds with -ffp-contract=off, so the compiler
 // fuses nothing into an FMA) and every lane takes its rows in order, so
-// each C element gets the serial fold's bits.
+// each C element gets the serial fold's bits. Only the x86-64-v4 level
+// compiles it.
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define FLASHR_KERN_X86 1
-#define KERN_V4 __attribute__((target("arch=x86-64-v4")))
-#define KERN_V4_INLINE KERN_V4 __attribute__((always_inline)) inline
+#if FLASHR_KERN_LEVEL == 4
+#define KERN_V4_INLINE __attribute__((always_inline)) inline
 
 /// x[q] holds 8 rows of column q on entry and row q of the 8 columns on
 /// return: pairs interleave, then quads, then the 256-bit halves. GCC 12's
@@ -362,11 +563,10 @@ KERN_V4_INLINE void fold_rows(std::index_sequence<T...>, Js js,
 /// repeats its last column in the lanes past m, where C is neither read
 /// nor written), b is column j0 of B and c points at C[i0, j0].
 template <std::size_t... J>
-KERN_V4 void crossprod_block_v4(std::index_sequence<J...> js,
-                                const double* const* col, __mmask8 lanes,
-                                const double* b, std::size_t b_stride,
-                                std::size_t rows, double* c,
-                                std::size_t c_stride) {
+void crossprod_block_v4(std::index_sequence<J...> js,
+                        const double* const* col, __mmask8 lanes,
+                        const double* b, std::size_t b_stride,
+                        std::size_t rows, double* c, std::size_t c_stride) {
   const double* bc[] = {b + J * b_stride...};
   __m512d acc[] = {_mm512_maskz_loadu_pd(lanes, c + J * c_stride)...};
   __m512d x[8];
@@ -387,8 +587,8 @@ KERN_V4 void crossprod_block_v4(std::index_sequence<J...> js,
   (_mm512_mask_storeu_pd(c + J * c_stride, lanes, acc[J]), ...);
 }
 
-KERN_V4 void crossprod_v4(view a, view b, std::size_t rows, std::size_t m,
-                          std::size_t k, double* C) {
+void crossprod_v4(view a, view b, std::size_t rows, std::size_t m,
+                  std::size_t k, double* C) {
   for (std::size_t i0 = 0; i0 < m; i0 += 8) {
     const std::size_t w = std::min<std::size_t>(8, m - i0);
     const double* col[8];
@@ -402,9 +602,8 @@ KERN_V4 void crossprod_v4(view a, view b, std::size_t rows, std::size_t m,
     });
   }
 }
+#undef KERN_V4_INLINE
 #endif
-
-}  // namespace
 
 void sapply(scalar_type t, uop_id op, view a, std::size_t rows,
             std::size_t cols, char* out, std::size_t out_stride) {
@@ -496,16 +695,52 @@ void sweep_rowvec(scalar_type t, bop_id op, view a, const double* v,
   });
 }
 
+/// Rows of a product block whose sums stay in registers.
+constexpr std::size_t kProdRows = 32;
+
+/// out[i0 + r, j0 + q] = the sum over c < p of A[i0 + r, c] * B[c, j0 + q]
+/// for r < R and q < W, folded from +0 with c in order (gemm_nn's fold):
+/// the R x W sums stay in registers while A's p columns stream past.
+template <std::size_t W, std::size_t R, typename T>
+void prod_block(view a, std::size_t i0, std::size_t p,
+                            const smat& B, std::size_t j0, T* out,
+                            std::size_t out_stride) {
+  T acc[W][R] = {};
+  for (std::size_t c = 0; c < p; ++c) {
+    const T* ac = col_of<T>(a, c) + i0;
+    for (std::size_t q = 0; q < W; ++q) {
+      const T b = static_cast<T>(B(c, j0 + q));
+      for (std::size_t r = 0; r < R; ++r)
+        acc[q][r] = agg_step<agg_id::sum>(acc[q][r],
+                                          bop_eval<bop_id::mul>(ac[r], b));
+    }
+  }
+  for (std::size_t q = 0; q < W; ++q)
+    std::copy(acc[q], acc[q] + R, out + (j0 + q) * out_stride + i0);
+}
+
 void inner_prod(scalar_type t, bop_id f1, agg_id f2, view a, std::size_t rows,
                 std::size_t p, const smat& B, char* out,
                 std::size_t out_stride) {
   const std::size_t k = B.ncol();
   FLASHR_ASSERT(B.nrow() == p, "inner_prod: B row count mismatch");
-  // Fast path: the ordinary matrix product on doubles.
-  if (f1 == bop_id::mul && f2 == agg_id::sum && t == scalar_type::f64) {
-    blas::gemm_nn(rows, k, p, 1.0, reinterpret_cast<const double*>(a.data),
-                  a.stride, B.data(), B.nrow(), 0.0,
-                  reinterpret_cast<double*>(out), out_stride);
+  if (f1 == bop_id::mul && f2 == agg_id::sum) {
+    // The matrix product: blocks of kProdRows rows by 4 columns of B, then
+    // the ragged rows one at a time and the columns past the last 4 one at
+    // a time. Every output folds as the generic loop below folds it.
+    dispatch_type(t, [&]<typename T>() {
+      T* o = reinterpret_cast<T*>(out);
+      const auto cols = [&]<std::size_t W>(std::size_t j0) {
+        std::size_t i0 = 0;
+        for (; i0 + kProdRows <= rows; i0 += kProdRows)
+          prod_block<W, kProdRows, T>(a, i0, p, B, j0, o, out_stride);
+        for (; i0 < rows; ++i0)
+          prod_block<W, 1, T>(a, i0, p, B, j0, o, out_stride);
+      };
+      std::size_t j0 = 0;
+      for (; j0 + 4 <= k; j0 += 4) cols.template operator()<4>(j0);
+      for (; j0 < k; ++j0) cols.template operator()<1>(j0);
+    });
     return;
   }
   dispatch_type(t, [&]<typename T>() {
@@ -665,38 +900,6 @@ void copy(scalar_type t, view a, std::size_t rows, std::size_t cols,
   });
 }
 
-void agg_identity(scalar_type t, agg_id op, char* out, std::size_t n) {
-  dispatch_type(t, [&]<typename T>() {
-    dispatch_agg(op, [&]<agg_id OP>() {
-      T* o = reinterpret_cast<T*>(out);
-      std::fill(o, o + n, agg_identity_of<OP, T>());
-    });
-  });
-}
-
-void agg_merge(scalar_type t, agg_id op, char* into, const char* from,
-               std::size_t n) {
-  dispatch_type(t, [&]<typename T>() {
-    dispatch_agg(op, [&]<agg_id OP>() {
-      T* a = reinterpret_cast<T*>(into);
-      const T* b = reinterpret_cast<const T*>(from);
-      for (std::size_t i = 0; i < n; ++i) a[i] = agg_combine<OP>(a[i], b[i]);
-    });
-  });
-}
-
-void agg_finish(scalar_type t, agg_id op, const char* acc, std::size_t n,
-                char* out) {
-  dispatch_type(t, [&]<typename T>() {
-    dispatch_agg(op, [&]<agg_id OP>() {
-      const T* a = reinterpret_cast<const T*>(acc);
-      T v = agg_identity_of<OP, T>();
-      for (std::size_t i = 0; i < n; ++i) v = agg_combine<OP>(v, a[i]);
-      *reinterpret_cast<T*>(out) = v;
-    });
-  });
-}
-
 void agg_col_acc(scalar_type t, agg_id op, view a, std::size_t rows,
                  std::size_t cols, char* acc) {
   dispatch_type(t, [&]<typename T>() {
@@ -710,19 +913,14 @@ void agg_col_acc(scalar_type t, agg_id op, view a, std::size_t rows,
   });
 }
 
-namespace {
-
-void tmm_on(vmath::isa variant, scalar_type t, bop_id f1, agg_id f2, view a,
-            view b, std::size_t rows, std::size_t m, std::size_t k,
-            char* acc) {
-#ifdef FLASHR_KERN_X86
-  if (variant == vmath::isa::x86_64_v4 && t == scalar_type::f64 &&
-      f1 == bop_id::mul && f2 == agg_id::sum) {
+void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
+             std::size_t rows, std::size_t m, std::size_t k, char* acc) {
+#if FLASHR_KERN_LEVEL == 4
+  if (t == scalar_type::f64 && f1 == bop_id::mul && f2 == agg_id::sum) {
     crossprod_v4(a, b, rows, m, k, reinterpret_cast<double*>(acc));
     return;
   }
 #endif
-  (void)variant;
   if (f1 == bop_id::mul && f2 == agg_id::sum) {
     // crossprod: each C element folds its rows in order, kFoldWidth
     // elements of a C column side by side. Only this case is written out
@@ -759,21 +957,6 @@ void tmm_on(vmath::isa variant, scalar_type t, bop_id f1, agg_id f2, view a,
   });
 }
 
-}  // namespace
-
-void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
-             std::size_t rows, std::size_t m, std::size_t k, char* acc) {
-  tmm_on(vmath::active_isa(), t, f1, f2, a, b, rows, m, k, acc);
-}
-
-void tmm_acc(vmath::isa v, scalar_type t, bop_id f1, agg_id f2, view a,
-             view b, std::size_t rows, std::size_t m, std::size_t k,
-             char* acc) {
-  FLASHR_ASSERT(vmath::isa_supported(v),
-                "kern::tmm_acc: variant not supported here");
-  tmm_on(v, t, f1, f2, a, b, rows, m, k, acc);
-}
-
 void groupby_row_acc(scalar_type t, agg_id op, view a, view labels_i64,
                      std::size_t rows, std::size_t cols,
                      std::size_t num_groups, char* acc) {
@@ -805,4 +988,48 @@ void count_groups_acc(view labels_i64, std::size_t rows,
   }
 }
 
-}  // namespace flashr::kern
+#if FLASHR_KERN_LEVEL == 0
+void agg_identity(scalar_type t, agg_id op, char* out, std::size_t n) {
+  dispatch_type(t, [&]<typename T>() {
+    dispatch_agg(op, [&]<agg_id OP>() {
+      T* o = reinterpret_cast<T*>(out);
+      std::fill(o, o + n, agg_identity_of<OP, T>());
+    });
+  });
+}
+
+void agg_merge(scalar_type t, agg_id op, char* into, const char* from,
+               std::size_t n) {
+  dispatch_type(t, [&]<typename T>() {
+    dispatch_agg(op, [&]<agg_id OP>() {
+      T* a = reinterpret_cast<T*>(into);
+      const T* b = reinterpret_cast<const T*>(from);
+      for (std::size_t i = 0; i < n; ++i) a[i] = agg_combine<OP>(a[i], b[i]);
+    });
+  });
+}
+
+void agg_finish(scalar_type t, agg_id op, const char* acc, std::size_t n,
+                char* out) {
+  dispatch_type(t, [&]<typename T>() {
+    dispatch_agg(op, [&]<agg_id OP>() {
+      const T* a = reinterpret_cast<const T*>(acc);
+      T v = agg_identity_of<OP, T>();
+      for (std::size_t i = 0; i < n; ++i) v = agg_combine<OP>(v, a[i]);
+      *reinterpret_cast<T*>(out) = v;
+    });
+  });
+}
+#endif
+
+}  // namespace
+
+#undef KERN_FOLD
+
+/// This level's kernels.
+constexpr level_kernels kernels = {
+    sapply,      map2,    map_scalar,  sweep_rowvec, inner_prod,
+    agg_row,     cum_col, cum_row,     groupby_col,  cast,
+    copy,        agg_col_acc, tmm_acc, groupby_row_acc, count_groups_acc};
+
+#endif  // FLASHR_KERN_LEVEL

@@ -8,6 +8,14 @@
 //
 // Sink kernels accumulate into caller-owned per-thread buffers; the executor
 // initializes those with agg_identity() and merges them with agg_merge().
+//
+// Every chunk kernel is compiled once per instruction-set level
+// (vmath::isa: baseline, x86-64-v3, x86-64-v4), and the free functions
+// below run the widest level the CPU supports, chosen once (DESIGN.md §16).
+// The levels give the same bits: a vector lane runs one element's (or one
+// accumulator's) separately rounded operations in the baseline's order, and
+// kernels.cpp builds with -ffp-contract=off, so no level fuses a multiply
+// and an add.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +56,9 @@ void sweep_rowvec(scalar_type t, bop_id op, view a, const double* v,
 
 /// Generalized inner product of an rows×p chunk with a p×k small matrix:
 /// acc_j = f2-combine over i of f1(A_ri, B_ij). f2 in {sum, min_v, max_v}.
-/// Fast path: f1 = mul, f2 = sum, floating T -> blas::gemm_nn.
+/// Each output folds from the identity over i in order, so the matrix
+/// product (f1 = mul, f2 = sum) has gemm_nn's bits; it runs in blocks of
+/// 32 rows by 4 outputs whose sums stay in registers.
 void inner_prod(scalar_type t, bop_id f1, agg_id f2, view a, std::size_t rows,
                 std::size_t p, const smat& B, char* out,
                 std::size_t out_stride);
@@ -112,18 +122,12 @@ void agg_finish(scalar_type t, agg_id op, const char* acc, std::size_t n,
 /// stride m) += f2-combine over chunk rows of f1(A_ri, B_rj). A is rows×m,
 /// B is rows×k. Each acc element folds the rows strictly in order, as
 /// agg_col_acc does. The f1 = mul, f2 = sum case (crossprod) runs eight
-/// elements of an acc column side by side, for every type; in f64 on an
-/// x86-64-v4 CPU it runs eight elements per vector register instead, with
-/// the same bits, whatever the shape.
+/// elements of an acc column side by side, for every type; in f64 the
+/// x86-64-v4 level transposes 8×8 blocks of A in registers and runs eight
+/// elements per vector register instead, with the same bits, whatever the
+/// shape.
 void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
              std::size_t rows, std::size_t m, std::size_t k, char* acc);
-
-/// tmm_acc on variant `v` (tests and benchmarks), which must be
-/// supported. Only crossprod in f64 has an x86-64-v4 kernel; every
-/// other case, and x86-64-v3, runs the baseline folds.
-void tmm_acc(vmath::isa v, scalar_type t, bop_id f1, agg_id f2, view a,
-             view b, std::size_t rows, std::size_t m, std::size_t k,
-             char* acc);
 
 /// groupby.row: acc is num_groups×cols (type t, stride num_groups);
 /// acc[labels[r], j] = op-combine(acc[labels[r], j], A_rj). Labels outside
@@ -135,5 +139,30 @@ void groupby_row_acc(scalar_type t, agg_id op, view a, view labels_i64,
 /// Histogram of an int64 label column into counts[0..num_groups).
 void count_groups_acc(view labels_i64, std::size_t rows,
                       std::size_t num_groups, std::int64_t* counts);
+
+// ---- Per-level entry points -------------------------------------------------
+
+/// The chunk kernels above, compiled for one instruction-set level. Each
+/// member takes the arguments of the free function of the same name.
+struct level_kernels {
+  decltype(&kern::sapply) sapply;
+  decltype(&kern::map2) map2;
+  decltype(&kern::map_scalar) map_scalar;
+  decltype(&kern::sweep_rowvec) sweep_rowvec;
+  decltype(&kern::inner_prod) inner_prod;
+  decltype(&kern::agg_row) agg_row;
+  decltype(&kern::cum_col) cum_col;
+  decltype(&kern::cum_row) cum_row;
+  decltype(&kern::groupby_col) groupby_col;
+  decltype(&kern::cast) cast;
+  decltype(&kern::copy) copy;
+  decltype(&kern::agg_col_acc) agg_col_acc;
+  decltype(&kern::tmm_acc) tmm_acc;
+  decltype(&kern::groupby_row_acc) groupby_row_acc;
+  decltype(&kern::count_groups_acc) count_groups_acc;
+};
+
+/// Level `v`'s kernels, which must be supported (tests and benchmarks).
+const level_kernels& at_level(vmath::isa v);
 
 }  // namespace flashr::kern

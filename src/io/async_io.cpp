@@ -269,9 +269,11 @@ void async_io::run(request& req) {
   fault_completion_stall();
   last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
   // Hand the result over on this thread, then drop the closure immediately
-  // so any buffers it references are not pinned past the notification.
+  // so any buffers it references are not pinned past the notification. The
+  // error moves too: this thread keeps no reference to release after the
+  // waiter woke.
   completion_fn notify = std::move(req.notify);
-  notify(err);
+  notify(std::move(err));
 }
 
 void read_join::complete(std::exception_ptr err) {
@@ -287,12 +289,17 @@ void read_join::complete(std::exception_ptr err) {
 }
 
 void read_join::wait() {
-  mutex_lock lock(join_mtx_);
+  std::exception_ptr err;
   {
+    mutex_lock lock(join_mtx_);
     obs::probe wait_probe({.wait = obs::sample_state::io_wait});
     while (remaining_ != 0) cv_landed_.wait(lock);
+    // Take the error out under the lock: the I/O thread that drops the last
+    // reference to the join must find nothing to release while the caller
+    // handles the exception (exception_ptr's count is invisible to TSan).
+    err = std::move(error_);
   }
-  if (error_) std::rethrow_exception(error_);
+  if (err) std::rethrow_exception(err);
 }
 
 async_io& async_io::global() {

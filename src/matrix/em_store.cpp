@@ -112,7 +112,7 @@ void em_store::read_part_notify(std::size_t pidx, char* buf,
             err = std::current_exception();
           }
         }
-        done(err);
+        done(std::move(err));
       });
 }
 

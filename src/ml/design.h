@@ -6,9 +6,9 @@
 // output element keeps the fold it has over the built matrix, so a fit with
 // an intercept equals, bit for bit, the fit of cbind(X, 1) without one
 // (DESIGN.md §6, invariant 8):
-//  * [X, 1] %*% W is X %*% W[1:p, ] swept by W's last row. gemm_nn folds
-//    each output over the columns in order, so the ones column's term is
-//    the last addition either way, and 1 * w is exact.
+//  * [X, 1] %*% W is X %*% W[1:p, ] swept by W's last row. inner_prod
+//    folds each output over the columns in order, so the ones column's
+//    term is the last addition either way, and 1 * w is exact.
 //  * t([X, 1]) %*% R is crossprod(X, R) stacked over col_sums(R). tmm_acc
 //    and agg_col_acc fold each output over the rows in the same order, and
 //    1 * r is exact.
