@@ -6,8 +6,8 @@
 // latency site emulates SSD GC pauses; the schedule is identical for every
 // depth). prefetch_depth = 0 reproduces the unpipelined engine — the worker
 // issues its partition's reads and runs or waits for them before computing,
-// so I/O and compute serialize. It usually runs its own read (the I/O
-// service's help_one), which counts as wall time, not read-wait. Depths
+// so I/O and compute serialize. Running its own read (the I/O service's
+// help_one) counts as read-wait, like waiting for one. Depths
 // 2/4/8 keep a window of reads in flight across the whole pass: the
 // baseline read time overlaps compute entirely, and latency spikes are
 // absorbed by however many completed partitions the window has buffered —

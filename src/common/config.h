@@ -90,22 +90,14 @@ struct options {
   std::size_t max_inflight_write_bytes = std::size_t{256} << 20;
 
   // --- Resource governor (core/governor.h) ---------------------------------
-  /// Process-wide budget of transient pass memory (pool buffers for the
-  /// prefetch window, per-worker chunk state, EM output staging and the
-  /// write-behind queue). A pass must reserve its estimated footprint before
-  /// it starts; on failure it walks the degradation ladder (shrink
-  /// prefetch_depth, shrink Pcache chunk rows, fall back to streaming eager
-  /// execution) and, still over budget, fails with overload_error.
-  /// 0 = unlimited (no memory admission control).
+  /// Budget of transient pass memory (pool buffers for the prefetch window,
+  /// per-worker chunk state, EM output staging and the write-behind queue).
+  /// Before a pass starts, its estimated footprint is compared with this;
+  /// over budget, it walks the degradation ladder (shrink prefetch_depth,
+  /// shrink Pcache chunk rows, fall back to streaming eager execution) and,
+  /// still over budget, fails with overload_error. One pass runs at a time,
+  /// so the budget is per pass. 0 = unlimited (no memory admission control).
   std::size_t mem_budget_bytes = 0;
-  /// Process-wide budget of in-flight partition-leaf reads. Reserved like
-  /// mem_budget_bytes; a pass over budget shrinks its prefetch window.
-  /// 0 = unlimited.
-  std::size_t max_inflight_io = 0;
-  /// When the budgets are held by other passes: false (default) queues the
-  /// pass until budget frees (or its deadline fires); true fails fast with
-  /// overload_error, which retry policies classify as transient.
-  bool governor_fail_fast = false;
   /// Default deadline for one materialize() call, milliseconds; a pass past
   /// its deadline is cooperatively cancelled by the watchdog and surfaces
   /// timeout_error. 0 = no deadline. materialize_opts::deadline_ms

@@ -67,17 +67,6 @@ overload_error::overload_error(const std::string& what, std::uint64_t pass_id,
       requested_(requested),
       budget_(budget) {}
 
-bool is_transient(const std::exception_ptr& e) noexcept {
-  if (!e) return false;
-  try {
-    std::rethrow_exception(e);
-  } catch (const error& err) {
-    return err.transient();
-  } catch (...) {
-    return false;
-  }
-}
-
 void throw_error(const std::string& msg) { throw error(msg); }
 void throw_io_error(const std::string& msg) { throw io_error(msg); }
 void throw_io_error_at(const std::string& msg, std::string path,

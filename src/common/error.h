@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -17,12 +16,6 @@ namespace flashr {
 class error : public std::runtime_error {
  public:
   explicit error(const std::string& what) : std::runtime_error(what) {}
-
-  /// Whether retrying the whole operation later may succeed without any
-  /// change on the caller's side. Overload (budget contention) is transient
-  /// — the contending pass will release its reservation; timeouts, I/O
-  /// failures beyond the syscall retry budget and shape errors are not.
-  virtual bool transient() const noexcept { return false; }
 };
 
 /// I/O failure. The detailed constructor captures the failing file, byte
@@ -54,8 +47,8 @@ class shape_error : public error {
   explicit shape_error(const std::string& what) : error(what) {}
 };
 
-/// A pass (or its admission wait) exceeded its deadline, or the hung-I/O
-/// watchdog found its reads stalled. Carries the pass id, the elapsed time
+/// A pass exceeded its deadline, or the hung-I/O watchdog found its reads
+/// stalled. Carries the pass id, the elapsed time
 /// when the watchdog tripped, and the deadline/stall bound that was
 /// exceeded, so callers and tests can tell *which* limit fired.
 class timeout_error : public error {
@@ -65,8 +58,8 @@ class timeout_error : public error {
 
   std::uint64_t pass_id() const noexcept { return pass_id_; }
   std::uint64_t elapsed_ns() const noexcept { return elapsed_ns_; }
-  /// The bound that fired: deadline_ms for a deadline trip or the admission
-  /// wait, watchdog_stall_ms for a hung-I/O trip.
+  /// The bound that fired: deadline_ms for a deadline trip,
+  /// watchdog_stall_ms for a hung-I/O trip.
   std::uint64_t limit_ms() const noexcept { return limit_ms_; }
 
  private:
@@ -75,19 +68,17 @@ class timeout_error : public error {
   std::uint64_t limit_ms_ = 0;
 };
 
-/// The resource governor could not admit a pass: its footprint exceeds the
-/// process budget even fully degraded, or (fail-fast mode) the budget is
-/// held by other passes. Transient by classification — the caller may retry
-/// once running passes release their reservations.
+/// The resource governor could not admit a pass: its footprint exceeds
+/// conf().mem_budget_bytes even fully degraded. Retrying the same call with
+/// the same budget fails the same way.
 class overload_error : public error {
  public:
   overload_error(const std::string& what, std::uint64_t pass_id,
                  std::uint64_t requested, std::uint64_t budget);
 
-  bool transient() const noexcept override { return true; }
   std::uint64_t pass_id() const noexcept { return pass_id_; }
-  /// The reservation that failed and the budget it was checked against
-  /// (bytes for a memory rejection, read slots for an inflight-I/O one).
+  /// The footprint of the ladder's last rung and the budget it was checked
+  /// against, in bytes.
   std::uint64_t requested() const noexcept { return requested_; }
   std::uint64_t budget() const noexcept { return budget_; }
 
@@ -96,11 +87,6 @@ class overload_error : public error {
   std::uint64_t requested_ = 0;
   std::uint64_t budget_ = 0;
 };
-
-/// Retry/backoff classification for callers holding a caught exception:
-/// true when the failure is worth retrying after a backoff (overload_error
-/// and any error whose transient() override says so).
-bool is_transient(const std::exception_ptr& e) noexcept;
 
 [[noreturn]] void throw_error(const std::string& msg);
 [[noreturn]] void throw_io_error(const std::string& msg);

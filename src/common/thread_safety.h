@@ -134,7 +134,6 @@ struct rank_t {
 // Derived from the actual nesting edges in the tree; see DESIGN.md §12 for
 // the per-edge justification. Keep sorted by value; values are unique.
 inline constexpr rank_t watchdog{200, "watchdog", false};
-inline constexpr rank_t governor{300, "governor", false};
 inline constexpr rank_t pass_error{400, "pass_error", false};
 inline constexpr rank_t pass_acc{410, "pass_acc", false};
 inline constexpr rank_t cum_chain{420, "cum_chain", false};
@@ -174,7 +173,7 @@ inline constexpr rank_t sampler{770, "sampler", false};
 // bundles (governor health, I/O service snapshots, metrics, profile
 // history) with NO lock held, from copies it took at arm time. Trigger
 // requests themselves are lock-free (atomic slot + self-pipe) precisely
-// because they fire from under governor/watchdog locks and from the
+// because they fire from under the watchdog lock and from the
 // crash handler.
 inline constexpr rank_t incident{900, "incident", false};
 

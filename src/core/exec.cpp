@@ -340,8 +340,6 @@ struct pass_ctl {
   std::uint64_t deadline_ns = 0; ///< absolute now_ns() instant; 0 = none
   std::uint64_t stall_ms = 0;    ///< conf().watchdog_stall_ms
   std::vector<std::string> degrade;  ///< ladder steps taken, in order
-  std::size_t admission_waits = 0;
-  std::uint64_t admission_wait_ns = 0;
 };
 
 /// Ids for error payloads and the active-pass table.
@@ -441,6 +439,9 @@ class pass_runner {
     /// Identity casts aliased this pass; folded into the global count when
     /// the worker exits.
     std::uint64_t zero_copy = 0;
+    /// Time this worker spent in prefetch_pipeline::pop(), its last pop
+    /// included; folded into read_wait_ns_ when the worker exits.
+    std::uint64_t read_wait_ns = 0;
     /// Per-sink partial accumulators.
     std::vector<std::vector<char>> sink_acc;
     /// This worker's profile counts, by id; handed to worker_prof_ when the
@@ -555,15 +556,24 @@ class pass_runner {
   std::vector<std::vector<obs::node_counters>> worker_prof_;
   /// Pool workers that run the pass: no more than it has partitions.
   int workers_ = 1;
+  /// The pass's read wait: every worker's time in pop(), summed as the
+  /// workers exit. Feeds pass_stats::read_wait_ns and the pass profile's
+  /// io_wait_ns alike.
+  std::atomic<std::uint64_t> read_wait_ns_{0};
   /// The pass's prefetch pipeline. Built before workers start, read-only
   /// during the pass (it is internally synchronized), destroyed by
   /// teardown_pipeline().
   std::optional<prefetch_pipeline> pipeline_;
 };
 
+/// Set while a materialize() call is in flight. The process runs one at a
+/// time: g_stats_acc below is reset by every call, and thread_pool::run_all
+/// takes one job at a time.
+std::atomic<bool> g_materializing{false};
+
 /// Accumulates pipeline/pass counters across the passes of one
 /// materialize() call (eager mode runs several). Written between passes on
-/// the driver thread only (materialize() itself is single-entry per engine).
+/// the driver thread only (g_materializing admits one call at a time).
 struct pass_stats_acc {
   std::size_t passes = 0;
   std::size_t sequential_passes = 0;
@@ -591,7 +601,6 @@ struct active_pass {
   std::uint64_t deadline_ms = 0;
   exec_mode mode = exec_mode::cache_fuse;
   std::string degrade;  ///< comma-joined ladder steps so far
-  std::size_t admission_waits = 0;
 };
 std::vector<active_pass> g_active GUARDED_BY(g_stats_mutex);
 
@@ -614,12 +623,6 @@ void active_pass_degrade(std::uint64_t pass_id, const std::string& step) {
     p.degrade += step;
     return;
   }
-}
-
-void active_pass_note_wait(std::uint64_t pass_id) {
-  mutex_lock lock(g_stats_mutex);
-  for (active_pass& p : g_active)
-    if (p.pass_id == pass_id) ++p.admission_waits;
 }
 
 /// Expose every pass_stats field through the metrics registry as probes:
@@ -740,7 +743,7 @@ void pass_runner::record_profile(std::uint64_t wall_ns) {
   if (ctl_ != nullptr) p.degrade = ctl_->degrade;
   for (const std::vector<obs::node_counters>& w : worker_prof_)
     for (std::size_t id = 0; id < w.size(); ++id) prof_nodes_[id] += w[id];
-  for (const obs::node_profile& n : prof_nodes_) p.io_wait_ns += n.io_wait_ns;
+  p.io_wait_ns = read_wait_ns_.load(std::memory_order_relaxed);
   p.nodes = std::move(prof_nodes_);
   obs::profile_record(std::move(p));
 }
@@ -779,7 +782,6 @@ void pass_runner::teardown_pipeline() noexcept {
   if (!pipeline_) return;
   pipeline_->settle();
   const prefetch_pipeline::stats s = pipeline_->pipeline_stats();
-  g_stats_acc.read_wait_ns += s.read_wait_ns;
   g_stats_acc.occupancy_sum += s.occupancy_sum;
   g_stats_acc.pops += s.pops;
   g_stats_acc.reads_issued += s.reads_issued;
@@ -791,13 +793,15 @@ void pass_runner::teardown_pipeline() noexcept {
 void pass_runner::pipeline_worker(thread_ctx& ctx) {
   prefetch_pipeline::slot s;
   while (!cancelled()) {
-    std::uint64_t waited_ns = 0;
+    const std::uint64_t waited0 = ctx.read_wait_ns;
     bool got;
     {
-      // Blocked in pop() == waiting for prefetched reads: the sampler keys
-      // samples landing here io_wait.
+      // Blocked in pop() == waiting for prefetched reads, whether on the
+      // window's condition or running a read itself (async_io::help_one):
+      // the sampler keys samples landing here io_wait, and the interval is
+      // the pass's read wait.
       obs::probe pop_probe({.name = "prefetch.pop",
-                            .acc = prof_ ? &waited_ns : nullptr,
+                            .acc = &ctx.read_wait_ns,
                             .wait = obs::sample_state::io_wait});
       got = pipeline_->pop(s);
     }
@@ -805,7 +809,8 @@ void pass_runner::pipeline_worker(thread_ctx& ctx) {
     if (prof_ && !s.bufs.empty()) {
       // Attribute the blocked-in-pop() time evenly across the partition's
       // EM leaves; bytes/rows are exact per leaf.
-      const std::uint64_t share = waited_ns / s.bufs.size();
+      const std::uint64_t share =
+          (ctx.read_wait_ns - waited0) / s.bufs.size();
       const std::size_t prows = dag_.space.rows_in_part(s.part);
       for (const auto& [leaf, buf] : s.bufs) {
         obs::node_counters& c =
@@ -897,6 +902,7 @@ void pass_runner::run() {
       worker_prof_[static_cast<std::size_t>(thread_idx)] = std::move(ctx.prof);
     if (ctx.zero_copy != 0)
       g_zero_copy_total.fetch_add(ctx.zero_copy, std::memory_order_relaxed);
+    read_wait_ns_.fetch_add(ctx.read_wait_ns, std::memory_order_relaxed);
     // ctx destruction returns every worker-held pool buffer (chunk bufs,
     // the free list, EM read buffers, staged outputs) whether the pass
     // succeeded or not.
@@ -905,6 +911,7 @@ void pass_runner::run() {
     // partial, discarded with the pass).
   };
   pool.run_all(worker, workers_);
+  g_stats_acc.read_wait_ns += read_wait_ns_.load(std::memory_order_relaxed);
 
   // All workers joined. End supervision BEFORE teardown destroys the
   // pipeline the watchdog's probe reads; unwatch() returns only once no
@@ -1335,12 +1342,10 @@ void pass_runner::merge_sinks() {
 /// Persistent in-memory outputs (mem_store partitions that outlive the
 /// pass) are deliberately excluded — they are the caller's data, not pass
 /// overhead. Deterministic for a fixed DAG and configuration, so the
-/// degradation ladder converges.
-resource_governor::footprint estimate_footprint(const dag_info& dag,
-                                                long depth,
-                                                std::size_t chunk_rows,
-                                                storage st) {
-  resource_governor::footprint fp;
+/// degradation ladder converges. Returns pool-buffer bytes.
+std::size_t estimate_footprint(const dag_info& dag, long depth,
+                               std::size_t chunk_rows, storage st) {
+  std::size_t fp = 0;
   const auto threads = static_cast<std::size_t>(thread_pool::global().size());
   const std::size_t d = depth > 0 ? static_cast<std::size_t>(depth) : 0;
 
@@ -1349,7 +1354,7 @@ resource_governor::footprint estimate_footprint(const dag_info& dag,
   for (const em_readable* l : dag.em_leaves)
     leaf_part_bytes += l->geom().part_bytes(0, l->type());
   // Window reads plus one claimed partition per worker.
-  fp.bytes += (d + threads) * leaf_part_bytes;
+  fp += (d + threads) * leaf_part_bytes;
 
   // Chunk evaluation state: every node that owns a chunk buffer (virtual
   // and generated; mem/ext leaves are views into existing storage, sinks
@@ -1362,7 +1367,7 @@ resource_governor::footprint estimate_footprint(const dag_info& dag,
       continue;
     node_row_bytes += n.store->ncol() * n.store->elem_size();
   }
-  fp.bytes += threads * crows * node_row_bytes;
+  fp += threads * crows * node_row_bytes;
 
   // EM outputs: one staged partition per worker, plus the write-behind.
   // pop()'s back-pressure keeps at most depth + workers writes queued (each
@@ -1376,16 +1381,13 @@ resource_governor::footprint estimate_footprint(const dag_info& dag,
       out_part_bytes += v->geom().part_bytes(0, v->type());
   }
   if (out_part_bytes != 0) {
-    fp.bytes += threads * out_part_bytes;
+    fp += threads * out_part_bytes;
     const std::size_t io_threads =
         static_cast<std::size_t>(conf().io_threads);
     const std::size_t held = (d + 2 * threads + io_threads) * out_part_bytes;
     const std::size_t wb = conf().max_inflight_write_bytes;
-    fp.bytes += wb != 0 ? std::min(wb, held) : held;
+    fp += wb != 0 ? std::min(wb, held) : held;
   }
-
-  if (!dag.em_leaves.empty())
-    fp.inflight_io = (d > 0 ? d : threads) * dag.em_leaves.size();
   return fp;
 }
 
@@ -1403,17 +1405,18 @@ struct degraded_scope {
 };
 
 /// Admit one pass, walking the degradation ladder until its footprint fits
-/// the budgets: halve the prefetch window (…→1→0, each rung strictly
-/// smaller), then shrink the Pcache chunk (converting a whole-partition
-/// pass to chunked evaluation first). Fits-but-contended footprints queue
-/// (bounded by the deadline) or fail fast per conf(). Every step lands in
-/// ctl->degrade and the governor metrics. Returns with the reservation
-/// held and cfg updated; throws typed overload/timeout errors.
-resource_governor::reservation admit_with_degradation(const dag_info& dag,
-                                                      pass_config& cfg,
-                                                      pass_ctl* ctl) {
+/// conf().mem_budget_bytes (0 = no limit): halve the prefetch window
+/// (…→1→0, each rung strictly smaller), then shrink the Pcache chunk
+/// (converting a whole-partition pass to chunked evaluation first). One
+/// materialize() runs at a time, so admission is this one comparison: no
+/// other pass holds budget to wait for. Every step lands in ctl->degrade
+/// and the governor metrics. Returns with cfg updated; throws a typed
+/// overload_error when even the last rung does not fit.
+void admit_with_degradation(const dag_info& dag, pass_config& cfg,
+                            pass_ctl* ctl) {
   auto& gov = resource_governor::global();
   const std::uint64_t pass_id = ctl != nullptr ? ctl->pass_id : 0;
+  const std::size_t budget = conf().mem_budget_bytes;
   long depth = default_prefetch_depth();
   auto record_step = [&](std::string step) {
     if (ctl != nullptr) {
@@ -1422,39 +1425,24 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
     }
     gov.count_degrade_step();
   };
+  auto reject = [&](std::size_t fp) {
+    gov.count_reject();
+    obs::incident_request(
+        obs::incident_kind::governor_overload,
+        "footprint exceeds the memory budget even fully degraded");
+    throw overload_error(
+        "pass footprint exceeds the memory budget even fully degraded",
+        pass_id, fp, budget);
+  };
   for (;;) {
-    const resource_governor::footprint fp =
+    const std::size_t fp =
         estimate_footprint(dag, depth, cfg.chunk_rows, cfg.st);
-    resource_governor::reservation res;
-    const resource_governor::verdict v = gov.try_admit(fp, res);
-    if (v == resource_governor::verdict::admitted) {
+    if (budget == 0 || fp <= budget) {
       cfg.prefetch_depth = depth;
-      return res;
+      gov.count_admitted();
+      return;
     }
-    if (v == resource_governor::verdict::busy) {
-      if (conf().governor_fail_fast) {
-        gov.count_reject();
-        obs::incident_request(obs::incident_kind::governor_overload,
-                              "budget held by other passes (fail-fast)");
-        throw overload_error(
-            "resource budget held by other passes (fail-fast)", pass_id,
-            fp.bytes, conf().mem_budget_bytes);
-      }
-      const std::uint64_t t0 = now_ns();
-      // Mark the wait BEFORE blocking: an incident bundle cut while this
-      // pass queues for budget should say so.
-      if (ctl != nullptr) active_pass_note_wait(ctl->pass_id);
-      res = gov.admit(pass_id, fp,
-                      ctl != nullptr ? ctl->deadline_ns : 0,
-                      ctl != nullptr ? ctl->deadline_ms : 0);
-      if (ctl != nullptr) {
-        ++ctl->admission_waits;
-        ctl->admission_wait_ns += now_ns() - t0;
-      }
-      cfg.prefetch_depth = depth;
-      return res;
-    }
-    // too_large: degrade. Depth first (read-ahead is pure overhead), then
+    // Over budget: degrade. Depth first (read-ahead is pure overhead), then
     // chunking (trades kernel efficiency, never results).
     if (depth > 1) {
       record_step("depth:" + std::to_string(depth) + "->" +
@@ -1469,15 +1457,7 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
       std::size_t c = chunk_rows_for(dag);
       if (c >= dag.space.part_rows)
         c = std::max<std::size_t>(16, std::bit_floor(dag.space.part_rows) / 2);
-      if (c >= dag.space.part_rows) {
-        gov.count_reject();
-        obs::incident_request(
-            obs::incident_kind::governor_overload,
-            "footprint exceeds the memory budget even fully degraded");
-        throw overload_error(
-            "pass footprint exceeds the memory budget even fully degraded",
-            pass_id, fp.bytes, conf().mem_budget_bytes);
-      }
+      if (c >= dag.space.part_rows) reject(fp);
       record_step("chunk:0->" + std::to_string(c));
       cfg.chunk_rows = c;
     } else if (cfg.chunk_rows > 16) {
@@ -1485,16 +1465,7 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
                   std::to_string(cfg.chunk_rows / 2));
       cfg.chunk_rows /= 2;
     } else {
-      gov.count_reject();
-      const bool mem_exceeded = conf().mem_budget_bytes != 0 &&
-                                fp.bytes > conf().mem_budget_bytes;
-      obs::incident_request(
-          obs::incident_kind::governor_overload,
-          "footprint exceeds the resource budget even fully degraded");
-      throw overload_error(
-          "pass footprint exceeds the resource budget even fully degraded",
-          pass_id, mem_exceeded ? fp.bytes : fp.inflight_io,
-          mem_exceeded ? conf().mem_budget_bytes : conf().max_inflight_io);
+      reject(fp);
     }
   }
 }
@@ -1509,8 +1480,7 @@ void run_fused(dag_info& dag, storage st, bool cache_fuse, pass_ctl* ctl) {
   cfg.st = st;
   cfg.chunk_rows = cache_fuse ? chunk_rows_for(dag) : 0;
   const std::size_t steps_before = ctl != nullptr ? ctl->degrade.size() : 0;
-  resource_governor::reservation res =
-      admit_with_degradation(dag, cfg, ctl);
+  admit_with_degradation(dag, cfg, ctl);
   degraded_scope degraded(ctl != nullptr &&
                           ctl->degrade.size() > steps_before);
   pass_runner runner(dag, cfg, ctl);
@@ -1598,8 +1568,7 @@ std::string active_passes_json() {
     out += exec_mode_name(p.mode);
     out += "\",\"degrade\":\"";
     out += p.degrade;  // ladder steps: [a-z0-9:>,-], no escaping needed
-    out += "\",\"admission_waits\":" + std::to_string(p.admission_waits);
-    out += "}";
+    out += "\"}";
   }
   out += "]";
   return out;
@@ -1617,6 +1586,15 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
     return true;
   }();
   (void)probes_registered;
+  // One materialize() at a time per process: a second caller would reset
+  // the running call's statistics and enter the pool's running job.
+  if (g_materializing.exchange(true))
+    throw error(
+        "materialize() called while another materialize() is in flight; "
+        "one materialize() runs at a time per process");
+  struct in_flight {
+    ~in_flight() { g_materializing.store(false); }
+  } in_flight_guard;
   // Structural validation (shape/orientation consistency, dangling nodes,
   // cycles) before any buffer is touched; no-op unless invariants are on.
   validate::check_dag(targets);
@@ -1635,8 +1613,7 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
   }
 
   // Per-call resilience limits: the deadline (opts override, else conf) is
-  // one absolute instant covering every pass of this call, admission waits
-  // included.
+  // one absolute instant covering every pass of this call.
   pass_ctl ctl;
   ctl.pass_id = g_pass_id.fetch_add(1, std::memory_order_relaxed) + 1;
   ctl.start_ns = now_ns();
@@ -1688,8 +1665,6 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
         if (!s.degrade_path.empty()) s.degrade_path += ",";
         s.degrade_path += step;
       }
-      s.admission_waits = ctl.admission_waits;
-      s.admission_wait_ns = ctl.admission_wait_ns;
       mutex_lock lock(g_stats_mutex);
       g_last_stats = s;
       // This materialization is over (normally or by exception): drop its

@@ -30,8 +30,8 @@ namespace flashr::exec {
 /// Per-call execution limits (the conf() knobs give the process-wide
 /// defaults; a non-zero field here overrides them for one call).
 struct materialize_opts {
-  /// Wall-clock budget in ms for the whole materialization, admission waits
-  /// included. Exceeding it cancels the running pass cooperatively and
+  /// Wall-clock budget in ms for the whole materialization, every pass of
+  /// it included. Exceeding it cancels the running pass cooperatively and
   /// surfaces timeout_error. 0 defers to conf().pass_deadline_ms.
   std::uint64_t deadline_ms = 0;
 };
@@ -40,12 +40,16 @@ struct materialize_opts {
 /// ignored; already-materialized nodes are skipped). On return, each target
 /// virtual_store has its result() set.
 ///
-/// Resilience: each pass is admitted by the resource governor
-/// (core/governor.h) against conf().mem_budget_bytes / max_inflight_io,
-/// degrading read-ahead, Pcache chunking and finally the fusion mode to fit
-/// — bit-identical results, slower. Throws overload_error (transient) when
-/// the budget cannot be met even fully degraded or in fail-fast mode, and
-/// timeout_error when the deadline or the hung-I/O watchdog fires.
+/// One materialize() at a time per process: a call made while another is
+/// in flight (from any thread) throws flashr::error and changes nothing.
+/// The pass statistics and the thread pool serve one call at a time.
+///
+/// Resilience: each pass's estimated footprint is compared with
+/// conf().mem_budget_bytes (core/governor.h), degrading read-ahead, Pcache
+/// chunking and finally the fusion mode until it fits — bit-identical
+/// results, slower. Throws overload_error when the budget cannot be met
+/// even fully degraded, and timeout_error when the deadline or the hung-I/O
+/// watchdog fires.
 void materialize(const std::vector<matrix_store::ptr>& targets, storage st);
 void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
                  const materialize_opts& opts);
@@ -58,7 +62,10 @@ struct pass_stats {
   std::size_t sequential_passes = 0;  ///< of which forced sequential (cum)
   std::uint64_t read_bytes = 0;       ///< EM bytes read by the passes
   std::uint64_t write_bytes = 0;      ///< EM bytes written by the passes
-  std::uint64_t read_wait_ns = 0;     ///< worker time blocked on reads
+  /// Worker time in the prefetch pipeline's pop(): waiting on the window
+  /// or running a read itself. Counts each worker's last pop, the one that
+  /// finds the pass drained, too.
+  std::uint64_t read_wait_ns = 0;
   std::size_t reads_issued = 0;       ///< async partition-leaf reads issued
   /// Mean prefetch-window occupancy at claim time (completed + in-flight
   /// partitions), in 1/100ths of a partition; 0 when no pipeline popped.
@@ -70,8 +77,6 @@ struct pass_stats {
   /// zero-copy path: identity casts over in-memory or prefetched EM leaves).
   std::size_t zero_copy_chunks = 0;
   std::size_t degrade_steps = 0;      ///< degradation-ladder steps taken
-  std::size_t admission_waits = 0;    ///< passes that queued for budget
-  std::uint64_t admission_wait_ns = 0;///< total time queued for budget
   /// The ladder's steps in order ("depth:32->16,chunk:0->4096,...");
   /// empty when the call ran at full configuration.
   std::string degrade_path;
@@ -98,12 +103,10 @@ struct pass_stats {
   X(write_throttle_ns)              \
   X(write_inflight_hwm)             \
   X(zero_copy_chunks)               \
-  X(degrade_steps)                  \
-  X(admission_waits)                \
-  X(admission_wait_ns)
+  X(degrade_steps)
 
 static_assert(sizeof(pass_stats) ==
-                  14 * sizeof(std::uint64_t) + sizeof(std::string),
+                  12 * sizeof(std::uint64_t) + sizeof(std::string),
               "pass_stats layout changed: update FLASHR_PASS_STATS_FIELDS "
               "(degrade_path stays the one non-numeric field in to_json)");
 
@@ -115,9 +118,9 @@ static_assert(sizeof(pass_stats) ==
 pass_stats last_pass_stats();
 
 /// Materializations currently in flight, for incident bundles: a JSON array
-/// of {"pass_id","start_ns","elapsed_ns","deadline_ms","mode","degrade",
-///  "admission_waits"} — degrade is the ladder path taken SO FAR, so a
-/// bundle cut mid-pass shows how far the pass had already fallen back.
+/// of {"pass_id","start_ns","elapsed_ns","deadline_ms","mode","degrade"} —
+/// degrade is the ladder path taken SO FAR, so a bundle cut mid-pass shows
+/// how far the pass had already fallen back.
 std::string active_passes_json();
 
 /// Rows per Pcache chunk for a DAG whose widest matrix has `max_ncol`

@@ -23,11 +23,6 @@ obs::counter& admitted_counter() {
       obs::metrics_registry::global().get_counter("governor.admitted");
   return c;
 }
-obs::counter& queue_wait_counter() {
-  static obs::counter& c =
-      obs::metrics_registry::global().get_counter("governor.queue_waits");
-  return c;
-}
 obs::counter& degrade_counter() {
   static obs::counter& c =
       obs::metrics_registry::global().get_counter("governor.degrade_steps");
@@ -48,11 +43,6 @@ obs::counter& stall_trip_counter() {
       obs::metrics_registry::global().get_counter("governor.stall_trips");
   return c;
 }
-obs::histogram& queue_wait_hist() {
-  static obs::histogram& h =
-      obs::metrics_registry::global().get_histogram("governor.queue_wait_us");
-  return h;
-}
 
 /// Poll period for hung-I/O checks: fine enough to trip within a fraction
 /// of the stall bound, coarse enough to keep the watchdog invisible.
@@ -66,127 +56,12 @@ std::uint64_t stall_poll_ns(std::uint64_t stall_ns) {
 // resource_governor
 // ---------------------------------------------------------------------------
 
-void resource_governor::reservation::release() noexcept {
-  if (!gov_) return;
-  gov_->do_release(fp_);
-  gov_ = nullptr;
-}
-
-void resource_governor::do_release(const footprint& fp) noexcept {
-  {
-    mutex_lock lock(gov_mtx_);
-    release_locked(fp);
-  }
-  cv_.notify_all();
-}
-
-void resource_governor::release_locked(const footprint& fp) {
-  FLASHR_ASSERT(reserved_bytes_ >= fp.bytes && reserved_io_ >= fp.inflight_io,
-                "governor reservation released twice");
-  reserved_bytes_ -= fp.bytes;
-  reserved_io_ -= fp.inflight_io;
-  --active_;
-}
-
-resource_governor::verdict resource_governor::try_admit(const footprint& fp,
-                                                        reservation& out) {
-  const std::size_t mem_budget = conf().mem_budget_bytes;
-  const std::size_t io_budget = conf().max_inflight_io;
-  mutex_lock lock(gov_mtx_);
-  if ((mem_budget != 0 && fp.bytes > mem_budget) ||
-      (io_budget != 0 && fp.inflight_io > io_budget))
-    return verdict::too_large;
-  if ((mem_budget != 0 && reserved_bytes_ + fp.bytes > mem_budget) ||
-      (io_budget != 0 && reserved_io_ + fp.inflight_io > io_budget))
-    return verdict::busy;
-  reserved_bytes_ += fp.bytes;
-  reserved_io_ += fp.inflight_io;
-  ++active_;
-  admitted_counter().add(1);
-  out = reservation(this, fp);
-  return verdict::admitted;
-}
-
-resource_governor::reservation resource_governor::admit(
-    std::uint64_t pass_id, const footprint& fp, std::uint64_t deadline_ns,
-    std::uint64_t deadline_ms) {
-  const std::size_t mem_budget = conf().mem_budget_bytes;
-  const std::size_t io_budget = conf().max_inflight_io;
-  if ((mem_budget != 0 && fp.bytes > mem_budget) ||
-      (io_budget != 0 && fp.inflight_io > io_budget)) {
-    count_reject();
-    const bool mem = mem_budget != 0 && fp.bytes > mem_budget;
-    char detail[160];
-    std::snprintf(detail, sizeof(detail),
-                  "pass %llu footprint exceeds the budget (requested=%zu "
-                  "budget=%zu)",
-                  static_cast<unsigned long long>(pass_id),
-                  mem ? fp.bytes : fp.inflight_io,
-                  mem ? mem_budget : io_budget);
-    obs::incident_request(obs::incident_kind::governor_overload, detail);
-    throw overload_error("pass footprint exceeds the resource budget",
-                         pass_id, mem ? fp.bytes : fp.inflight_io,
-                         mem ? mem_budget : io_budget);
-  }
-  const std::uint64_t t0 = now_ns();
-  queue_wait_counter().add(1);
-  // Sampling profiler: time queued for the admission budget is lock wait.
-  obs::probe queue_probe({.wait = obs::sample_state::lock_wait});
-  mutex_lock lock(gov_mtx_);
-  ++queued_;
-  for (;;) {
-    const bool fits =
-        (mem_budget == 0 || reserved_bytes_ + fp.bytes <= mem_budget) &&
-        (io_budget == 0 || reserved_io_ + fp.inflight_io <= io_budget);
-    if (fits) {
-      reserved_bytes_ += fp.bytes;
-      reserved_io_ += fp.inflight_io;
-      ++active_;
-      --queued_;
-      admitted_counter().add(1);
-      queue_wait_hist().record((now_ns() - t0) / 1000);
-      return reservation(this, fp);
-    }
-    if (deadline_ns != 0) {
-      const std::uint64_t now = now_ns();
-      if (now >= deadline_ns) {
-        --queued_;
-        // Lock-free by design: gov_mtx_ is held right here.
-        char detail[160];
-        std::snprintf(detail, sizeof(detail),
-                      "pass %llu deadline expired queued for budget "
-                      "(waited_ms=%llu limit_ms=%llu)",
-                      static_cast<unsigned long long>(pass_id),
-                      static_cast<unsigned long long>((now - t0) / 1000000),
-                      static_cast<unsigned long long>(deadline_ms));
-        obs::incident_request(obs::incident_kind::governor_timeout, detail);
-        throw timeout_error(
-            "pass deadline expired while queued for the resource budget",
-            pass_id, now - t0, deadline_ms);
-      }
-      cv_.wait_for(lock, std::chrono::nanoseconds(deadline_ns - now));
-    } else {
-      cv_.wait(lock);
-    }
-  }
-}
-
 resource_governor::health_snapshot resource_governor::health() const {
   health_snapshot h;
   h.mem_budget_bytes = conf().mem_budget_bytes;
-  h.max_inflight_io = conf().max_inflight_io;
-  {
-    mutex_lock lock(gov_mtx_);
-    h.reserved_bytes = reserved_bytes_;
-    h.reserved_io = reserved_io_;
-    h.active_passes = active_;
-    h.queued_passes = queued_;
-  }
   h.degraded_passes = degraded_.load(std::memory_order_relaxed);
   h.tripped_passes = tripped_.load(std::memory_order_relaxed);
-  if (h.queued_passes > 0)
-    h.reason = "passes queued for the resource budget";
-  else if (h.tripped_passes > 0)
+  if (h.tripped_passes > 0)
     h.reason = "watchdog tripped a running pass";
   else if (h.degraded_passes > 0)
     h.reason = "passes running degraded";
@@ -198,18 +73,14 @@ std::string resource_governor::health_snapshot::to_json() const {
   std::string s = "{\"ok\": ";
   s += ok ? "true" : "false";
   s += ", \"reason\": \"" + reason + "\"";
-  s += ", \"reserved_bytes\": " + std::to_string(reserved_bytes);
   s += ", \"mem_budget_bytes\": " + std::to_string(mem_budget_bytes);
-  s += ", \"reserved_io\": " + std::to_string(reserved_io);
-  s += ", \"max_inflight_io\": " + std::to_string(max_inflight_io);
-  s += ", \"active_passes\": " + std::to_string(active_passes);
-  s += ", \"queued_passes\": " + std::to_string(queued_passes);
   s += ", \"degraded_passes\": " + std::to_string(degraded_passes);
   s += ", \"tripped_passes\": " + std::to_string(tripped_passes);
   s += "}";
   return s;
 }
 
+void resource_governor::count_admitted() { admitted_counter().add(1); }
 void resource_governor::count_degrade_step() { degrade_counter().add(1); }
 void resource_governor::count_reject() { reject_counter().add(1); }
 
@@ -219,22 +90,6 @@ resource_governor& resource_governor::global() {
   static resource_governor* g = [] {
     auto* gov = new resource_governor();
     auto& reg = obs::metrics_registry::global();
-    reg.register_probe("governor.reserved_bytes", [gov] {
-      mutex_lock lock(gov->gov_mtx_);
-      return static_cast<std::uint64_t>(gov->reserved_bytes_);
-    });
-    reg.register_probe("governor.reserved_io", [gov] {
-      mutex_lock lock(gov->gov_mtx_);
-      return static_cast<std::uint64_t>(gov->reserved_io_);
-    });
-    reg.register_probe("governor.active_passes", [gov] {
-      mutex_lock lock(gov->gov_mtx_);
-      return static_cast<std::uint64_t>(gov->active_);
-    });
-    reg.register_probe("governor.queued_passes", [gov] {
-      mutex_lock lock(gov->gov_mtx_);
-      return static_cast<std::uint64_t>(gov->queued_);
-    });
     reg.register_probe("governor.degraded_passes", [gov] {
       return static_cast<std::uint64_t>(
           gov->degraded_.load(std::memory_order_relaxed));
@@ -302,8 +157,8 @@ pass_watchdog::trip_decision pass_watchdog::check_entry(const entry& e,
   if (e.tripped) return d;
   if (e.deadline_ns != 0 && now >= e.deadline_ns) {
     // Elapsed is measured from the deadline's own epoch (the materialize
-    // call), not from watch registration — admission queueing happens in
-    // between, and callers reasonably expect elapsed >= limit on a
+    // call), not from watch registration — earlier passes of the call run
+    // in between, and callers reasonably expect elapsed >= limit on a
     // deadline trip.
     d.k = trip_decision::kind::deadline;
     d.elapsed_ns = now - e.deadline_ns + e.deadline_ms * 1000000ull;

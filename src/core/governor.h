@@ -2,19 +2,18 @@
 //
 // Two cooperating services keep the engine well-behaved when demand exceeds
 // the machine (§4.6 runs FlashR near the memory wall; this layer is what
-// lets a misconfigured or contended run degrade instead of thrash or hang):
+// lets a misconfigured run degrade instead of thrash or hang):
 //
 //  * resource_governor — before a pass starts, exec estimates its peak
 //    footprint (prefetch window + per-worker partition claims + Pcache chunk
-//    state + EM-output staging and write-behind) and must reserve it against
-//    the process-wide budgets (conf().mem_budget_bytes, max_inflight_io).
-//    A footprint too large to EVER fit tells the caller to degrade (shrink
-//    the prefetch window, then the Pcache chunk, then fall back to eager
-//    mode); a footprint that fits but contends with running passes either
-//    queues until capacity frees (bounded by the pass deadline) or — with
-//    governor_fail_fast — surfaces a typed, transient overload_error.
-//    Reservations are RAII, so every exit path (success, cancellation,
-//    exception) releases the budget.
+//    state + EM-output staging and write-behind) and compares it with
+//    conf().mem_budget_bytes. A footprint over the budget degrades the pass
+//    (shrink the prefetch window, then the Pcache chunk, then fall back to
+//    eager mode) until it fits; one that never fits surfaces a typed
+//    overload_error. A process runs one materialize() at a time, so the
+//    budget is a plain comparison: there is no ledger to reserve against
+//    and no other pass to wait for. The governor itself keeps only the
+//    health accounting and the admission counters.
 //
 //  * pass_watchdog — one lazy, process-lifetime thread supervising running
 //    passes. A pass past its absolute deadline, or one with reads in flight
@@ -26,7 +25,7 @@
 //
 // Degradation never changes results: the ladder only shrinks read-ahead and
 // chunking, both of which are bit-identical by construction (sinks merge in
-// thread order; chunked accumulation visits rows in the same order).
+// partition order; chunked accumulation visits rows in the same order).
 #pragma once
 
 #include <atomic>
@@ -42,74 +41,11 @@ namespace flashr::exec {
 
 class resource_governor {
  public:
-  /// Estimated peak resource demand of one pass.
-  struct footprint {
-    std::size_t bytes = 0;        ///< pool-buffer bytes the pass may pin
-    std::size_t inflight_io = 0;  ///< concurrent partition-leaf reads
-  };
-
-  /// Outcome of a non-blocking admission check.
-  enum class verdict {
-    admitted,   ///< reservation taken; run the pass
-    too_large,  ///< exceeds a budget even on an idle engine — degrade
-    busy,       ///< fits alone but contends with live passes — queue/fail
-  };
-
-  /// RAII hold on reserved budget. Movable; releasing (or destroying) wakes
-  /// queued passes.
-  class reservation {
-   public:
-    reservation() = default;
-    reservation(reservation&& o) noexcept : gov_(o.gov_), fp_(o.fp_) {
-      o.gov_ = nullptr;
-    }
-    reservation& operator=(reservation&& o) noexcept {
-      if (this != &o) {
-        release();
-        gov_ = o.gov_;
-        fp_ = o.fp_;
-        o.gov_ = nullptr;
-      }
-      return *this;
-    }
-    ~reservation() { release(); }
-    reservation(const reservation&) = delete;
-    reservation& operator=(const reservation&) = delete;
-
-    void release() noexcept;
-    bool held() const { return gov_ != nullptr; }
-
-   private:
-    friend class resource_governor;
-    reservation(resource_governor* g, footprint fp) : gov_(g), fp_(fp) {}
-    resource_governor* gov_ = nullptr;
-    footprint fp_{};
-  };
-
-  /// Non-blocking admission: on `admitted`, `out` holds the reservation.
-  /// Budgets are read from conf() at call time; a zero budget is unlimited.
-  verdict try_admit(const footprint& fp, reservation& out);
-
-  /// Blocking admission for a `busy` footprint: queue until capacity frees.
-  /// `deadline_ns` (absolute flashr::now_ns instant, 0 = wait indefinitely)
-  /// bounds the wait — a queued pass cannot be cancelled by the watchdog,
-  /// so the deadline is enforced here, surfacing the same timeout_error a
-  /// running pass would. Throws overload_error for a footprint that could
-  /// never fit (callers should have degraded first).
-  reservation admit(std::uint64_t pass_id, const footprint& fp,
-                    std::uint64_t deadline_ns, std::uint64_t deadline_ms);
-
-  /// Point-in-time health: not ok while passes are queued for budget,
-  /// running degraded, or tripped by the watchdog. Incident bundles embed
-  /// it as their governor section.
+  /// Point-in-time health: not ok while a pass runs degraded or a watchdog
+  /// trip is live. Incident bundles embed it as their governor section.
   struct health_snapshot {
     bool ok = true;
-    std::size_t reserved_bytes = 0;
     std::size_t mem_budget_bytes = 0;
-    std::size_t reserved_io = 0;
-    std::size_t max_inflight_io = 0;
-    std::size_t active_passes = 0;
-    std::size_t queued_passes = 0;
     std::size_t degraded_passes = 0;
     std::size_t tripped_passes = 0;
     std::string reason;  ///< empty when ok
@@ -127,6 +63,8 @@ class resource_governor {
   void note_degraded_end() { degraded_.fetch_sub(1, std::memory_order_relaxed); }
   void note_tripped_begin() { tripped_.fetch_add(1, std::memory_order_relaxed); }
   void note_tripped_end() { tripped_.fetch_sub(1, std::memory_order_relaxed); }
+  /// Count one admitted pass (the cumulative governor.admitted metric).
+  void count_admitted();
   /// Count one degradation-ladder step (exec records the step itself in the
   /// pass profile; this feeds the cumulative governor.degrade_steps metric).
   void count_degrade_step();
@@ -136,16 +74,6 @@ class resource_governor {
   static resource_governor& global();
 
  private:
-  void release_locked(const footprint& fp) REQUIRES(gov_mtx_);
-  void do_release(const footprint& fp) noexcept;
-
-  friend class reservation;
-  mutable mutex gov_mtx_ LOCK_RANK(governor);
-  cond_var cv_;
-  std::size_t reserved_bytes_ GUARDED_BY(gov_mtx_) = 0;
-  std::size_t reserved_io_ GUARDED_BY(gov_mtx_) = 0;
-  std::size_t active_ GUARDED_BY(gov_mtx_) = 0;
-  std::size_t queued_ GUARDED_BY(gov_mtx_) = 0;
   std::atomic<std::size_t> degraded_{0};
   std::atomic<std::size_t> tripped_{0};
 };

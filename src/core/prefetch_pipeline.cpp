@@ -97,7 +97,6 @@ bool prefetch_pipeline::pop(slot& out) {
   pf_state& s = *st_;
   mutex_lock lock(s.win_mtx);
   ++s.poppers;
-  std::uint64_t waited_ns = 0;
   // One help attempt per wake-up: with nothing to claim, run the I/O FIFO's
   // oldest request here instead of sleeping while the I/O threads work
   // through it, and keep helping while that finds work; an empty FIFO sends
@@ -136,7 +135,6 @@ bool prefetch_pipeline::pop(slot& out) {
         OBS_COUNTER("prefetch.window", s.window.size() + 1);
       }
       ++s.st.pops;
-      s.st.read_wait_ns += waited_ns;
       if (claimed->error) {
         // Release the buffers here, under the lock, not via `claimed`'s
         // destructor: a completion closure on the thread that ran its read
@@ -154,7 +152,6 @@ bool prefetch_pipeline::pop(slot& out) {
     }
     if (s.window.empty() && s.next_part == num_parts_) {
       --s.poppers;
-      s.st.read_wait_ns += waited_ns;
       return false;
     }
     // At depth 0 this worker's arrival raised the window's capacity, so it
@@ -170,9 +167,7 @@ bool prefetch_pipeline::pop(slot& out) {
       lock.lock();
       continue;
     }
-    const std::uint64_t t0 = now_ns();
     s.cv.wait(lock);
-    waited_ns += now_ns() - t0;
     may_help = true;
   }
 }

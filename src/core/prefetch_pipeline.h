@@ -59,9 +59,9 @@ class prefetch_pipeline {
     std::unordered_map<const em_readable*, pool_buffer> bufs;
   };
 
-  /// Pipeline-side counters feeding exec::pass_stats.
+  /// Pipeline-side counters feeding exec::pass_stats. The pass times its
+  /// workers' read wait itself, around pop().
   struct stats {
-    std::uint64_t read_wait_ns = 0;    ///< worker time blocked in pop()
     std::uint64_t occupancy_sum = 0;   ///< window size sampled at each pop
     std::uint64_t pops = 0;            ///< completed partitions handed out
     std::size_t reads_issued = 0;      ///< async partition reads submitted

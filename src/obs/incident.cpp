@@ -36,7 +36,7 @@ namespace {
 
 // ---- trigger slots -------------------------------------------------------
 //
-// The request path runs under the governor/watchdog locks, in nonblocking
+// The request path runs under the watchdog lock, in nonblocking
 // completion contexts and inside signal handlers, so it may only touch this
 // fixed lock-free state: CAS a slot from free to writing, fill it, publish
 // it ready, poke the self-pipe. The monitor owns the ready->free transition.
@@ -138,8 +138,6 @@ std::string config_json() {
                             o.prefetch_depth < 0 ? 0 : o.prefetch_depth));
   num("max_inflight_write_bytes", o.max_inflight_write_bytes);
   num("mem_budget_bytes", o.mem_budget_bytes);
-  num("max_inflight_io", o.max_inflight_io);
-  boolean("governor_fail_fast", o.governor_fail_fast);
   num("pass_deadline_ms", o.pass_deadline_ms);
   num("watchdog_stall_ms", o.watchdog_stall_ms);
   num("io_max_retries", static_cast<std::uint64_t>(o.io_max_retries));
@@ -279,7 +277,6 @@ const char* incident_kind_name(incident_kind k) noexcept {
     case incident_kind::manual: return "manual";
     case incident_kind::watchdog_trip: return "watchdog-trip";
     case incident_kind::governor_overload: return "governor-overload";
-    case incident_kind::governor_timeout: return "governor-timeout";
     case incident_kind::invariant_abort: return "invariant-abort";
     case incident_kind::lock_rank_abort: return "lock-rank-abort";
     case incident_kind::io_exhausted: return "io-exhausted";

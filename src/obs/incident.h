@@ -2,7 +2,7 @@
 // flight recorder (obs/trace.h) and the crash handler (obs/crash_handler.h).
 //
 // Anything that indicates the engine is in trouble — a watchdog trip, a
-// governor overload/timeout escalation, an invariant or lock-rank abort, an
+// governor overload, an invariant or lock-rank abort, an
 // I/O retry budget exhausted, a checksum mismatch, or an operator sending
 // SIGUSR2 — files a *trigger*. Triggers are consumed by a monitor thread
 // that composes one self-contained JSON bundle (schema
@@ -16,7 +16,7 @@
 //
 // incident_request() is LOCK-FREE AND ASYNC-SIGNAL-SAFE by construction
 // (fixed trigger slots claimed by CAS + a self-pipe wakeup): the interesting
-// triggers fire from under the governor and watchdog locks, from nonblocking
+// triggers fire from under the watchdog lock, from nonblocking
 // I/O completion contexts, and from the SIGUSR2 handler, none of which may
 // block. When every slot is busy the trigger is dropped and counted
 // (flashr_incident_dropped) — under a trigger storm the first bundles
@@ -42,7 +42,6 @@ enum class incident_kind : int {
   manual = 0,       ///< SIGUSR2 or incident_write_bundle()
   watchdog_trip,    ///< pass_watchdog deadline/stall trip (core/governor.cpp)
   governor_overload,///< overload_error thrown at admission
-  governor_timeout, ///< timeout_error thrown at admission wait
   invariant_abort,  ///< FLASHR_ASSERT / invariant validator failure
   lock_rank_abort,  ///< runtime lock-rank inversion (common/lock_rank.cpp)
   io_exhausted,     ///< io_error past the syscall retry budget
@@ -53,7 +52,7 @@ const char* incident_kind_name(incident_kind k) noexcept;
 
 /// File a trigger. Lock-free and async-signal-safe: claims one of a fixed
 /// set of slots by CAS and pokes the monitor's self-pipe; never allocates,
-/// locks or blocks (safe under the governor/watchdog locks and inside
+/// locks or blocks (safe under the watchdog lock and inside
 /// signal handlers). `detail` is copied (truncated to ~240 bytes) and may
 /// be null. No-op (counted as dropped) when the monitor is not armed or
 /// every slot is busy.

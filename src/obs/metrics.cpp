@@ -60,13 +60,6 @@ counter& metrics_registry::get_counter(const std::string& name) {
   return *slot;
 }
 
-gauge& metrics_registry::get_gauge(const std::string& name) {
-  mutex_lock lock(reg_mtx_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<gauge>();
-  return *slot;
-}
-
 histogram& metrics_registry::get_histogram(const std::string& name) {
   mutex_lock lock(reg_mtx_);
   auto& slot = hists_[name];
@@ -86,10 +79,6 @@ std::uint64_t metrics_registry::value(const std::string& name,
   {
     mutex_lock lock(reg_mtx_);
     if (auto it = counters_.find(name); it != counters_.end()) {
-      if (found != nullptr) *found = true;
-      return it->second->value();
-    }
-    if (auto it = gauges_.find(name); it != gauges_.end()) {
       if (found != nullptr) *found = true;
       return it->second->value();
     }
@@ -145,11 +134,6 @@ std::string metrics_registry::to_json() const {
     append_section(out, "counters", counters_,
                    [](const std::unique_ptr<counter>& c) {
                      return u64_str(c->value());
-                   },
-                   first_section);
-    append_section(out, "gauges", gauges_,
-                   [](const std::unique_ptr<gauge>& g) {
-                     return u64_str(g->value());
                    },
                    first_section);
     append_section(out, "histograms", hists_,
@@ -226,8 +210,6 @@ std::string metrics_registry::to_prometheus() const {
     mutex_lock lock(reg_mtx_);
     for (const auto& [name, c] : counters_)
       append_prom_scalar(out, name, "counter", c->value());
-    for (const auto& [name, g] : gauges_)
-      append_prom_scalar(out, name, "gauge", g->value());
     for (const auto& [name, h] : hists_) {
       const std::string pname = prom_name(name);
       out += "# HELP " + pname + " flashr histogram ";
@@ -256,7 +238,6 @@ std::string metrics_registry::to_prometheus() const {
 void metrics_registry::reset() {
   mutex_lock lock(reg_mtx_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : hists_) h->reset();
 }
 

@@ -1,6 +1,6 @@
 // Process-wide metrics registry (the metrics third of src/obs/).
 //
-// Named counters, gauges, fixed-bucket histograms and probes. Increments and
+// Named counters, fixed-bucket histograms and probes. Increments and
 // histogram records are lock-free (relaxed atomics); the registry mutex is
 // taken only to create/look up an instrument or to snapshot everything as
 // JSON. Instruments live for the process lifetime, so hot paths look their
@@ -56,16 +56,6 @@ class counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-class gauge {
- public:
-  void set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
 class histogram {
  public:
   /// 64 power-of-two buckets cover the full u64 range.
@@ -101,7 +91,6 @@ class metrics_registry {
   /// Find-or-create; references stay valid for the process lifetime. Cache
   /// the reference (function-local static) on hot paths.
   counter& get_counter(const std::string& name);
-  gauge& get_gauge(const std::string& name);
   histogram& get_histogram(const std::string& name);
 
   /// Register a read-through view of an external value (see the probe
@@ -109,12 +98,12 @@ class metrics_registry {
   void register_probe(const std::string& name,
                       std::function<std::uint64_t()> fn);
 
-  /// Value of the named counter/gauge/probe; 0 when absent (`found`, if
+  /// Value of the named counter/probe; 0 when absent (`found`, if
   /// given, distinguishes). Histograms are not scalar — read them via
   /// get_histogram().
   std::uint64_t value(const std::string& name, bool* found = nullptr) const;
 
-  /// One JSON object: {"counters":{..}, "gauges":{..}, "probes":{..},
+  /// One JSON object: {"counters":{..}, "histograms":{..}, "probes":{..},
   /// "histograms":{name:{count,sum,mean,p50,p95,p99}}}. Taken under the
   /// registry mutex, so the set of instruments is coherent (individual
   /// atomics are read relaxed).
@@ -122,13 +111,13 @@ class metrics_registry {
 
   /// Prometheus text exposition format 0.0.4, ready to write to a file for
   /// a scraper or tools/check_prom.py. Instrument names are sanitized
-  /// ([a-zA-Z0-9_:], "flashr_" prefix); counters map to `counter`, gauges
-  /// and probes to `gauge` (probes mirror externally-reset state, so they
-  /// must not promise monotonicity), histograms to `summary` with
+  /// ([a-zA-Z0-9_:], "flashr_" prefix); counters map to `counter`, probes
+  /// to `gauge` (probes mirror externally-reset state, so they must not
+  /// promise monotonicity), histograms to `summary` with
   /// p50/p95/p99 quantiles plus _sum/_count.
   std::string to_prometheus() const;
 
-  /// Zero every owned counter/gauge/histogram. Probes are views of external
+  /// Zero every owned counter/histogram. Probes are views of external
   /// state and are left alone.
   void reset();
 
@@ -137,7 +126,6 @@ class metrics_registry {
  private:
   mutable mutex reg_mtx_ LOCK_RANK(metrics_registry);
   std::map<std::string, std::unique_ptr<counter>> counters_ GUARDED_BY(reg_mtx_);
-  std::map<std::string, std::unique_ptr<gauge>> gauges_ GUARDED_BY(reg_mtx_);
   std::map<std::string, std::unique_ptr<histogram>> hists_ GUARDED_BY(reg_mtx_);
   std::map<std::string, std::function<std::uint64_t()>> probes_
       GUARDED_BY(reg_mtx_);

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "common/config.h"
+#include "common/error.h"
 #include "common/timer.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
+#include "io/fault.h"
 #include "io/safs.h"
 #include "mem/buffer_pool.h"
 #include "obs/trace.h"
@@ -261,6 +264,62 @@ TEST(ExecTest, OnePartitionPassLeavesWorkersAsleep) {
       caller_events += t.events.size();
   }
   EXPECT_GT(caller_events, 0u);  // the pass itself was recorded
+}
+
+// One materialize() runs at a time per process. A call made while another
+// call's pass is in flight throws flashr::error and touches nothing: the
+// running pass ends with exact results and the pool at its baseline, and
+// the rejected call succeeds once the first has returned.
+TEST(ExecTest, ConcurrentMaterializeIsRejected) {
+  constexpr std::size_t n = 1000, p = 4;
+  options o;
+  o.em_dir = "/tmp/flashr_test_em";
+  o.num_threads = 4;
+  o.io_part_rows = 64;  // 16 partitions: both DAGs need the pool's workers
+  o.small_nrow_threshold = 16;
+  init(o);
+  const dense_matrix x = conv_store(dense_matrix::runif(n, p, -1, 1, 23),
+                                    storage::ext_mem);
+  const dense_matrix z = dense_matrix::runif(n, p, -1, 1, 29);
+  const smat hx = x.to_smat();
+  const smat hz = z.to_smat();
+  auto& pool = buffer_pool::global();
+  const std::size_t count0 = pool.outstanding_count();
+  const std::size_t bytes0 = pool.outstanding_bytes();
+
+  {
+    dense_matrix y = x * 2.0 + 1.0;
+    dense_matrix w = z * 3.0;
+    {
+      // Every pread sleeps 20 ms, so the first pass takes at least
+      // 16 x 20 ms / (2 I/O threads + 4 workers).
+      fault_plan slow;
+      slow.seed = 37;
+      slow.latency_prob = 1.0;
+      slow.latency_us = 20000;
+      fault_scope scope(slow);
+      std::thread first([&y] { y.materialize(storage::in_mem); });
+      const std::uint64_t t0 = now_ns();
+      while (exec::active_passes_json() == "[]" &&
+             now_ns() - t0 < 5ull * 1000000000ull)
+        std::this_thread::yield();
+      EXPECT_NE(exec::active_passes_json(), "[]") << "first pass never ran";
+      EXPECT_THROW(w.materialize(storage::in_mem), error);
+      first.join();
+    }
+    const smat got = y.to_smat();
+    for (std::size_t j = 0; j < p; ++j)
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(got(i, j), hx(i, j) * 2.0 + 1.0) << i << "," << j;
+
+    // The retry, with the first call returned, runs.
+    const smat gw = w.to_smat();
+    for (std::size_t j = 0; j < p; ++j)
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(gw(i, j), hz(i, j) * 3.0) << i << "," << j;
+  }
+  EXPECT_EQ(pool.outstanding_count(), count0);
+  EXPECT_EQ(pool.outstanding_bytes(), bytes0);
 }
 
 class FailureTest : public ::testing::Test {

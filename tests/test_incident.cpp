@@ -365,10 +365,10 @@ TEST_F(CrashDumpDeathTest, LockRankAbortLeavesCompleteDump) {
       {
         conf();  // lazy init reads FLASHR_INCIDENT_DIR and arms
         invariant_scope on;
-        mutex low LOCK_RANK(governor);
+        mutex low LOCK_RANK(watchdog);
         mutex high LOCK_RANK(metrics_registry);
         mutex_lock outer(high);
-        mutex_lock inner(low);  // 300 acquired under 700
+        mutex_lock inner(low);  // 200 acquired under 700
       },
       "lock rank inversion");
   const std::string json = reassembled();
@@ -376,7 +376,7 @@ TEST_F(CrashDumpDeathTest, LockRankAbortLeavesCompleteDump) {
   EXPECT_NE(json.find("\"complete\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("lock rank inversion"), std::string::npos) << json;
   // The crashed thread's held ranks made it into the dump: it held
-  // metrics_registry (700) — and the inverted governor lock (300) was noted
+  // metrics_registry (700) — and the inverted watchdog lock (200) was noted
   // before the checker fired.
   EXPECT_NE(json.find("\"held_ranks\""), std::string::npos);
   EXPECT_NE(json.find("700"), std::string::npos) << json;

@@ -2,7 +2,7 @@
 // common/lock_rank.cpp): a seeded rank inversion and a recursive lock must
 // abort with their diagnostics, the gate must keep the checker silent when
 // invariants are off, and — the real bar — a full engine pass in every
-// execution mode plus a concurrent governor/stats-server scrape must run
+// execution mode plus a concurrent metrics scrape must run
 // clean with the checker enabled, proving the declared rank table matches
 // the locks the engine actually takes.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "common/config.h"
 #include "common/thread_safety.h"
 #include "core/dense_matrix.h"
-#include "core/governor.h"
 #include "io/async_io.h"
 #include "obs/metrics.h"
 
@@ -29,10 +28,10 @@ TEST(LockRankDeathTest, InversionAborts) {
   EXPECT_DEATH(
       {
         invariant_scope on;
-        mutex low LOCK_RANK(governor);
+        mutex low LOCK_RANK(watchdog);
         mutex high LOCK_RANK(metrics_registry);
         mutex_lock outer(high);
-        mutex_lock inner(low);  // 300 acquired under 700
+        mutex_lock inner(low);  // 200 acquired under 700
       },
       "lock rank inversion");
 }
@@ -55,7 +54,7 @@ TEST(LockRankDeathTest, RecursiveLockAborts) {
   EXPECT_DEATH(
       {
         invariant_scope on;
-        mutex m LOCK_RANK(governor);
+        mutex m LOCK_RANK(watchdog);
         m.lock();
         m.lock();  // same mutex, same thread
       },
@@ -124,7 +123,7 @@ TEST(LockRank, GateOffIsSilent) {
   // Without the invariant gate the checker must cost nothing and tolerate
   // any order (release builds run with it off).
   if (kInvariantBuild) GTEST_SKIP() << "validator forced on at compile time";
-  mutex low LOCK_RANK(governor);
+  mutex low LOCK_RANK(watchdog);
   mutex high LOCK_RANK(metrics_registry);
   {
     mutex_lock outer(high);
@@ -135,9 +134,9 @@ TEST(LockRank, GateOffIsSilent) {
 
 TEST(LockRank, IntrospectionTracksHeldRanks) {
   invariant_scope on;
-  mutex low LOCK_RANK(governor);
+  mutex low LOCK_RANK(watchdog);
   mutex high LOCK_RANK(metrics_registry);
-  EXPECT_EQ(low.rank(), lock_rank::governor.value);
+  EXPECT_EQ(low.rank(), lock_rank::watchdog.value);
   EXPECT_EQ(high.rank(), lock_rank::metrics_registry.value);
   EXPECT_EQ(mutex{}.rank(), 0);  // unranked test scaffolding
 
@@ -147,7 +146,7 @@ TEST(LockRank, IntrospectionTracksHeldRanks) {
     mutex_lock outer(low);
     mutex_lock inner(high);
     ASSERT_EQ(detail::held_ranks(held, 16), 2);
-    EXPECT_EQ(held[0], lock_rank::governor.value);
+    EXPECT_EQ(held[0], lock_rank::watchdog.value);
     EXPECT_EQ(held[1], lock_rank::metrics_registry.value);
   }
   EXPECT_EQ(detail::held_ranks(held, 16), 0);
@@ -155,11 +154,11 @@ TEST(LockRank, IntrospectionTracksHeldRanks) {
 
 TEST(LockRank, TryLockParticipates) {
   invariant_scope on;
-  mutex m LOCK_RANK(governor);
+  mutex m LOCK_RANK(watchdog);
   ASSERT_TRUE(m.try_lock());
   int held[16];
   EXPECT_EQ(detail::held_ranks(held, 16), 1);
-  EXPECT_EQ(held[0], lock_rank::governor.value);
+  EXPECT_EQ(held[0], lock_rank::watchdog.value);
   m.unlock();
   EXPECT_EQ(detail::held_ranks(held, 16), 0);
 }
@@ -185,8 +184,8 @@ class LockRankEngineTest : public ::testing::Test {
   }
 
   // One full pass: external-memory input so the prefetch pipeline, the
-  // async-I/O queue, the buffer pool, the governor and the metrics layer
-  // all take their locks while the rank checker watches.
+  // async-I/O queue, the buffer pool and the metrics layer all take their
+  // locks while the rank checker watches.
   void run_pass() {
     dense_matrix x = dense_matrix::runif(600, 4, -1, 1, /*seed=*/11);
     x = conv_store(x, storage::ext_mem);
@@ -207,9 +206,9 @@ TEST_F(LockRankEngineTest, CleanPassInEveryMode) {
 
 TEST_F(LockRankEngineTest, ConcurrentGovernorAndScrape) {
   // The deepest rank chains in the tree meet here: the engine pass nests
-  // pass locks -> governor -> prefetch window -> async queue -> pool ->
-  // metrics/trace, while the scraper walks metrics -> governor probes.
-  // With the checker on, any undeclared edge aborts.
+  // pass locks -> prefetch window -> async queue -> pool -> metrics/trace,
+  // while the scraper walks metrics -> the governor's and the pass-stats
+  // probes. With the checker on, any undeclared edge aborts.
   invariant_scope on;
   std::atomic<bool> stop{false};
   std::thread scraper([&] {

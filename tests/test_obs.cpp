@@ -392,7 +392,7 @@ TEST(ObsMetrics, CountersGaugesAndRegistryJson) {
   auto& reg = obs::metrics_registry::global();
   reg.get_counter("test.counter").add(41);
   reg.get_counter("test.counter").add(1);
-  reg.get_gauge("test.gauge").set(7);
+  reg.register_probe("test.gauge", [] { return std::uint64_t{7}; });
   reg.get_histogram("test.hist").record(10);
 
   bool found = false;

@@ -239,6 +239,30 @@ TEST(ProfileAnalyze, IdentityCastAliasesResidentLeaves) {
   obs::profile_clear();
 }
 
+// The pass's read wait is timed once, by the prefetch.pop probe around each
+// worker's pop(), so last_pass_stats() and the recorded profile report the
+// same number. At depth 0 the lone worker issues each partition's read and
+// often runs it itself inside pop(); that is read wait too.
+TEST(ProfileAnalyze, PassReadWaitIsTheProfiledPopTime) {
+  options o = profile_options();
+  o.num_threads = 1;
+  o.prefetch_depth = 0;
+  o.obs_profile = true;
+  init(o);
+  const dense_matrix x = conv_store(dense_matrix::runif(20000, 4, 0, 1, 19),
+                                    storage::ext_mem);
+  obs::profile_clear();
+  EXPECT_GT(sum(x * 2.0).scalar(), 0.0);
+  const exec::pass_stats ps = exec::last_pass_stats();
+  const std::vector<obs::pass_profile> history = obs::profile_history();
+  ASSERT_EQ(history.size(), 1u);
+  EXPECT_EQ(ps.passes, 1u);
+  EXPECT_GT(ps.read_wait_ns, 0u);
+  EXPECT_EQ(ps.read_wait_ns, history.back().io_wait_ns);
+  obs::set_profile_enabled(false);
+  obs::profile_clear();
+}
+
 // A failed analysis leaves profiling as it found it: a pass that throws
 // (here the governor rejects it) must not leave every later pass paying for
 // the profile.
@@ -382,7 +406,7 @@ TEST(ProfileHistory, DisabledRecordsNothing) {
 TEST(Prometheus, ExpositionFormat) {
   auto& reg = obs::metrics_registry::global();
   reg.get_counter("prom.test-counter").add(3);
-  reg.get_gauge("prom.gauge").set(9);
+  reg.register_probe("prom.gauge", [] { return std::uint64_t{9}; });
   auto& h = reg.get_histogram("prom.hist");
   h.reset();
   h.record(100);

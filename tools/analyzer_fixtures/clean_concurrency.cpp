@@ -13,7 +13,7 @@ using flashr::mutex;
 using flashr::mutex_lock;
 
 struct ordered_pair {
-  mutex low_fix_mtx LOCK_RANK(governor);
+  mutex low_fix_mtx LOCK_RANK(watchdog);
   mutex high_fix_mtx LOCK_RANK(metrics_registry);
   mutex ring_fix_mtx LOCK_RANK(prefetch_window);  // nonblocking_safe
   unsigned tail = 0;
@@ -24,7 +24,7 @@ struct ordered_pair {
 };
 
 void ordered_pair::nested_in_order() {
-  mutex_lock outer(low_fix_mtx);    // 300
+  mutex_lock outer(low_fix_mtx);    // 200
   mutex_lock inner(high_fix_mtx);   // 700: strictly increasing
 }
 

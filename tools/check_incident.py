@@ -55,8 +55,8 @@ import struct
 import sys
 
 KNOWN_KINDS = {
-    "manual", "watchdog-trip", "governor-overload", "governor-timeout",
-    "invariant-abort", "lock-rank-abort", "io-exhausted", "checksum",
+    "manual", "watchdog-trip", "governor-overload", "invariant-abort",
+    "lock-rank-abort", "io-exhausted", "checksum",
 }
 
 BUNDLE_SECTIONS = ("schema", "trigger", "time", "build", "config", "flight",
